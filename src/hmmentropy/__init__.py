@@ -10,8 +10,8 @@ entropy-aware model selection criteria.
 from .chain import (ChainPosterior, backward_smooth, forward_pass,
                     smooth_chain, viterbi_chain)
 from .chain_entropy import (ChainEntropyProfile, entropy_future,
-                            entropy_past_direct, entropy_past_hernando,
-                            marginal_entropy_profile)
+                            entropy_future_direct, entropy_past_direct,
+                            entropy_past_hernando, marginal_entropy_profile)
 from .criteria import CriterionInput, bic, free_parameter_count, icl_bic, nec
 from .errors import (BudgetExceededError, DataFormatError, HmmError,
                      ImpossibleObservationError, ValidationError)
@@ -39,7 +39,7 @@ __all__ = [
     "ChainPosterior", "forward_pass", "backward_smooth", "smooth_chain",
     "viterbi_chain",
     "ChainEntropyProfile", "marginal_entropy_profile", "entropy_past_hernando",
-    "entropy_past_direct", "entropy_future",
+    "entropy_past_direct", "entropy_future", "entropy_future_direct",
     "TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
     "viterbi_tree", "viterbi_profiles",
     "TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",

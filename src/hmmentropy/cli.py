@@ -81,9 +81,22 @@ def _scalar_table(pairs, entropy_keys=(), log_base="e"):
     return "\n".join(lines) + "\n"
 
 
-def _obs_columns(table, values):
+def _id_table(kind, data):
+    """A table of the columns that identify each row: vertex, parent and
+    obs_k for a tree; sequence, index and obs_k for chains."""
+    table = ProfileTable(kind)
+    if kind == "tree":
+        table.add("vertex", np.arange(data.num_vertices))
+        table.add("parent", data.topology.parent)
+        values = data.values
+    else:
+        table.add("sequence", np.concatenate(
+            [np.full(seq.length, s) for s, seq in enumerate(data)]))
+        table.add("index", np.concatenate([np.arange(seq.length) for seq in data]))
+        values = np.concatenate([seq.values for seq in data])
     for k in range(values.shape[1]):
         table.add(f"obs_{k}", values[:, k])
+    return table
 
 
 def _path_tree(seq):
@@ -116,28 +129,13 @@ def smooth(model_file, data_file, out_file, log_base):
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
     if kind == "tree":
-        post = smooth_tree(model, data)
-        table = ProfileTable("tree")
-        table.add("vertex", np.arange(data.num_vertices))
-        table.add("parent", data.topology.parent)
-        _obs_columns(table, data.values)
-        for j in range(model.num_states):
-            table.add(f"smoothed_{j}", post.smoothed[:, j])
+        smoothed = smooth_tree(model, data).smoothed
     else:
-        table = ProfileTable("chain")
-        rows_seq, rows_idx, cols = [], [], []
-        for s, seq in enumerate(data):
-            post = smooth_chain(model, seq)
-            rows_seq.append(np.full(seq.length, s))
-            rows_idx.append(np.arange(seq.length))
-            cols.append((seq.values, post.smoothed))
-        table.add("sequence", np.concatenate(rows_seq))
-        table.add("index", np.concatenate(rows_idx))
-        values = np.concatenate([v for v, _ in cols])
-        _obs_columns(table, values)
-        smoothed = np.concatenate([s for _, s in cols])
-        for j in range(model.num_states):
-            table.add(f"smoothed_{j}", smoothed[:, j])
+        smoothed = np.concatenate([smooth_chain(model, seq).smoothed
+                                   for seq in data])
+    table = _id_table(kind, data)
+    for j in range(model.num_states):
+        table.add(f"smoothed_{j}", smoothed[:, j])
     _emit(write_profile(table, log_base), out_file)
 
 
@@ -149,27 +147,18 @@ def viterbi(model_file, data_file, out_file):
     """Most likely state restoration; log joint probabilities on stderr."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    table = ProfileTable(kind)
     if kind == "tree":
         states, log_joint = viterbi_tree(model, data)
-        table.add("vertex", np.arange(data.num_vertices))
-        table.add("parent", data.topology.parent)
-        _obs_columns(table, data.values)
-        table.add("viterbi_state", states)
         click.echo(f"log_joint\t{format(log_joint, '.12g')}", err=True)
     else:
-        seq_col, idx_col, obs, states_col = [], [], [], []
+        paths = []
         for s, seq in enumerate(data):
-            states, log_joint = viterbi_chain(model, seq)
-            seq_col.append(np.full(seq.length, s))
-            idx_col.append(np.arange(seq.length))
-            obs.append(seq.values)
-            states_col.append(states)
+            path, log_joint = viterbi_chain(model, seq)
+            paths.append(path)
             click.echo(f"log_joint[{s}]\t{format(log_joint, '.12g')}", err=True)
-        table.add("sequence", np.concatenate(seq_col))
-        table.add("index", np.concatenate(idx_col))
-        _obs_columns(table, np.concatenate(obs))
-        table.add("viterbi_state", np.concatenate(states_col))
+        states = np.concatenate(paths)
+    table = _id_table(kind, data)
+    table.add("viterbi_state", states)
     _emit(write_profile(table), out_file)
 
 
@@ -185,10 +174,7 @@ def viterbi_profiles_cmd(model_file, data_file, out_file):
         raise DataFormatError("viterbi-profiles requires tree input")
     states, _ = viterbi_tree(model, data)
     prof = viterbi_profiles(model, data)
-    table = ProfileTable("tree")
-    table.add("vertex", np.arange(data.num_vertices))
-    table.add("parent", data.topology.parent)
-    _obs_columns(table, data.values)
+    table = _id_table(kind, data)
     table.add("viterbi_state", states)
     for j in range(model.num_states):
         table.add(f"vprofile_{j}", prof[:, j])
@@ -215,65 +201,46 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
             raise click.UsageError("tree input takes --cond parent|children|both")
         post = smooth_tree(model, data)
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
-        table = ProfileTable("tree")
-        table.add("vertex", np.arange(data.num_vertices))
-        table.add("parent", data.topology.parent)
-        _obs_columns(table, data.values)
-        for j in range(model.num_states):
-            table.add(f"smoothed_{j}", post.smoothed[:, j])
+        smoothed = post.smoothed
+        marginal = entr(smoothed).sum(axis=1)
         if cond == "children":
-            table.add("marginal_entropy", entr(post.smoothed).sum(axis=1),
-                      entropy=True)
-            table.add("cond_entropy_children",
-                      children_conditional_profile(model, data, post, op_budget),
-                      entropy=True)
+            columns = [("cond_entropy_children", children_conditional_profile(
+                model, data, post, op_budget))]
         elif cond == "parent":
-            marginal = entr(post.smoothed).sum(axis=1)
             pc, _ = parent_conditional_profile(model, data, post)
             _, partial_subtree, complement, _ = subtree_entropies_approach1(
                 model, data, post, pc)
-            table.add("marginal_entropy", marginal, entropy=True)
-            table.add("cond_entropy_parent", pc, entropy=True)
-            table.add("partial_subtree_entropy", partial_subtree, entropy=True)
-            table.add("partial_complement_entropy", complement, entropy=True)
+            columns = [("cond_entropy_parent", pc),
+                       ("partial_subtree_entropy", partial_subtree),
+                       ("partial_complement_entropy", complement)]
         else:
             prof = tree_entropy_profile(model, data, post, op_budget)
-            table.add("marginal_entropy", prof.marginal, entropy=True)
-            table.add("cond_entropy_parent", prof.parent_conditional,
-                      entropy=True)
-            table.add("cond_entropy_children", prof.children_conditional,
-                      entropy=True)
-            table.add("partial_subtree_entropy", prof.partial_subtree,
-                      entropy=True)
-            table.add("partial_complement_entropy", prof.partial_complement,
-                      entropy=True)
+            columns = [("cond_entropy_parent", prof.parent_conditional),
+                       ("cond_entropy_children", prof.children_conditional),
+                       ("partial_subtree_entropy", prof.partial_subtree),
+                       ("partial_complement_entropy", prof.partial_complement)]
     else:
         cond = cond or "past"
         if cond not in ("past", "future"):
             raise click.UsageError("chain input takes --cond past|future")
-        table = ProfileTable("chain")
-        seq_col, idx_col, obs, smooth_col, profs = [], [], [], [], []
-        for s, seq in enumerate(data):
+        route = entropy_past_hernando if cond == "past" else entropy_future
+        smooth_col, profs = [], []
+        for seq in data:
             post = smooth_chain(model, seq)
-            prof = entropy_past_hernando(model, seq, post) if cond == "past" \
-                else entropy_future(model, seq, post)
-            seq_col.append(np.full(seq.length, s))
-            idx_col.append(np.arange(seq.length))
-            obs.append(seq.values)
+            profs.append(route(model, seq, post))
             smooth_col.append(post.smoothed)
-            profs.append(prof)
-        table.add("sequence", np.concatenate(seq_col))
-        table.add("index", np.concatenate(idx_col))
-        _obs_columns(table, np.concatenate(obs))
         smoothed = np.concatenate(smooth_col)
-        for j in range(model.num_states):
-            table.add(f"smoothed_{j}", smoothed[:, j])
-        table.add("marginal_entropy",
-                  np.concatenate([p.marginal for p in profs]), entropy=True)
-        table.add(f"cond_entropy_{cond}",
-                  np.concatenate([p.conditional for p in profs]), entropy=True)
-        table.add(f"partial_entropy_{cond}",
-                  np.concatenate([p.partial for p in profs]), entropy=True)
+        marginal = np.concatenate([p.marginal for p in profs])
+        columns = [(f"cond_entropy_{cond}",
+                    np.concatenate([p.conditional for p in profs])),
+                   (f"partial_entropy_{cond}",
+                    np.concatenate([p.partial for p in profs]))]
+    table = _id_table(kind, data)
+    for j in range(model.num_states):
+        table.add(f"smoothed_{j}", smoothed[:, j])
+    table.add("marginal_entropy", marginal, entropy=True)
+    for name, values in columns:
+        table.add(name, values, entropy=True)
     _emit(write_profile(table, log_base), out_file)
 
 

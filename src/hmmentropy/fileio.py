@@ -212,12 +212,16 @@ def serialize_tree(tree: ObservedTree) -> str:
 
 
 def detect_data_kind(text: str) -> str:
-    """'tree' when the document parses as a tree, else 'chain'."""
-    try:
-        parse_tree(text)
-        return "tree"
-    except DataFormatError:
-        return "chain"
+    """'tree' when the second field of some line is a negative integer, as a
+    root's parent id -1 is and no sequence value can be; else 'chain'."""
+    for raw in text.splitlines():
+        fields = raw.split(None, 2)
+        try:
+            if len(fields) > 1 and int(fields[1]) < 0:
+                return "tree"
+        except ValueError:
+            pass
+    return "chain"
 
 
 # ---------------------------------------------------------------------------

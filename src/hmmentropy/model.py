@@ -49,7 +49,7 @@ class Categorical:
         s = self.probs.sum()
         if abs(s - 1.0) > PROB_TOL:
             issues.append(f"{prefix}: probabilities sum to {s!r}")
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
+        if not np.all((self.probs >= 0) & (self.probs <= 1)):  # NaN fails
             issues.append(f"{prefix}: entries outside [0, 1]")
         return issues
 
@@ -185,13 +185,14 @@ def validate_model(model: HmmModel) -> ValidationReport:
     s = model.initial.sum()
     if abs(s - 1.0) > PROB_TOL:
         v.append(f"initial: sums to {s!r}")
-    if np.any(model.initial < 0) or np.any(model.initial > 1):
+    # written so that NaN entries fail the range checks
+    if not np.all((model.initial >= 0) & (model.initial <= 1)):
         v.append("initial: entries outside [0, 1]")
     for i, row in enumerate(model.transition):
         rs = row.sum()
         if abs(rs - 1.0) > PROB_TOL:
             v.append(f"transition: row {i} sums to {rs!r}")
-        if np.any(row < 0) or np.any(row > 1):
+        if not np.all((row >= 0) & (row <= 1)):
             v.append(f"transition: row {i} has entries outside [0, 1]")
     sig = model.variable_signature()
     for j, state_vars in enumerate(model.emissions):

@@ -2,7 +2,9 @@
 
 The global state entropy H(S | X = x) decomposes over vertices into
 parent-conditioned entropies (root term: the marginal entropy).  Two
-independent algorithms compute subtree and complement partial entropies:
+independent algorithms compute subtree and complement partial entropies;
+the profile uses approach 1, and approach 2 is the reference the tests
+compare it with:
 
 * approach 1 accumulates parent-conditional entropies upward and completes
   the complement profile downward; it consumes the downward (smoothed)
@@ -46,9 +48,9 @@ class TreeEntropyProfile:
     partial_subtree[u]         H(subtree states at u | X)
     partial_complement[u]      H(states outside the subtree at u | X);
                                the root slot is 0 (empty complement)
-    state_conditioned_upward   n x J table of entropies of the children
-                               subtrees' states given S_u = j and the
-                               observed subtree at u
+
+    The partial entropies come from approach 1; the state-conditioned table
+    of approach 2 is returned by subtree_entropies_approach2.
     """
 
     marginal: np.ndarray
@@ -57,7 +59,6 @@ class TreeEntropyProfile:
     subtree_given_parent: np.ndarray
     partial_subtree: np.ndarray
     partial_complement: np.ndarray
-    state_conditioned_upward: np.ndarray
     global_entropy: float
 
 
@@ -225,7 +226,6 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
     parent_cond, _ = parent_conditional_profile(model, tree, posterior)
     sgp, partial_subtree, complement, global_entropy = subtree_entropies_approach1(
         model, tree, posterior, parent_cond)
-    h, _, _, _ = subtree_entropies_approach2(model, tree, posterior)
     children_cond = children_conditional_profile(model, tree, posterior, op_budget)
     return TreeEntropyProfile(
         marginal=marginal,
@@ -234,7 +234,6 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
         subtree_given_parent=sgp,
         partial_subtree=partial_subtree,
         partial_complement=complement,
-        state_conditioned_upward=h,
         global_entropy=global_entropy,
     )
 

@@ -15,8 +15,9 @@ import pytest
 
 import hmmentropy as he
 from hmmentropy import (children_conditional_profile, entropy_future,
-                        entropy_past_direct, entropy_past_hernando,
-                        entropy_summary, enumerate_chain, enumerate_tree,
+                        entropy_future_direct, entropy_past_direct,
+                        entropy_past_hernando, entropy_summary,
+                        enumerate_chain, enumerate_tree,
                         parent_conditional_profile, smooth_chain, smooth_tree,
                         subtree_entropies_approach1, subtree_entropies_approach2,
                         simulate_chain, simulate_tree, tree_entropy_profile,
@@ -61,6 +62,7 @@ def chain_batch():
         post = smooth_chain(model, seq)
         past = entropy_past_hernando(model, seq, post)
         past_d = entropy_past_direct(model, seq, post)
+        future_d = entropy_future_direct(model, seq, post)
         future = entropy_future(model, seq, post)
         path, log_joint = viterbi_chain(model, seq)
         res = enumerate_chain(model, seq)
@@ -82,7 +84,7 @@ def chain_batch():
         assert np.array_equal(path, best), f"viterbi path mismatch, instance {i}"
         worst_prob = max(worst_prob, abs(math.exp(log_joint) - best_prob))
         records.append(dict(model=model, seq=seq, post=post, past=past,
-                            past_d=past_d, future=future))
+                            past_d=past_d, future=future, future_d=future_d))
     _CACHE["chain"] = dict(records=records, worst=worst, worst_prob=worst_prob,
                            elapsed=time.perf_counter() - t0)
     return _CACHE["chain"]
@@ -106,7 +108,7 @@ def tree_batch():
         _, tree = simulate_tree(model, topo, int(rng.integers(0, 2 ** 31)))
         post = smooth_tree(model, tree)
         prof = tree_entropy_profile(model, tree, post)
-        _, ps2, g2, comp2 = subtree_entropies_approach2(model, tree, post)
+        h2, ps2, g2, comp2 = subtree_entropies_approach2(model, tree, post)
         states, log_joint = viterbi_tree(model, tree)
         vprof = viterbi_profiles(model, tree)
         res = enumerate_tree(model, tree)
@@ -136,7 +138,7 @@ def tree_batch():
                 if defined:
                     expect = res.children_subtrees_conditional(u, s)
                     worst = max(worst,
-                                abs(prof.state_conditioned_upward[u, s] - expect))
+                                abs(h2[u, s] - expect))
                 worst_prob = max(worst_prob,
                                  abs(vprof[u, s] - res.viterbi_profile(u, s)))
         worst = max(worst, abs(prof.global_entropy - res.global_entropy()))
@@ -166,6 +168,7 @@ def big_batch():
             model=model, seq=seq, post=post,
             past=entropy_past_hernando(model, seq, post),
             past_d=entropy_past_direct(model, seq, post),
+            future_d=entropy_future_direct(model, seq, post),
             future=entropy_future(model, seq, post)))
     trees = []
     topo = random_topology(np.random.default_rng(0), 10 ** 4, kind="binary")
@@ -287,11 +290,12 @@ def test_criterion_05_dual_route_agreement():
     t0 = time.perf_counter()
     worst = 0.0
     for rec in chain_batch()["records"]:
-        a, b = rec["past"], rec["past_d"]
-        worst = max(worst,
-                    float(np.max(np.abs(a.conditional - b.conditional))),
-                    float(np.max(np.abs(a.partial - b.partial))),
-                    abs(a.global_entropy - b.global_entropy))
+        for a, b in ((rec["past"], rec["past_d"]),
+                     (rec["future"], rec["future_d"])):
+            worst = max(worst,
+                        float(np.max(np.abs(a.conditional - b.conditional))),
+                        float(np.max(np.abs(a.partial - b.partial))),
+                        abs(a.global_entropy - b.global_entropy))
     for rec in tree_batch()["records"]:
         prof = rec["prof"]
         worst = max(worst,
@@ -300,10 +304,13 @@ def test_criterion_05_dual_route_agreement():
                     abs(prof.global_entropy - rec["g2"]))
     big = big_batch()
     for rec in big["chains"]:
-        a, b = rec["past"], rec["past_d"]
-        worst = max(worst,
-                    float(np.max(np.abs(a.conditional - b.conditional))),
-                    float(np.max(np.abs(a.partial - b.partial))))
+        for a, b in ((rec["past"], rec["past_d"]),
+                     (rec["future"], rec["future_d"])):
+            worst = max(worst,
+                        float(np.max(np.abs(a.conditional - b.conditional))),
+                        float(np.max(np.abs(a.partial - b.partial))))
+        worst = max(worst, abs(rec["future"].global_entropy
+                               - rec["future_d"].global_entropy))
     for rec in big["trees"]:
         _, ps1, comp1, g1 = rec["approach1"]
         _, ps2, g2, comp2 = rec["approach2"]
@@ -334,6 +341,7 @@ def test_criterion_06_linear_tree_reduction():
         future = entropy_future(model, seq, post_c)
         post_t = smooth_tree(model, tree)
         prof = tree_entropy_profile(model, tree, post_t)
+        upward, _, _, _ = subtree_entropies_approach2(model, tree, post_t)
         path_c, lj_c = viterbi_chain(model, seq)
         path_t, lj_t = viterbi_tree(model, tree)
         assert np.array_equal(path_c, path_t), f"paths differ at instance {i}"
@@ -362,7 +370,7 @@ def test_criterion_06_linear_tree_reduction():
         # guarded ratios underflow differently (and the entries weigh zero)
         mask = post_t.smoothed > 1e-9
         worst = max(worst, float(np.max(np.abs(
-            prof.state_conditioned_upward[mask] - future.hernando[mask]),
+            upward[mask] - future.hernando[mask]),
             initial=0.0)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9

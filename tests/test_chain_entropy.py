@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence,
-                        enumerate_chain, entropy_future, entropy_past_direct,
+                        enumerate_chain, entropy_future, entropy_future_direct,
+                        entropy_past_direct,
                         entropy_past_hernando, marginal_entropy_profile,
                         smooth_chain)
 
@@ -92,7 +93,8 @@ class TestOracleEquivalence:
                                                poisson=True)
             post = smooth_chain(model, seq)
             past = entropy_past_hernando(model, seq, post)
-            future = entropy_future(model, seq, post)
+            futures = (entropy_future(model, seq, post),
+                       entropy_future_direct(model, seq, post))
             res = enumerate_chain(model, seq)
             t_len = seq.length
             for t in range(t_len):
@@ -102,14 +104,14 @@ class TestOracleEquivalence:
                     res.conditional_past(t), abs=1e-9)
                 assert past.partial[t] == pytest.approx(
                     res.prefix_entropy(t), abs=1e-9)
-                assert future.conditional[t] == pytest.approx(
-                    res.conditional_future(t), abs=1e-9)
-                assert future.partial[t] == pytest.approx(
-                    res.suffix_entropy(t), abs=1e-9)
-            assert past.global_entropy == pytest.approx(
-                res.global_entropy(), abs=1e-9)
-            assert future.global_entropy == pytest.approx(
-                res.global_entropy(), abs=1e-9)
+                for future in futures:
+                    assert future.conditional[t] == pytest.approx(
+                        res.conditional_future(t), abs=1e-9)
+                    assert future.partial[t] == pytest.approx(
+                        res.suffix_entropy(t), abs=1e-9)
+            for prof in (past,) + futures:
+                assert prof.global_entropy == pytest.approx(
+                    res.global_entropy(), abs=1e-9)
 
     def test_hernando_tables(self):
         for seed in range(40):

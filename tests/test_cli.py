@@ -2,11 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hmmentropy import serialize_model
+from hmmentropy import fileio, serialize_model
 from hmmentropy.cli import main
 
 from conftest import M1
@@ -53,6 +54,17 @@ class TestValidate:
                "emissions": [[{"type": "categorical", "probs": [1.0]}],
                              [{"type": "categorical", "probs": [1.0]}]]}
         path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 2
+        assert "initial" in out
+
+    def test_nan_exit_2(self, capsys, tmp_path):
+        doc = {"num_states": 2, "initial": [float("nan"), 0.5],
+               "transition": [[0.5, 0.5], [0.5, 0.5]],
+               "emissions": [[{"type": "categorical", "probs": [1.0]}],
+                             [{"type": "categorical", "probs": [1.0]}]]}
+        path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "validate", "--model", str(path))
         assert code == 2
@@ -260,6 +272,20 @@ class TestExitCodes:
                            "--data", str(path))
         assert code == 2 and "token" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 -1 0\n0 0 1\n", "duplicate"),
+        ("0 -1 0\n1 -1 1\n", "multiple roots"),
+        ("0 -1 0\n2 0 1\n", "missing"),
+        ("0 -1 0\n1 0 x\n", "not an integer"),
+    ])
+    def test_malformed_tree_gets_tree_error(self, capsys, model_file, tmp_path,
+                                            text, message):
+        path = tmp_path / "bad_tree.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "smooth", "--model", model_file,
+                           "--data", str(path))
+        assert code == 2 and message in err
+
     def test_numerical_error_is_3(self, capsys, tmp_path):
         doc = {"num_states": 1, "initial": [1.0], "transition": [[1.0]],
                "emissions": [[{"type": "categorical", "probs": [1.0, 0.0]}]]}
@@ -274,3 +300,49 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "entropy" in out
+
+
+class TestOneRoutePerQuantity:
+    """Commands compute each quantity by one route and parse data once; the
+    second routes are references for the tests only."""
+
+    REFERENCES = ("subtree_entropies_approach2", "entropy_future_direct")
+    PARSERS = ("parse_tree", "parse_sequence")
+
+    @pytest.mark.parametrize("data, argv", [
+        ("tree", ("smooth",)), ("tree", ("viterbi",)),
+        ("tree", ("viterbi-profiles",)),
+        ("tree", ("entropy", "--cond", "parent")),
+        ("tree", ("entropy", "--cond", "children")),
+        ("tree", ("entropy", "--cond", "both")), ("tree", ("criteria",)),
+        ("tree", ("oracle",)), ("tree", ("summary",)),
+        ("chain", ("summary",)), ("chain", ("entropy", "--cond", "future")),
+    ])
+    def test_references_unused_and_data_parsed_once(
+            self, capsys, monkeypatch, model_file, tree_file, chain_file,
+            data, argv):
+        argv = argv + ("--model", model_file,
+                       "--data", tree_file if data == "tree" else chain_file)
+        expected = run(capsys, *argv)[:2]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference route ran on the command path")
+
+        parses = []
+
+        def counting(parse):
+            def wrapper(text):
+                parses.append(parse.__name__)
+                return parse(text)
+            return wrapper
+
+        replacements = {name: forbidden for name in self.REFERENCES}
+        replacements.update({name: counting(getattr(fileio, name))
+                             for name in self.PARSERS})
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("hmmentropy")]:
+            for name, replacement in replacements.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, replacement)
+        assert run(capsys, *argv)[:2] == (0, expected[1])
+        assert parses == ["parse_tree" if data == "tree" else "parse_sequence"]

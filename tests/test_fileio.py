@@ -135,6 +135,10 @@ class TestTreeFormat:
         assert detect_data_kind("0 -1 0\n1 0 0\n") == "tree"
         assert detect_data_kind("0 1 1 0\n") == "chain"
         assert detect_data_kind("0,1;1,0\n") == "chain"
+        # malformed trees are still trees, so the tree parser reports them
+        for text in ("0 -1 0\n0 0 1\n", "0 -1 0\n1 -1 1\n",
+                     "0 -1 0\n2 0 1\n", "0 -1 0\n1 0 x\n"):
+            assert detect_data_kind(text) == "tree"
 
 
 class TestWriteProfile:

@@ -71,6 +71,20 @@ class TestValidation:
         model = HmmModel([1.0], [[1.0]], [[Poisson(-1.0)]])
         assert not validate_model(model).ok
 
+    @pytest.mark.parametrize("table", ["initial", "transition", "emissions"])
+    def test_nan_entry_rejected(self, table):
+        # a NaN sum is not "far from 1", so the entry checks must catch it
+        tables = {"initial": np.array([0.5, 0.5]),
+                  "transition": np.full((2, 2), 0.5),
+                  "emissions": np.array([0.5, 0.5])}
+        tables[table].flat[0] = np.nan
+        model = HmmModel(tables["initial"], tables["transition"],
+                         [[Categorical(tables["emissions"])],
+                          [Categorical([0.5, 0.5])]])
+        report = validate_model(model)
+        assert not report.ok
+        assert all(v.startswith(table) for v in report.violations)
+
     def test_generated_models_validate(self):
         for seed in range(40):
             rng = np.random.default_rng(seed)

@@ -35,15 +35,20 @@ def full_profile(model, tree, op_budget=10 ** 8):
     return post, tree_entropy_profile(model, tree, post, op_budget)
 
 
+def upward_table(model, tree, post):
+    """The state-conditioned upward table of approach 2."""
+    return subtree_entropies_approach2(model, tree, post)[0]
+
+
 class TestFrozenCases:
     def test_star_profile(self, m1):
-        _, prof = full_profile(m1, star_tree())
+        post, prof = full_profile(m1, star_tree())
         assert prof.global_entropy == pytest.approx(STAR_GLOBAL, abs=1e-12)
         np.testing.assert_allclose(prof.parent_conditional, STAR_PC, atol=1e-12)
         assert prof.children_conditional[0] == pytest.approx(STAR_CC0, abs=1e-12)
         np.testing.assert_allclose(prof.partial_complement[1:],
                                    [STAR_COMP1] * 2, atol=1e-12)
-        np.testing.assert_allclose(prof.state_conditioned_upward[0],
+        np.testing.assert_allclose(upward_table(m1, star_tree(), post)[0],
                                    STAR_SCU0, atol=1e-12)
         assert prof.partial_subtree[0] == pytest.approx(STAR_GLOBAL, abs=1e-12)
 
@@ -55,7 +60,7 @@ class TestFrozenCases:
                     prof.children_conditional, prof.partial_subtree):
             assert vec[0] == pytest.approx(h0, abs=1e-12)
         assert prof.partial_complement[0] == 0.0
-        np.testing.assert_allclose(prof.state_conditioned_upward, 0.0)
+        np.testing.assert_allclose(upward_table(m1, tree, post), 0.0)
         s = entropy_summary(prof)
         assert s.g == pytest.approx(h0, abs=1e-12)
         assert s.c == pytest.approx(h0, abs=1e-12)
@@ -76,11 +81,11 @@ class TestFrozenCases:
         assert math.isnan(s.ratio_cg) and math.isnan(s.ratio_mg)
 
     def test_leaf_conventions(self, m1):
-        _, prof = full_profile(m1, star_tree())
+        post, prof = full_profile(m1, star_tree())
         # leaves: children-conditional = marginal; upward table rows zero
         np.testing.assert_allclose(prof.children_conditional[1:],
                                    prof.marginal[1:], atol=1e-15)
-        np.testing.assert_allclose(prof.state_conditioned_upward[1:], 0.0)
+        np.testing.assert_allclose(upward_table(m1, star_tree(), post)[1:], 0.0)
 
 
 class TestOracleEquivalence:
@@ -116,7 +121,8 @@ class TestOracleEquivalence:
     def test_state_conditioned_upward_table(self):
         for seed in range(40):
             model, tree = random_tree_instance(seed)
-            post, prof = full_profile(model, tree)
+            post = smooth_tree(model, tree)
+            h = upward_table(model, tree, post)
             res = enumerate_tree(model, tree)
             for u in range(tree.num_vertices):
                 children = tree.topology.children[u]
@@ -129,8 +135,7 @@ class TestOracleEquivalence:
                     if defined:
                         expect = res.children_subtrees_conditional(u, j)
                         assert expect is not None
-                        assert prof.state_conditioned_upward[u, j] == \
-                            pytest.approx(expect, abs=1e-9)
+                        assert h[u, j] == pytest.approx(expect, abs=1e-9)
 
 
 class TestDecompositionAndBounds:
@@ -240,7 +245,7 @@ class TestLinearTreeReduction:
             # the upward table generalizes the future-conditioned recursion
             mask = post_t.smoothed > 0
             np.testing.assert_allclose(
-                prof.state_conditioned_upward[mask], future.hernando[mask],
+                upward_table(model, tree, post_t)[mask], future.hernando[mask],
                 atol=1e-9)
             # equality in the children bound on linear trees
             s = entropy_summary(prof)
