@@ -22,11 +22,11 @@ from .fileio import (ProfileTable, detect_data_kind, parse_model,
                      serialize_tree, write_profile)
 from .model import (ObservedTree, TreeTopology, simulate_chain, simulate_tree,
                     validate_model)
-from .numutil import entr
+from .numutil import entr, fsum
 from .oracle import enumerate_chain, enumerate_tree
-from .tree import smooth_tree, viterbi_profiles, viterbi_tree
+from .tree import _constrained_maxima, _max_product, smooth_tree, viterbi_tree
 from .tree_entropy import (DEFAULT_OP_BUDGET, children_conditional_profile,
-                           entropy_summary, parent_conditional_profile,
+                           parent_conditional_profile,
                            subtree_entropies_approach1, tree_entropy_profile)
 
 _model_opt = click.option("--model", "model_file", required=True,
@@ -172,8 +172,8 @@ def viterbi_profiles_cmd(model_file, data_file, out_file):
     kind, data = _load_data(data_file)
     if kind != "tree":
         raise DataFormatError("viterbi-profiles requires tree input")
-    states, _ = viterbi_tree(model, data)
-    prof = viterbi_profiles(model, data)
+    states, _, m, best = _max_product(model, data)
+    prof = _constrained_maxima(model, data, m, best)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)
     for j in range(model.num_states):
@@ -348,9 +348,9 @@ def summary(model_file, data_file, out_file, log_base, budget):
     g = c = m = 0.0
     for tree in trees:
         post = smooth_tree(model, tree)
-        prof = tree_entropy_profile(model, tree, post, op_budget)
-        s = entropy_summary(prof)
-        g, c, m = g + s.g, c + s.c, m + s.m
+        g += fsum(parent_conditional_profile(model, tree, post)[0])
+        c += fsum(children_conditional_profile(model, tree, post, op_budget))
+        m += fsum(entr(post.smoothed).sum(axis=1))
     ratio_cg = (c - g) / g if g > 0 else float("nan")
     ratio_mg = (m - g) / g if g > 0 else float("nan")
     pairs = [("global_entropy", g), ("g_parent_conditional_sum", g),

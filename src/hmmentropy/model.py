@@ -7,7 +7,9 @@ Observed data is either a sequence of time-indexed rows or a rooted tree of
 vertex-indexed rows; both carry non-negative integer values.
 """
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -242,11 +244,46 @@ class ObservedSequence:
         return f"ObservedSequence(T={self.length}, V={self.num_variables})"
 
 
+def _depths(parent):
+    """Vertex depths by pointer jumping: after round k every vertex points
+    2^k generations up (or at the root) and knows its distance to that
+    ancestor.  A vertex whose pointer never reaches the root lies on or
+    above a cycle."""
+    n = parent.size
+    jump = parent.copy()
+    jump[0] = 0
+    depth = np.ones(n, dtype=np.int64)
+    depth[0] = 0
+    for _ in range(n.bit_length()):
+        if not jump.any():
+            break
+        depth += depth[jump]
+        jump = jump[jump]
+    if jump.any():
+        raise ValidationError("parent relation contains a cycle")
+    return depth
+
+
+def _int_table(values):
+    """Compact int64 table whose items read back as Python ints, so the
+    per-level bookkeeping of level() stays cheap."""
+    return array("q", np.asarray(values, dtype=np.int64).tobytes())
+
+
 class TreeTopology:
     """Rooted tree given as a parent array; vertex 0 is the root.
 
     ``parent[0] == -1`` and every other vertex names its parent.  Children
     lists are derived, ordered by ascending vertex id.
+
+    The level plan drives the tree recursions: ``level_order`` lists the
+    vertices sorted by (depth, parent, id), so that every level is a
+    contiguous run and siblings are adjacent.  Indices into that order are
+    plan positions: ``position[u]`` is the plan position of vertex u,
+    ``parent_position[p]`` that of the parent of plan position p (-1 at the
+    root) and ``first_child[u]`` that of the first child of u (-1 at a
+    leaf).  ``level(d)`` gives the plan positions of the vertices at depth d
+    and the slices that one recursion step over that level works on.
     """
 
     def __init__(self, parent):
@@ -262,44 +299,78 @@ class TreeTopology:
         others = parent[1:]
         if np.any((others < 0) | (others >= n)):
             raise ValidationError("parent ids must lie in [0, n)")
-        # depth-resolution walk doubles as the acyclicity check
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[0] = 0
-        for u in range(1, n):
-            if depth[u] >= 0:
-                continue
-            chain = []
-            w = u
-            while depth[w] < 0:
-                chain.append(w)
-                w = parent[w]
-                if len(chain) > n:
-                    raise ValidationError("parent relation contains a cycle")
-            base = depth[w]
-            for k, x in enumerate(reversed(chain)):
-                depth[x] = base + k + 1
         self.parent = parent
-        self.parent.setflags(write=False)
-        self.depth = depth
-        self.depth.setflags(write=False)
+        self.depth = _depths(parent)
+        self.child_count = np.bincount(others, minlength=n)
         # parents-before-children order (stable, so ids stay ascending per level)
-        self.downward_order = np.argsort(depth, kind="stable")
-        self.downward_order.setflags(write=False)
-        children = [[] for _ in range(n)]
-        for u in range(1, n):
-            children[parent[u]].append(u)
-        self.children = tuple(np.asarray(c, dtype=np.int64) for c in children)
+        self.downward_order = np.argsort(self.depth, kind="stable")
+        self.level_order = np.lexsort((parent, self.depth))
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.level_order] = np.arange(n)
+        self.parent_position = np.full(n, -1, dtype=np.int64)
+        self.parent_position[1:] = self.position[parent[self.level_order[1:]]]
+        # sibling groups: runs of plan positions that share a parent
+        self.group_start = 1 + np.flatnonzero(np.diff(self.parent_position[1:],
+                                                      prepend=-1))
+        self.group_parent = self.parent_position[self.group_start]
+        self.first_child = np.full(n, -1, dtype=np.int64)
+        self.first_child[self.level_order[self.group_parent]] = self.group_start
+        bounds = np.searchsorted(self.depth[self.level_order],
+                                 np.arange(self.depth.max() + 2))
+        group_bounds = np.searchsorted(self.group_start, bounds)
+        # A level's group parents, in group order, are often consecutive
+        # plan positions (always on paths and complete trees); level() then
+        # indexes them by a slice, which keeps the level steps on views.
+        run = np.cumsum(np.diff(self.group_parent, prepend=-2) != 1)
+        lo, hi = group_bounds[1:-1], group_bounds[2:] - 1
+        first_parent = np.where(run[lo] == run[hi], self.group_parent[lo], -1)
+        self._level_bounds = _int_table(bounds)
+        self._group_bounds = _int_table(group_bounds)
+        self._first_group_parent = _int_table(np.concatenate(([-1], first_parent)))
+        for table in (self.parent, self.depth, self.child_count,
+                      self.downward_order, self.level_order, self.position,
+                      self.parent_position, self.group_start, self.group_parent,
+                      self.first_child):
+            table.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
         return self.parent.size
 
     @property
+    def num_levels(self) -> int:
+        return len(self._level_bounds) - 1
+
+    @property
     def leaves(self):
-        return np.asarray(
-            [u for u in range(self.num_vertices) if self.children[u].size == 0],
-            dtype=np.int64,
-        )
+        return np.flatnonzero(self.child_count == 0)
+
+    @cached_property
+    def children(self):
+        """Per vertex, its children ids in ascending order."""
+        return tuple(self.level_order[f:f + c] for f, c in
+                     zip(self.first_child.tolist(), self.child_count.tolist()))
+
+    def level(self, d: int):
+        """The plan of level d: (start, stop, groups, group_parents).
+
+        The level holds plan positions start:stop.  groups is None when
+        every vertex of the level is an only child, else the plan positions
+        where its sibling groups start; group_parents indexes the plan
+        positions of the groups' parents, as a slice when they are
+        consecutive.  Child rows combine over sibling groups, in group
+        order, as ``rows[start:stop]`` or ``ufunc.reduceat(rows[:stop],
+        groups)``.
+        """
+        start, stop = self._level_bounds[d], self._level_bounds[d + 1]
+        ga, gz = self._group_bounds[d], self._group_bounds[d + 1]
+        groups = None if gz - ga == stop - start else self.group_start[ga:gz]
+        first_parent = self._first_group_parent[d]
+        if first_parent >= 0:
+            group_parents = slice(first_parent, first_parent + gz - ga)
+        else:
+            group_parents = self.group_parent[ga:gz]
+        return start, stop, groups, group_parents
 
     def upward_order(self):
         """Children-before-parents vertex order."""
@@ -316,7 +387,7 @@ class TreeTopology:
         return np.asarray(sorted(out), dtype=np.int64)
 
     def is_path(self) -> bool:
-        return all(c.size <= 1 for c in self.children)
+        return bool(self.child_count.max(initial=0) <= 1)
 
     def __eq__(self, other):
         return isinstance(other, TreeTopology) and np.array_equal(

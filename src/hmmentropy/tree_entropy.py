@@ -6,15 +6,22 @@ independent algorithms compute subtree and complement partial entropies;
 the profile uses approach 1, and approach 2 is the reference the tests
 compare it with:
 
-* approach 1 accumulates parent-conditional entropies upward and completes
-  the complement profile downward; it consumes the downward (smoothed)
-  recursion results;
+* approach 1 accumulates parent-conditional entropies upward, one numpy
+  step per level of the topology's level plan, and takes the complement
+  profile from the result; it consumes the downward (smoothed) recursion
+  results;
 * approach 2 runs an upward recursion on state-conditioned entropies of
-  children subtrees and never needs the downward pass for its table.
+  children subtrees and never needs the downward pass for its table.  It
+  stays a scalar loop over vertices, as the reference implementation.
+
+The parent-conditional profile is one vectorized expression over all
+vertices, and the children-conditional profile one per group of vertices
+with the same number of children.  Both run in blocks of at most about
+BLOCK_CELLS numbers, which bounds their temporaries whatever the tree size.
 
 Children-conditioned entropies require enumerating children state tuples,
 the one computation here whose cost is not O(J^2 n); it is guarded by an
-explicit operation budget.
+explicit operation budget, checked before any work.
 
 All entropies are in nats.
 """
@@ -34,6 +41,9 @@ __all__ = ["TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",
            "entropy_summary"]
 
 DEFAULT_OP_BUDGET = 10 ** 8
+# numbers per block of the (vertices, J, J) and (vertices, J, J^c)
+# expressions, so 128 KiB per temporary array
+BLOCK_CELLS = 2 ** 14
 
 
 @dataclass
@@ -83,9 +93,15 @@ def _require_smoothed(posterior):
 
 
 def _child_given_parent(model, posterior, v):
-    """J x J matrix W[i, k] = P(S_v = k | S_parent(v) = i, X = x)."""
-    num = model.transition * safe_div(posterior.beta[v], posterior.prior[v])[None, :]
-    return safe_div(num, posterior.beta_edge[v][:, None])
+    """W[..., i, k] = P(S_v = k | S_parent(v) = i, X = x) for a vertex v, a
+    slice of vertices or an array of them (one J x J matrix each)."""
+    ratio = safe_div(posterior.beta[v], posterior.prior[v])[..., None, :]
+    return safe_div(model.transition * ratio, posterior.beta_edge[v][..., :, None])
+
+
+def _block_rows(cells_per_row):
+    """Rows per block so that a block holds about BLOCK_CELLS numbers."""
+    return max(1, BLOCK_CELLS // cells_per_row)
 
 
 def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
@@ -97,16 +113,18 @@ def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
     marginal entropy of the root state).
     """
     _require_smoothed(posterior)
-    topo = tree.topology
-    n, j = topo.num_vertices, model.num_states
+    parent = tree.topology.parent
+    n, j = tree.num_vertices, model.num_states
     out = np.empty(n)
     joints = np.zeros((n, j, j))
     out[0] = float(entr(posterior.smoothed[0]).sum())
-    for u in range(1, n):
-        cond = _child_given_parent(model, posterior, u)
-        joint = cond * posterior.smoothed[topo.parent[u]][:, None]
-        joints[u] = joint
-        out[u] = -float(xlogy(joint, cond).sum())
+    rows = _block_rows(j * j)
+    for lo in range(1, n, rows):
+        block = slice(lo, min(n, lo + rows))
+        cond = _child_given_parent(model, posterior, block)
+        joint = np.multiply(cond, posterior.smoothed[parent[block]][:, :, None],
+                            out=joints[block])
+        out[block] = -xlogy(joint, cond).sum(axis=(1, 2))
     return out, joints
 
 
@@ -116,34 +134,27 @@ def subtree_entropies_approach1(model: HmmModel, tree: ObservedTree,
     """Partial state tree entropies from parent-conditional accumulation.
 
     Upward, H(subtree at u | S_parent(u), X) is the subtree sum of
-    parent-conditional entropies; combining with the marginal entropies gives
-    H(subtree at u | X); a downward recursion over sibling sums yields the
-    complement profile H(outside subtree at u | X).
+    parent-conditional entropies, summed level by level; combining with the
+    marginal entropies gives H(subtree at u | X).  The downward recursion
+    over sibling sums for the complement profile telescopes to
+    H(outside subtree at u | X) = H(S | X) - H(subtree at u | S_parent(u), X).
 
     Returns (subtree_given_parent, partial_subtree, partial_complement,
     global_entropy).
     """
     _require_smoothed(posterior)
     topo = tree.topology
-    n = topo.num_vertices
-    sgp = np.empty(n)
-    for u in topo.upward_order():
-        children = topo.children[u]
-        if children.size:
-            sgp[u] = fsum(np.concatenate(([parent_cond[u]], sgp[children])))
-        else:
-            sgp[u] = parent_cond[u]
+    sgp = parent_cond[topo.level_order]
+    for d in range(topo.num_levels - 1, 0, -1):
+        start, stop, groups, group_parents = topo.level(d)
+        sgp[group_parents] += (sgp[start:stop] if groups is None
+                               else np.add.reduceat(sgp[:stop], groups))
+    sgp = sgp[topo.position]
     marginal = entr(posterior.smoothed).sum(axis=1)
     partial_subtree = sgp - parent_cond + marginal
     partial_subtree[0] = sgp[0]
-    complement = np.zeros(n)
-    for u in topo.downward_order:
-        children = topo.children[u]
-        if children.size == 0:
-            continue
-        children_sum = sgp[u] - parent_cond[u]
-        for v in children:
-            complement[v] = complement[u] + parent_cond[u] + (children_sum - sgp[v])
+    complement = sgp[0] - sgp
+    complement[0] = 0.0
     return sgp, partial_subtree, complement, float(sgp[0])
 
 
@@ -183,6 +194,34 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     return h, partial_subtree, global_entropy, complement
 
 
+def _children_budget_check(j, child_count, op_budget):
+    """Raise BudgetExceededError at the first vertex, in id order, where the
+    running total of J^(c+1) terms over internal vertices passes op_budget.
+
+    Every term is capped at op_budget + 1 before the running sum: the first
+    crossing stays where it is, and every partial sum up to it stays below
+    2^64.  Budgets beyond 2^63 - 2 terms count as 2^63 - 2.
+    """
+    internal = np.flatnonzero(child_count)
+    if not internal.size:
+        return
+    limit = min(op_budget, 2 ** 63 - 2)
+    cap = max(limit, -1) + 1
+    exponents, which = np.unique(child_count[internal] + 1, return_inverse=True)
+    terms = np.array([min(j ** min(int(e), 64), cap) for e in exponents],
+                     dtype=np.uint64)
+    running = np.cumsum(terms[which], dtype=np.uint64)
+    over = np.flatnonzero(running > limit)
+    if over.size:
+        k = int(over[0])
+        u = int(internal[k])
+        c = int(child_count[u])
+        before = int(running[k - 1]) if k else 0
+        raise BudgetExceededError(
+            f"children-conditioned profile needs {before} + {j}^{c + 1} > "
+            f"{limit} terms at vertex {u} (branching factor {c})")
+
+
 def children_conditional_profile(model: HmmModel, tree: ObservedTree,
                                  posterior: TreePosterior,
                                  op_budget: int = DEFAULT_OP_BUDGET) -> np.ndarray:
@@ -190,30 +229,28 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
 
     For each internal vertex the children state tuples are enumerated, so the
     work at a vertex with c children is J^(c+1) elementary terms.  The total
-    is capped by op_budget.
+    is capped by op_budget, checked before any work.  Vertices with the same
+    number of children are processed together, in blocks.
     """
     _require_smoothed(posterior)
     topo = tree.topology
-    n, j = topo.num_vertices, model.num_states
+    j = model.num_states
+    _children_budget_check(j, topo.child_count, op_budget)
     out = entr(posterior.smoothed).sum(axis=1)  # leaf convention
-    spent = 0
-    for u in range(n):
-        children = topo.children[u]
-        if children.size == 0:
-            continue
-        cost = j ** (1 + children.size)
-        spent += cost
-        if spent > op_budget:
-            raise BudgetExceededError(
-                f"children-conditioned profile needs {spent} > {op_budget} "
-                f"terms at vertex {u} (branching factor {children.size})"
-            )
-        table = posterior.smoothed[u][:, None]  # joint over (S_u, children tuple)
-        for v in children:
-            w = _child_given_parent(model, posterior, v)
-            table = (table[:, :, None] * w[:, None, :]).reshape(j, -1)
-        cond = safe_div(table, table.sum(axis=0)[None, :])
-        out[u] = -float(xlogy(table, cond).sum())
+    for c in np.unique(topo.child_count[topo.child_count > 0]).tolist():
+        group = np.flatnonzero(topo.child_count == c)
+        rows = _block_rows(j ** (c + 1))
+        for lo in range(0, group.size, rows):
+            us = group[lo:lo + rows]
+            first = topo.first_child[us]
+            # joint over (S_u, children tuple), one children position at a time
+            table = posterior.smoothed[us][:, :, None]
+            for t in range(c):
+                w = _child_given_parent(model, posterior, topo.level_order[first + t])
+                table = (table[:, :, :, None] * w[:, :, None, :]).reshape(
+                    us.size, j, -1)
+            cond = safe_div(table, table.sum(axis=1)[:, None, :])
+            out[us] = -xlogy(table, cond).sum(axis=(1, 2))
     return out
 
 

@@ -121,3 +121,27 @@ def random_tree_instance(seed, max_states=3, max_vertices=8, zeros_prob=0.3,
     topo = random_topology(rng, n, kind=kind)
     _, tree = simulate_tree(model, topo, int(rng.integers(0, 2 ** 31)))
     return model, tree
+
+
+TOPOLOGY_KINDS = ("path", "star", "binary", "kary", "random", "shuffled")
+
+
+def ordering_instances(num_vertices=16):
+    """One J = 2 instance per topology kind of random_topology, so that the
+    level plan meets paths, stars, complete and random trees and parent ids
+    larger than child ids."""
+    instances = []
+    for i, kind in enumerate(TOPOLOGY_KINDS):
+        rng = np.random.default_rng(900 + i)
+        model = random_model(rng, 2, zeros=i % 2 == 1)
+        topo = random_topology(rng, num_vertices, kind=kind)
+        _, tree = simulate_tree(model, topo, int(rng.integers(0, 2 ** 31)))
+        instances.append((model, tree))
+    return instances
+
+
+def oracle_tree_instances(count, **kwargs):
+    """random_tree_instance for seeds 0 .. count - 1, then the
+    ordering_instances."""
+    return [random_tree_instance(seed, **kwargs)
+            for seed in range(count)] + ordering_instances()

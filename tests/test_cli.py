@@ -7,13 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from hmmentropy import fileio, serialize_model
+from hmmentropy import HmmModel, fileio, serialize_model
 from hmmentropy.cli import main
 
-from conftest import M1
+from conftest import M1, uniform_model
 
 CHAIN_DATA = "0 0\n"
 STAR_DATA = "0\t-1\t0\n1\t0\t0\n2\t0\t0\n"
+
+
+def star_text(n, period=1):
+    """Tree file of a star: vertex 0 with n - 1 leaves; vertex u observes
+    u % period."""
+    return "0\t-1\t0\n" + "".join(f"{u}\t0\t{u % period}\n"
+                                    for u in range(1, n))
 
 
 @pytest.fixture
@@ -35,6 +42,13 @@ def tree_file(tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text(STAR_DATA)
     return str(path)
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace a function in every hmmentropy module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hmmentropy") and hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def run(capsys, *argv):
@@ -297,6 +311,34 @@ class TestExitCodes:
                            "--data", str(data_path))
         assert code == 3 and "position 1" in err
 
+    # Same leaves: the 19,999 leaf messages of the root multiply past
+    # 1e308.  Alternating leaves: the root's product sinks below the
+    # smallest normal double, and its normalizer loses its precision.
+    @pytest.mark.parametrize("argv", [("entropy", "--cond", "parent"),
+                                      ("criteria",)])
+    @pytest.mark.parametrize("n, period", [(20_000, 1), (4_001, 2)])
+    def test_star_out_of_double_range_is_3(self, capsys, tmp_path, argv, n,
+                                           period):
+        model = HmmModel([0.5, 0.5], [[0.99, 0.01], [0.01, 0.99]],
+                         M1.emissions)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(serialize_model(model))
+        data_path = tmp_path / "star.txt"
+        data_path.write_text(star_text(n, period))
+        code, out, err = run(capsys, *argv, "--model", str(model_path),
+                             "--data", str(data_path))
+        assert code == 3 and out == "" and "vertex 0" in err
+
+    def test_wide_star_over_budget_is_4(self, capsys, tmp_path):
+        model_path = tmp_path / "uniform.json"
+        model_path.write_text(serialize_model(uniform_model(2)))
+        data_path = tmp_path / "star.txt"
+        data_path.write_text(star_text(15_001))
+        code, _, err = run(capsys, "entropy", "--cond", "children",
+                           "--model", str(model_path), "--data", str(data_path))
+        assert code == 4
+        assert "needs 0 + 2^15001 > 100000000 terms at vertex 0" in err
+
     def test_help_is_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "entropy" in out
@@ -336,13 +378,39 @@ class TestOneRoutePerQuantity:
                 return parse(text)
             return wrapper
 
-        replacements = {name: forbidden for name in self.REFERENCES}
-        replacements.update({name: counting(getattr(fileio, name))
-                             for name in self.PARSERS})
-        for module in [m for name, m in sys.modules.items()
-                       if name.startswith("hmmentropy")]:
-            for name, replacement in replacements.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, replacement)
+        for name in self.REFERENCES:
+            patch_everywhere(monkeypatch, name, forbidden)
+        for name in self.PARSERS:
+            patch_everywhere(monkeypatch, name, counting(getattr(fileio, name)))
         assert run(capsys, *argv)[:2] == (0, expected[1])
         assert parses == ["parse_tree" if data == "tree" else "parse_sequence"]
+
+    @pytest.mark.parametrize("data", ["tree", "chain"])
+    def test_summary_computes_only_the_sums(self, capsys, monkeypatch,
+                                            model_file, tree_file, chain_file,
+                                            data):
+        argv = ("summary", "--model", model_file,
+                "--data", tree_file if data == "tree" else chain_file)
+        expected = run(capsys, *argv)[:2]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("summary computed a partial entropy profile")
+
+        for name in ("subtree_entropies_approach1", "tree_entropy_profile"):
+            patch_everywhere(monkeypatch, name, forbidden)
+        assert run(capsys, *argv)[:2] == (0, expected[1])
+
+    def test_viterbi_profiles_runs_max_product_once(self, capsys, monkeypatch,
+                                                    model_file, tree_file):
+        from hmmentropy import tree
+        max_product = tree._max_product
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_product(*args)
+
+        patch_everywhere(monkeypatch, "_max_product", counting)
+        code, _, _ = run(capsys, "viterbi-profiles", "--model", model_file,
+                         "--data", tree_file)
+        assert code == 0 and len(calls) == 1

@@ -11,12 +11,27 @@ from hmmentropy import (Categorical, HmmModel, ImpossibleObservationError,
                         enumerate_tree, smooth_chain, smooth_tree, upward_pass,
                         viterbi_chain, viterbi_profiles, viterbi_tree)
 
-from conftest import (random_chain_instance, random_tree_instance,
-                      random_topology, state_revealing_model, uniform_model)
+from conftest import (oracle_tree_instances, random_chain_instance,
+                      random_tree_instance, random_topology,
+                      state_revealing_model, uniform_model)
 
 
 def star_tree():
     return ObservedTree(TreeTopology([-1, 0, 0]), [0, 0, 0])
+
+
+def subtree_log_evidence(model, tree, u):
+    """log P(observed subtree at u), enumerating that subtree alone with the
+    marginal law of S_u as its root law."""
+    topo = tree.topology
+    below = [v for v in topo.subtree_vertices(u).tolist() if v != u]
+    index = {v: k for k, v in enumerate([u] + below)}
+    parent = [-1] + [index[int(topo.parent[v])] for v in below]
+    root_law = model.initial @ np.linalg.matrix_power(model.transition,
+                                                      int(topo.depth[u]))
+    sub_model = HmmModel(root_law, model.transition, model.emissions)
+    sub_tree = ObservedTree(TreeTopology(parent), tree.values[[u] + below])
+    return math.log(enumerate_tree(sub_model, sub_tree).evidence)
 
 
 class TestUpwardDownward:
@@ -68,13 +83,16 @@ class TestUpwardDownward:
                 chain_post.log_likelihood, abs=1e-10)
 
     def test_matches_oracle(self):
-        for seed in range(60):
-            model, tree = random_tree_instance(seed, poisson=True)
+        for model, tree in oracle_tree_instances(60, poisson=True):
             post = smooth_tree(model, tree)
             res = enumerate_tree(model, tree)
             for u in range(tree.num_vertices):
                 np.testing.assert_allclose(post.smoothed[u], res.marginal(u),
                                            atol=1e-10)
+                # the normalizers of a subtree multiply to its evidence
+                subtree = tree.topology.subtree_vertices(u)
+                assert np.log(post.normalizers[subtree]).sum() == pytest.approx(
+                    subtree_log_evidence(model, tree, u), abs=1e-9)
             assert math.exp(post.log_likelihood) == pytest.approx(
                 res.evidence, rel=1e-9)
 
@@ -116,8 +134,7 @@ class TestViterbiTree:
         np.testing.assert_array_equal(states, np.zeros(7, dtype=int))
 
     def test_matches_oracle(self):
-        for seed in range(60):
-            model, tree = random_tree_instance(seed)
+        for model, tree in oracle_tree_instances(60):
             states, log_joint = viterbi_tree(model, tree)
             res = enumerate_tree(model, tree)
             best, best_prob = res.best_configuration(
@@ -171,8 +188,7 @@ class TestViterbiProfiles:
                                        math.exp(log_joint - ll), rtol=1e-9)
 
     def test_matches_oracle(self):
-        for seed in range(60):
-            model, tree = random_tree_instance(seed)
+        for model, tree in oracle_tree_instances(60):
             prof = viterbi_profiles(model, tree)
             res = enumerate_tree(model, tree)
             for u in range(tree.num_vertices):

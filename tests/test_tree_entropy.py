@@ -2,6 +2,7 @@
 bound properties, dual-route agreement, and chain reduction on paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hmmentropy import (BudgetExceededError, Categorical, HmmModel,
                         subtree_entropies_approach2, tree_entropy_profile,
                         simulate_tree, ObservedSequence)
 
-from conftest import (random_chain_instance, random_tree_instance,
-                      random_topology, state_revealing_model, M1)
+from conftest import (oracle_tree_instances, random_chain_instance,
+                      random_tree_instance, random_topology,
+                      state_revealing_model, M1)
 
 # star tree (root + 2 children), M1, x = (0,0,0); frozen from the
 # 8-configuration enumeration (evidence 0.2258)
@@ -90,8 +92,7 @@ class TestFrozenCases:
 
 class TestOracleEquivalence:
     def test_every_field(self):
-        for seed in range(60):
-            model, tree = random_tree_instance(seed, poisson=True)
+        for model, tree in oracle_tree_instances(60, poisson=True):
             post, prof = full_profile(model, tree)
             res = enumerate_tree(model, tree)
             n = tree.num_vertices
@@ -260,6 +261,17 @@ class TestChildrenBudget:
         post = smooth_tree(m1, tree)
         with pytest.raises(BudgetExceededError, match="vertex 0.*branching factor 8"):
             children_conditional_profile(m1, tree, post, op_budget=100)
+
+    def test_budget_error_on_wide_vertex(self, m1):
+        # 2^71 terms at vertex 2 are past 64-bit counting; the message keeps
+        # the power unexpanded
+        parent = [-1, 0, 0] + [2] * 70
+        tree = ObservedTree(TreeTopology(parent), np.zeros(len(parent), dtype=int))
+        post = smooth_tree(m1, tree)
+        message = ("needs 8 + 2^71 > 100000000 terms at vertex 2 "
+                   "(branching factor 70)")
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            children_conditional_profile(m1, tree, post)
 
     def test_budget_allows_exact_fit(self, m1):
         tree = star_tree()
