@@ -3,8 +3,9 @@
 The global state entropy H(S | X = x) decomposes along the sequence as a sum
 of conditional entropies, conditioning either on the preceding state (past
 direction) or on the following state (future direction).  The recursive
-routes (partial entropies first, conditionals by differencing) are the ones
-the command line runs; the direct routes (conditionals from the pairwise
+routes, which the command line runs, are one state-conditioned entropy
+recursion walked in either direction, with its matrices built in blocks of
+about BLOCK_CELLS numbers; the direct routes (conditionals from the pairwise
 posteriors, partials by summation) are independent references that the
 tests compare against them.
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .chain import ChainPosterior
 from .model import HmmModel, ObservedSequence
-from .numutil import compensated_cumsum, entr, fsum, safe_div
+from .numutil import _blocks, compensated_cumsum, entr, fsum, safe_div
 
 __all__ = ["ChainEntropyProfile", "marginal_entropy_profile",
            "entropy_past_hernando", "entropy_past_direct", "entropy_future",
@@ -56,11 +57,40 @@ def _require_smoothed(posterior):
         raise ValueError("posterior lacks the smoothed table; run backward_smooth")
 
 
-def _pairwise_posterior(model, posterior, t):
-    """J x J matrix P(S_{t-1}=i, S_t=k | X = x), for 1 <= t < T."""
+def _entropy_walk(direction, smoothed, law):
+    """Profile from h[0] = 0, h[s] = K_s h[s-1] + entr(K_s) 1 over the rows
+    of smoothed, the smoothed laws in walk order.  K_s[a, b] is the law of
+    the state at walk position s - 1 given state a at s; law(lo, hi) returns
+    K_s for lo <= s < hi as a (hi - lo, J, J) array.  Partial entropies are
+    smoothed[s] . h[s] + H(S_s | X), conditionals their increments; a future
+    walk starts at the last position, and its results are reversed.
+    """
+    t_len, j = smoothed.shape
+    h = np.zeros((t_len, j))
+    for lo, hi in _blocks(1, t_len, j * j):
+        k = law(lo, hi)
+        e = entr(k).sum(axis=2)
+        for s, (k_s, e_s) in enumerate(zip(k, e), start=lo):
+            h[s] = k_s @ h[s - 1] + e_s
+    marginal = entr(smoothed).sum(axis=1)
+    partial = np.matmul(smoothed[:, None, :], h[:, :, None])[:, 0, 0] + marginal
+    conditional = np.diff(partial, prepend=0.0)
+    order = slice(None, None, -1 if direction == "future" else 1)
+    return ChainEntropyProfile(direction, marginal[order], conditional[order],
+                               partial[order], partial[-1], hernando=h[order])
+
+
+def _pairwise_entropies(model, posterior):
+    """H(S_{t-1}, S_t | X = x) for 1 <= t < T, from the pairwise posteriors
+    P(S_{t-1}=i, S_t=k | X) = F_{t-1}(i) p_ik L_t(k) / G_t(k), in blocks."""
     f, g, smoothed = posterior.forward, posterior.predicted, posterior.smoothed
-    return safe_div(smoothed[t][None, :] * model.transition * f[t - 1][:, None],
-                    g[t][None, :])
+    t_len, j = smoothed.shape
+    out = np.empty(t_len - 1)
+    for lo, hi in _blocks(1, t_len, j * j):
+        joint = safe_div(smoothed[lo:hi, None, :] * model.transition
+                         * f[lo - 1:hi - 1, :, None], g[lo:hi, None, :])
+        out[lo - 1:hi - 1] = entr(joint).sum(axis=(1, 2))
+    return out
 
 
 def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
@@ -73,22 +103,11 @@ def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
     conditional profile follows by first-order differencing.
     """
     _require_smoothed(posterior)
-    t_len = posterior.length
-    f, g, smoothed = posterior.forward, posterior.predicted, posterior.smoothed
-    a = model.transition
-    h = np.zeros((t_len, model.num_states))
-    for t in range(1, t_len):
-        w = safe_div(a * f[t - 1][:, None], g[t][None, :])
-        h[t] = w.T @ h[t - 1] + entr(w).sum(axis=0)
-    marginal = entr(smoothed).sum(axis=1)
-    partial = np.empty(t_len)
-    for t in range(t_len):
-        partial[t] = float(smoothed[t] @ h[t]) + marginal[t]
-    conditional = np.empty(t_len)
-    conditional[0] = partial[0]
-    conditional[1:] = np.diff(partial)
-    return ChainEntropyProfile("past", marginal, conditional, partial,
-                               partial[t_len - 1], hernando=h)
+    f, g = posterior.forward, posterior.predicted
+    def predecessor(lo, hi):
+        w = safe_div(model.transition * f[lo - 1:hi - 1, :, None], g[lo:hi, None, :])
+        return w.transpose(0, 2, 1)
+    return _entropy_walk("past", posterior.smoothed, predecessor)
 
 
 def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
@@ -100,16 +119,11 @@ def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
     (compensated) cumulative summation.
     """
     _require_smoothed(posterior)
-    t_len = posterior.length
     marginal = entr(posterior.smoothed).sum(axis=1)
-    conditional = np.empty(t_len)
-    conditional[0] = marginal[0]
-    for t in range(1, t_len):
-        joint = _pairwise_posterior(model, posterior, t)
-        conditional[t] = float(entr(joint).sum()) - marginal[t - 1]
-    partial = compensated_cumsum(conditional)
-    return ChainEntropyProfile("past", marginal, conditional, partial,
-                               fsum(conditional))
+    conditional = np.concatenate(
+        (marginal[:1], _pairwise_entropies(model, posterior) - marginal[:-1]))
+    return ChainEntropyProfile("past", marginal, conditional,
+                               compensated_cumsum(conditional), fsum(conditional))
 
 
 def entropy_future(model: HmmModel, seq: ObservedSequence,
@@ -124,23 +138,12 @@ def entropy_future(model: HmmModel, seq: ObservedSequence,
     there); every profile quantity weights such rows by zero.
     """
     _require_smoothed(posterior)
-    t_len = posterior.length
-    g, smoothed = posterior.predicted, posterior.smoothed
-    a = model.transition
-    marginal = entr(smoothed).sum(axis=1)
-    h = np.zeros((t_len, model.num_states))
-    for t in range(t_len - 2, -1, -1):
-        u = a * safe_div(smoothed[t + 1], g[t + 1])[None, :]
-        w = safe_div(u, u.sum(axis=1)[:, None])
-        h[t] = w @ h[t + 1] + entr(w).sum(axis=1)
-    partial = np.empty(t_len)
-    for t in range(t_len):
-        partial[t] = float(smoothed[t] @ h[t]) + marginal[t]
-    conditional = np.empty(t_len)
-    conditional[t_len - 1] = partial[t_len - 1]
-    conditional[: t_len - 1] = partial[: t_len - 1] - partial[1:]
-    return ChainEntropyProfile("future", marginal, conditional, partial,
-                               partial[0], hernando=h)
+    smoothed, g = posterior.smoothed[::-1], posterior.predicted[::-1]
+    def successor(lo, hi):
+        u = model.transition * safe_div(smoothed[lo - 1:hi - 1],
+                                        g[lo - 1:hi - 1])[:, None, :]
+        return safe_div(u, u.sum(axis=2)[:, :, None])
+    return _entropy_walk("future", smoothed, successor)
 
 
 def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
@@ -152,13 +155,9 @@ def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
     by (compensated) reverse cumulative summation.
     """
     _require_smoothed(posterior)
-    t_len = posterior.length
     marginal = entr(posterior.smoothed).sum(axis=1)
-    conditional = np.empty(t_len)
-    conditional[t_len - 1] = marginal[t_len - 1]
-    for t in range(1, t_len):
-        joint = _pairwise_posterior(model, posterior, t)
-        conditional[t - 1] = float(entr(joint).sum()) - marginal[t]
-    partial = compensated_cumsum(conditional[::-1])[::-1]
-    return ChainEntropyProfile("future", marginal, conditional, partial,
+    conditional = np.concatenate(
+        (_pairwise_entropies(model, posterior) - marginal[1:], marginal[-1:]))
+    return ChainEntropyProfile("future", marginal, conditional,
+                               compensated_cumsum(conditional[::-1])[::-1],
                                fsum(conditional))

@@ -20,12 +20,12 @@ from .errors import (BudgetExceededError, DataFormatError,
 from .fileio import (ProfileTable, detect_data_kind, parse_model,
                      parse_sequence, parse_tree, serialize_sequence,
                      serialize_tree, write_profile)
-from .model import (ObservedTree, TreeTopology, simulate_chain, simulate_tree,
-                    validate_model)
+from .model import simulate_chain, simulate_tree, validate_model
 from .numutil import entr, fsum
 from .oracle import enumerate_chain, enumerate_tree
 from .tree import _constrained_maxima, _max_product, smooth_tree, viterbi_tree
-from .tree_entropy import (DEFAULT_OP_BUDGET, children_conditional_profile,
+from .tree_entropy import (DEFAULT_OP_BUDGET, _summary_of_sums,
+                           children_conditional_profile,
                            parent_conditional_profile,
                            subtree_entropies_approach1, tree_entropy_profile)
 
@@ -99,9 +99,16 @@ def _id_table(kind, data):
     return table
 
 
-def _path_tree(seq):
-    parent = np.arange(-1, seq.length - 1, dtype=np.int64)
-    return ObservedTree(TreeTopology(parent), seq.values)
+def _chain_sums(model, data):
+    """Log-likelihood, H(S | X) and marginal entropy sum over the sequences."""
+    log_likelihood = g = m = 0.0
+    for seq in data:
+        post = smooth_chain(model, seq)
+        prof = entropy_past_hernando(model, seq, post)
+        log_likelihood += post.log_likelihood
+        g += prof.global_entropy
+        m += fsum(prof.marginal)
+    return log_likelihood, g, m
 
 
 @cli.command()
@@ -278,20 +285,12 @@ def criteria(model_file, data_file, out_file, baseline_loglik):
     kind, data = _load_data(data_file)
     if kind == "tree":
         post = smooth_tree(model, data)
-        pc, _ = parent_conditional_profile(model, data, post)
-        _, _, _, h = subtree_entropies_approach1(model, data, post, pc)
+        h = fsum(parent_conditional_profile(model, data, post)[0])
         log_likelihood = post.log_likelihood
         sample_size = data.num_vertices
     else:
-        log_likelihood = 0.0
-        h = 0.0
-        sample_size = 0
-        for seq in data:
-            post = smooth_chain(model, seq)
-            prof = entropy_past_hernando(model, seq, post)
-            log_likelihood += post.log_likelihood
-            h += prof.global_entropy
-            sample_size += seq.length
+        log_likelihood, h, _ = _chain_sums(model, data)
+        sample_size = sum(seq.length for seq in data)
     inp = CriterionInput(log_likelihood=log_likelihood, global_entropy=h,
                          free_params=free_parameter_count(model),
                          sample_size=sample_size,
@@ -340,22 +339,24 @@ def oracle(model_file, data_file, out_file, log_base, budget):
 @_base_opt
 @_budget_opt
 def summary(model_file, data_file, out_file, log_base, budget):
-    """G/C/M entropy sums and their relative gaps (chains run as path trees)."""
+    """G/C/M entropy sums and their relative gaps."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    trees = [data] if kind == "tree" else [_path_tree(seq) for seq in data]
-    op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
-    g = c = m = 0.0
-    for tree in trees:
-        post = smooth_tree(model, tree)
-        g += fsum(parent_conditional_profile(model, tree, post)[0])
-        c += fsum(children_conditional_profile(model, tree, post, op_budget))
-        m += fsum(entr(post.smoothed).sum(axis=1))
-    ratio_cg = (c - g) / g if g > 0 else float("nan")
-    ratio_mg = (m - g) / g if g > 0 else float("nan")
-    pairs = [("global_entropy", g), ("g_parent_conditional_sum", g),
-             ("c_children_conditional_sum", c), ("m_marginal_sum", m),
-             ("ratio_cg", ratio_cg), ("ratio_mg", ratio_mg)]
+    if kind == "tree":
+        post = smooth_tree(model, data)
+        op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
+        g = fsum(parent_conditional_profile(model, data, post)[0])
+        c = fsum(children_conditional_profile(model, data, post, op_budget))
+        m = fsum(entr(post.smoothed).sum(axis=1))
+    else:
+        # on a chain the children-conditional profile is the future
+        # profile, which sums to H(S | X): C = G
+        _, g, m = _chain_sums(model, data)
+        c = g
+    s = _summary_of_sums(g, c, m)
+    pairs = [("global_entropy", s.g), ("g_parent_conditional_sum", s.g),
+             ("c_children_conditional_sum", s.c), ("m_marginal_sum", s.m),
+             ("ratio_cg", s.ratio_cg), ("ratio_mg", s.ratio_mg)]
     _emit(_scalar_table(pairs, {"global_entropy", "g_parent_conditional_sum",
                                 "c_children_conditional_sum", "m_marginal_sum"},
                         log_base), out_file)

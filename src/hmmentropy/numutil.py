@@ -12,6 +12,16 @@ from scipy.special import entr, xlogy
 
 __all__ = ["entr", "xlogy", "safe_div", "entropy", "fsum", "compensated_cumsum"]
 
+# numbers per block of the blocked array expressions: 128 KiB per temporary
+BLOCK_CELLS = 2 ** 14
+
+
+def _blocks(start, stop, cells_per_row):
+    """(lo, hi) bounds of consecutive row blocks covering start..stop, each
+    block holding about BLOCK_CELLS numbers (at least one row)."""
+    rows = max(1, BLOCK_CELLS // cells_per_row)
+    return ((lo, min(stop, lo + rows)) for lo in range(start, stop, rows))
+
 
 def safe_div(num, den):
     """Elementwise num/den with 0 wherever den == 0 (broadcasting)."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .model import HmmModel, ObservedTree
-from .numutil import entr, fsum, safe_div, xlogy
+from .numutil import _blocks, entr, fsum, safe_div, xlogy
 from .tree import TreePosterior
 
 __all__ = ["TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",
@@ -41,9 +41,6 @@ __all__ = ["TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",
            "entropy_summary"]
 
 DEFAULT_OP_BUDGET = 10 ** 8
-# numbers per block of the (vertices, J, J) and (vertices, J, J^c)
-# expressions, so 128 KiB per temporary array
-BLOCK_CELLS = 2 ** 14
 
 
 @dataclass
@@ -99,11 +96,6 @@ def _child_given_parent(model, posterior, v):
     return safe_div(model.transition * ratio, posterior.beta_edge[v][..., :, None])
 
 
-def _block_rows(cells_per_row):
-    """Rows per block so that a block holds about BLOCK_CELLS numbers."""
-    return max(1, BLOCK_CELLS // cells_per_row)
-
-
 def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
                                posterior: TreePosterior):
     """Profile of H(S_u | S_parent(u), X) plus the pairwise posteriors.
@@ -118,9 +110,8 @@ def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
     out = np.empty(n)
     joints = np.zeros((n, j, j))
     out[0] = float(entr(posterior.smoothed[0]).sum())
-    rows = _block_rows(j * j)
-    for lo in range(1, n, rows):
-        block = slice(lo, min(n, lo + rows))
+    for lo, hi in _blocks(1, n, j * j):
+        block = slice(lo, hi)
         cond = _child_given_parent(model, posterior, block)
         joint = np.multiply(cond, posterior.smoothed[parent[block]][:, :, None],
                             out=joints[block])
@@ -239,9 +230,8 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
     out = entr(posterior.smoothed).sum(axis=1)  # leaf convention
     for c in np.unique(topo.child_count[topo.child_count > 0]).tolist():
         group = np.flatnonzero(topo.child_count == c)
-        rows = _block_rows(j ** (c + 1))
-        for lo in range(0, group.size, rows):
-            us = group[lo:lo + rows]
+        for lo, hi in _blocks(0, group.size, j ** (c + 1)):
+            us = group[lo:hi]
             first = topo.first_child[us]
             # joint over (S_u, children tuple), one children position at a time
             table = posterior.smoothed[us][:, :, None]
@@ -275,14 +265,14 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
     )
 
 
+def _summary_of_sums(g: float, c: float, m: float) -> EntropySummary:
+    """The summary of given G/C/M sums; ratios are NaN when G == 0."""
+    ratios = ((c - g) / g, (m - g) / g) if g > 0.0 else (float("nan"),) * 2
+    return EntropySummary(g, c, m, *ratios)
+
+
 def entropy_summary(profile: TreeEntropyProfile) -> EntropySummary:
     """G/C/M sums and their relative gaps; ratios are NaN when G == 0."""
-    g = fsum(profile.parent_conditional)
-    c = fsum(profile.children_conditional)
-    m = fsum(profile.marginal)
-    if g > 0.0:
-        ratio_cg = (c - g) / g
-        ratio_mg = (m - g) / g
-    else:
-        ratio_cg = ratio_mg = float("nan")
-    return EntropySummary(g=g, c=c, m=m, ratio_cg=ratio_cg, ratio_mg=ratio_mg)
+    return _summary_of_sums(fsum(profile.parent_conditional),
+                            fsum(profile.children_conditional),
+                            fsum(profile.marginal))

@@ -9,7 +9,8 @@ from hmmentropy import (Categorical, HmmModel, ObservedSequence,
                         enumerate_chain, entropy_future, entropy_future_direct,
                         entropy_past_direct,
                         entropy_past_hernando, marginal_entropy_profile,
-                        smooth_chain)
+                        simulate_chain, smooth_chain)
+from hmmentropy.numutil import BLOCK_CELLS, entr, safe_div
 
 from conftest import random_chain_instance, state_revealing_model, uniform_model
 
@@ -136,17 +137,57 @@ class TestOracleEquivalence:
                         assert future.hernando[t, j] == pytest.approx(expect, abs=1e-9)
 
 
+def block_edge_instances():
+    """Chains of length 1 and one past a full block of the entropy kernels,
+    at J = 2 and J = 4."""
+    rng = np.random.default_rng(17)
+    for j in (2, 4):
+        model = HmmModel(rng.dirichlet(np.ones(j)), rng.dirichlet(np.ones(j), j),
+                         [[Categorical(rng.dirichlet(np.ones(3)))]
+                          for _ in range(j)])
+        for t_len in (1, BLOCK_CELLS // (j * j) + 1):
+            yield model, simulate_chain(model, t_len, seed=j)[1]
+
+
 class TestStructuralProperties:
     def test_route_equivalence(self):
-        for seed in range(80):
-            model, seq = random_chain_instance(seed, max_states=4, max_length=12,
-                                               poisson=True)
+        instances = [random_chain_instance(seed, max_states=4, max_length=12,
+                                           poisson=True) for seed in range(80)]
+        for model, seq in instances + list(block_edge_instances()):
             post = smooth_chain(model, seq)
-            a = entropy_past_hernando(model, seq, post)
-            b = entropy_past_direct(model, seq, post)
-            np.testing.assert_allclose(a.conditional, b.conditional, atol=1e-9)
-            np.testing.assert_allclose(a.partial, b.partial, atol=1e-9)
-            assert a.global_entropy == pytest.approx(b.global_entropy, abs=1e-9)
+            for recursion, direct in ((entropy_past_hernando, entropy_past_direct),
+                                      (entropy_future, entropy_future_direct)):
+                a = recursion(model, seq, post)
+                b = direct(model, seq, post)
+                np.testing.assert_allclose(a.conditional, b.conditional, atol=1e-9)
+                np.testing.assert_allclose(a.partial, b.partial, atol=1e-9)
+                assert a.global_entropy == pytest.approx(b.global_entropy,
+                                                         abs=1e-9)
+
+    def test_blocked_walk_rounds_as_one_step_per_position(self):
+        # the same float operations in the same order as a per-position
+        # loop, so the tables and partials must agree bit for bit
+        instances = [random_chain_instance(seed, max_states=8, max_length=40)
+                     for seed in range(20)]
+        for model, seq in instances + list(block_edge_instances()):
+            post = smooth_chain(model, seq)
+            a, f, g = model.transition, post.forward, post.predicted
+            smoothed, t_len = post.smoothed, seq.length
+            past, future = np.zeros_like(smoothed), np.zeros_like(smoothed)
+            for t in range(1, t_len):
+                w = safe_div(a * f[t - 1][:, None], g[t][None, :])
+                past[t] = w.T @ past[t - 1] + entr(w).sum(axis=0)
+            for t in range(t_len - 2, -1, -1):
+                u = a * safe_div(smoothed[t + 1], g[t + 1])[None, :]
+                w = safe_div(u, u.sum(axis=1)[:, None])
+                future[t] = w @ future[t + 1] + entr(w).sum(axis=1)
+            for h, route in ((past, entropy_past_hernando),
+                             (future, entropy_future)):
+                prof = route(model, seq, post)
+                np.testing.assert_array_equal(prof.hernando, h)
+                np.testing.assert_array_equal(
+                    prof.partial, [float(smoothed[t] @ h[t]) + prof.marginal[t]
+                                   for t in range(t_len)])
 
     def test_direction_consistency_and_bounds(self):
         for seed in range(60):
@@ -185,7 +226,6 @@ class TestStructuralProperties:
 
     def test_profiles_at_scale(self, m1):
         # identities must survive T = 1e4 with compensated accumulation
-        from hmmentropy import simulate_chain
         _, seq = simulate_chain(m1, 10 ** 4, seed=5)
         post = smooth_chain(m1, seq)
         a = entropy_past_hernando(m1, seq, post)

@@ -260,7 +260,7 @@ class TestSummaryCommand:
         assert g <= c <= m
         assert float(table["ratio_cg"]) == pytest.approx((c - g) / g, rel=1e-9)
 
-    def test_chain_runs_as_path_tree(self, capsys, model_file, chain_file):
+    def test_chain_global_entropy(self, capsys, model_file, chain_file):
         code, out, _ = run(capsys, "summary", "--model", model_file,
                            "--data", chain_file)
         assert code == 0
@@ -348,7 +348,8 @@ class TestOneRoutePerQuantity:
     """Commands compute each quantity by one route and parse data once; the
     second routes are references for the tests only."""
 
-    REFERENCES = ("subtree_entropies_approach2", "entropy_future_direct")
+    REFERENCES = ("subtree_entropies_approach2", "entropy_past_direct",
+                  "entropy_future_direct")
     PARSERS = ("parse_tree", "parse_sequence")
 
     @pytest.mark.parametrize("data, argv", [
@@ -359,6 +360,7 @@ class TestOneRoutePerQuantity:
         ("tree", ("entropy", "--cond", "both")), ("tree", ("criteria",)),
         ("tree", ("oracle",)), ("tree", ("summary",)),
         ("chain", ("summary",)), ("chain", ("entropy", "--cond", "future")),
+        ("chain", ("entropy", "--cond", "past")), ("chain", ("criteria",)),
     ])
     def test_references_unused_and_data_parsed_once(
             self, capsys, monkeypatch, model_file, tree_file, chain_file,
@@ -385,18 +387,34 @@ class TestOneRoutePerQuantity:
         assert run(capsys, *argv)[:2] == (0, expected[1])
         assert parses == ["parse_tree" if data == "tree" else "parse_sequence"]
 
-    @pytest.mark.parametrize("data", ["tree", "chain"])
+    @pytest.mark.parametrize("command, data", [
+        pytest.param("summary", "tree", id="tree"),
+        pytest.param("summary", "chain", id="chain"),
+        pytest.param("criteria", "tree", id="criteria-tree"),
+    ])
     def test_summary_computes_only_the_sums(self, capsys, monkeypatch,
                                             model_file, tree_file, chain_file,
-                                            data):
-        argv = ("summary", "--model", model_file,
+                                            command, data):
+        argv = (command, "--model", model_file,
                 "--data", tree_file if data == "tree" else chain_file)
         expected = run(capsys, *argv)[:2]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("summary computed a partial entropy profile")
+            raise AssertionError(f"{command} computed a partial entropy profile")
 
         for name in ("subtree_entropies_approach1", "tree_entropy_profile"):
+            patch_everywhere(monkeypatch, name, forbidden)
+        assert run(capsys, *argv)[:2] == (0, expected[1])
+
+    def test_chain_summary_runs_no_tree_pass(self, capsys, monkeypatch,
+                                             model_file, chain_file):
+        argv = ("summary", "--model", model_file, "--data", chain_file)
+        expected = run(capsys, *argv)[:2]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("chain summary ran a tree pass")
+
+        for name in ("TreeTopology", "smooth_tree", "upward_pass"):
             patch_everywhere(monkeypatch, name, forbidden)
         assert run(capsys, *argv)[:2] == (0, expected[1])
 
