@@ -22,7 +22,7 @@ from .fileio import (ProfileTable, detect_data_kind, parse_model,
                      serialize_tree, write_profile)
 from .model import simulate_chain, simulate_tree, validate_model
 from .numutil import entr, fsum
-from .oracle import enumerate_chain, enumerate_tree
+from .oracle import DEFAULT_CONFIG_BUDGET, enumerate_chain, enumerate_tree
 from .tree import _constrained_maxima, _max_product, smooth_tree, viterbi_tree
 from .tree_entropy import (DEFAULT_OP_BUDGET, _summary_of_sums,
                            children_conditional_profile,
@@ -214,7 +214,7 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
             columns = [("cond_entropy_children", children_conditional_profile(
                 model, data, post, op_budget))]
         elif cond == "parent":
-            pc, _ = parent_conditional_profile(model, data, post)
+            pc = parent_conditional_profile(model, data, post)
             _, partial_subtree, complement, _ = subtree_entropies_approach1(
                 model, data, post, pc)
             columns = [("cond_entropy_parent", pc),
@@ -285,7 +285,7 @@ def criteria(model_file, data_file, out_file, baseline_loglik):
     kind, data = _load_data(data_file)
     if kind == "tree":
         post = smooth_tree(model, data)
-        h = fsum(parent_conditional_profile(model, data, post)[0])
+        h = fsum(parent_conditional_profile(model, data, post))
         log_likelihood = post.log_likelihood
         sample_size = data.num_vertices
     else:
@@ -316,7 +316,7 @@ def oracle(model_file, data_file, out_file, log_base, budget):
     """Exact enumeration summary of a small instance."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    config_budget = budget if budget is not None else 10 ** 7
+    config_budget = budget if budget is not None else DEFAULT_CONFIG_BUDGET
     if kind == "tree":
         results = [enumerate_tree(model, data, config_budget)]
     else:
@@ -345,7 +345,7 @@ def summary(model_file, data_file, out_file, log_base, budget):
     if kind == "tree":
         post = smooth_tree(model, data)
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
-        g = fsum(parent_conditional_profile(model, data, post)[0])
+        g = fsum(parent_conditional_profile(model, data, post))
         c = fsum(children_conditional_profile(model, data, post, op_budget))
         m = fsum(entr(post.smoothed).sum(axis=1))
     else:

@@ -264,26 +264,21 @@ def _depths(parent):
     return depth
 
 
-def _int_table(values):
-    """Compact int64 table whose items read back as Python ints, so the
-    per-level bookkeeping of level() stays cheap."""
-    return array("q", np.asarray(values, dtype=np.int64).tobytes())
-
-
 class TreeTopology:
     """Rooted tree given as a parent array; vertex 0 is the root.
 
     ``parent[0] == -1`` and every other vertex names its parent.  Children
     lists are derived, ordered by ascending vertex id.
 
-    The level plan drives the tree recursions: ``level_order`` lists the
-    vertices sorted by (depth, parent, id), so that every level is a
-    contiguous run and siblings are adjacent.  Indices into that order are
-    plan positions: ``position[u]`` is the plan position of vertex u,
-    ``parent_position[p]`` that of the parent of plan position p (-1 at the
-    root) and ``first_child[u]`` that of the first child of u (-1 at a
-    leaf).  ``level(d)`` gives the plan positions of the vertices at depth d
-    and the slices that one recursion step over that level works on.
+    The level plan drives the tree recursions: ``downward_order`` lists the
+    vertices sorted by (depth, id), parents before children, so that every
+    level is a contiguous run; siblings need not be adjacent.  Indices into
+    that order are plan positions: ``position[u]`` is the plan position of
+    vertex u and ``parent_position[p]`` that of the parent of plan position
+    p (-1 at the root).  ``level(d)`` gives the plan positions of the
+    vertices at depth d; a recursion step scatters the rows of a level onto
+    their parents' rows with ``ufunc.at``.  ``by_parent``, built on first
+    use, groups the children of each vertex instead.
     """
 
     def __init__(self, parent):
@@ -302,35 +297,18 @@ class TreeTopology:
         self.parent = parent
         self.depth = _depths(parent)
         self.child_count = np.bincount(others, minlength=n)
-        # parents-before-children order (stable, so ids stay ascending per level)
+        # stable, so ids stay ascending within each level
         self.downward_order = np.argsort(self.depth, kind="stable")
-        self.level_order = np.lexsort((parent, self.depth))
         self.position = np.empty(n, dtype=np.int64)
-        self.position[self.level_order] = np.arange(n)
+        self.position[self.downward_order] = np.arange(n)
         self.parent_position = np.full(n, -1, dtype=np.int64)
-        self.parent_position[1:] = self.position[parent[self.level_order[1:]]]
-        # sibling groups: runs of plan positions that share a parent
-        self.group_start = 1 + np.flatnonzero(np.diff(self.parent_position[1:],
-                                                      prepend=-1))
-        self.group_parent = self.parent_position[self.group_start]
-        self.first_child = np.full(n, -1, dtype=np.int64)
-        self.first_child[self.level_order[self.group_parent]] = self.group_start
-        bounds = np.searchsorted(self.depth[self.level_order],
-                                 np.arange(self.depth.max() + 2))
-        group_bounds = np.searchsorted(self.group_start, bounds)
-        # A level's group parents, in group order, are often consecutive
-        # plan positions (always on paths and complete trees); level() then
-        # indexes them by a slice, which keeps the level steps on views.
-        run = np.cumsum(np.diff(self.group_parent, prepend=-2) != 1)
-        lo, hi = group_bounds[1:-1], group_bounds[2:] - 1
-        first_parent = np.where(run[lo] == run[hi], self.group_parent[lo], -1)
-        self._level_bounds = _int_table(bounds)
-        self._group_bounds = _int_table(group_bounds)
-        self._first_group_parent = _int_table(np.concatenate(([-1], first_parent)))
+        self.parent_position[1:] = self.position[parent[self.downward_order[1:]]]
+        # a compact table whose items read back as Python ints, so that
+        # the per-level bookkeeping of level() stays cheap
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(self.depth))))
+        self._level_bounds = array("q", bounds.tobytes())
         for table in (self.parent, self.depth, self.child_count,
-                      self.downward_order, self.level_order, self.position,
-                      self.parent_position, self.group_start, self.group_parent,
-                      self.first_child):
+                      self.downward_order, self.position, self.parent_position):
             table.setflags(write=False)
 
     @property
@@ -346,31 +324,26 @@ class TreeTopology:
         return np.flatnonzero(self.child_count == 0)
 
     @cached_property
+    def by_parent(self):
+        """(order, first): the non-root vertices sorted by (parent, id), and
+        per vertex u the index in order of its first child, so that the
+        children of u are ``order[first[u]:first[u] + child_count[u]]``."""
+        order = 1 + np.argsort(self.parent[1:], kind="stable")
+        first = np.cumsum(self.child_count) - self.child_count
+        order.setflags(write=False)
+        first.setflags(write=False)
+        return order, first
+
+    @cached_property
     def children(self):
         """Per vertex, its children ids in ascending order."""
-        return tuple(self.level_order[f:f + c] for f, c in
-                     zip(self.first_child.tolist(), self.child_count.tolist()))
+        order, first = self.by_parent
+        return tuple(order[f:f + c] for f, c in
+                     zip(first.tolist(), self.child_count.tolist()))
 
     def level(self, d: int):
-        """The plan of level d: (start, stop, groups, group_parents).
-
-        The level holds plan positions start:stop.  groups is None when
-        every vertex of the level is an only child, else the plan positions
-        where its sibling groups start; group_parents indexes the plan
-        positions of the groups' parents, as a slice when they are
-        consecutive.  Child rows combine over sibling groups, in group
-        order, as ``rows[start:stop]`` or ``ufunc.reduceat(rows[:stop],
-        groups)``.
-        """
-        start, stop = self._level_bounds[d], self._level_bounds[d + 1]
-        ga, gz = self._group_bounds[d], self._group_bounds[d + 1]
-        groups = None if gz - ga == stop - start else self.group_start[ga:gz]
-        first_parent = self._first_group_parent[d]
-        if first_parent >= 0:
-            group_parents = slice(first_parent, first_parent + gz - ga)
-        else:
-            group_parents = self.group_parent[ga:gz]
-        return start, stop, groups, group_parents
+        """(start, stop): the plan positions of the vertices at depth d."""
+        return self._level_bounds[d], self._level_bounds[d + 1]
 
     def upward_order(self):
         """Children-before-parents vertex order."""
@@ -385,9 +358,6 @@ class TreeTopology:
             out.append(w)
             stack.extend(self.children[w])
         return np.asarray(sorted(out), dtype=np.int64)
-
-    def is_path(self) -> bool:
-        return bool(self.child_count.max(initial=0) <= 1)
 
     def __eq__(self, other):
         return isinstance(other, TreeTopology) and np.array_equal(

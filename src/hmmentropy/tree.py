@@ -13,9 +13,10 @@ of the best full configuration constrained to that state value.
 
 Every pass walks the level plan of the topology (see TreeTopology): one
 numpy step per level handles all vertices of that depth at once, and child
-messages combine over sibling groups with ``ufunc.reduceat``.  The number of
-Python-level steps is therefore the depth of the tree, not its size; a path
-takes one step per vertex, a complete binary tree one per level.
+messages are scattered into their parents' rows with ``ufunc.at``, in
+ascending child id.  The number of Python-level steps is therefore the depth
+of the tree, not its size; a path takes one step per vertex, a complete
+binary tree one per level.
 
 The messages are scaled probabilities, not logarithms.  On a very wide
 vertex the product of its children's edge messages can overflow or
@@ -87,7 +88,7 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     prior_positive = level_prior > 0.0
     # emissions times priors times child messages, normalized level by
     # level into beta
-    beta = emission_matrix(model, tree.values)[topo.level_order]
+    beta = emission_matrix(model, tree.values)[topo.downward_order]
     beta *= np.repeat(level_prior, np.bincount(topo.depth), axis=0)
     beta_edge = np.zeros((n, j))
     beta_edge[0] = 1.0
@@ -95,7 +96,7 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     transition_t = model.transition.T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for d in range(topo.num_levels - 1, -1, -1):
-            start, stop, groups, group_parents = topo.level(d)
+            start, stop = topo.level(d)
             level = beta[start:stop]
             norm = level.sum(axis=1)
             normalizers[start:stop] = norm
@@ -104,14 +105,12 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
                 edge = beta_edge[start:stop]  # beta / prior, 0 where the prior is
                 np.divide(level, level_prior[d], out=edge, where=prior_positive[d])
                 edge[...] = edge @ transition_t
-                beta[group_parents] *= (
-                    edge if groups is None
-                    else np.multiply.reduceat(beta_edge[:stop], groups))
+                np.multiply.at(beta, topo.parent_position[start:stop], edge)
     impossible = np.flatnonzero(normalizers <= 0.0)
     if impossible.size:
         raise ImpossibleObservationError(
             "observation impossible under model at vertex "
-            f"{topo.level_order[impossible[-1]]}")
+            f"{topo.downward_order[impossible[-1]]}")
     # Finite tables and normalizers that are normal doubles; a subnormal
     # normalizer has lost most of its significant bits.  The log-likelihood
     # is then finite and accurate too.
@@ -120,7 +119,7 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
                               & np.isfinite(normalizers)
                               & (normalizers >= np.finfo(float).tiny)))
     if broken.size:
-        u = topo.level_order[broken[-1]]
+        u = topo.downward_order[broken[-1]]
         raise FloatingPointError(
             f"upward pass: vertex {u} ({topo.child_count[u]} children) leaves "
             "double precision; the product of its child messages overflows "
@@ -135,14 +134,14 @@ def downward_pass(model: HmmModel, tree: ObservedTree,
                   up: TreePosterior) -> TreePosterior:
     """Root-to-leaf completion producing the smoothed probabilities."""
     topo = tree.topology
-    order = topo.level_order
+    order = topo.downward_order
     beta_edge = up.beta_edge[order]
     edge_positive = beta_edge != 0.0
     # beta / prior, turned into the smoothed table level by level
     smoothed = safe_div(up.beta[order], up.prior[order])
     smoothed[0] = up.beta[0]
     for d in range(1, topo.num_levels):
-        start, stop, _, _ = topo.level(d)
+        start, stop = topo.level(d)
         level = beta_edge[start:stop]
         ratio = np.divide(smoothed[topo.parent_position[start:stop]], level,
                           out=np.zeros_like(level), where=edge_positive[start:stop])
@@ -168,19 +167,18 @@ def _max_product(model: HmmModel, tree: ObservedTree):
     """
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
-    m = log_emission_matrix(model, tree.values)[topo.level_order]
+    m = log_emission_matrix(model, tree.values)[topo.downward_order]
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)
         log_initial = np.log(model.initial)
     best = np.zeros((n, j))
     back = np.zeros((n, j), dtype=np.int64)
     for d in range(topo.num_levels - 1, 0, -1):
-        start, stop, groups, group_parents = topo.level(d)
+        start, stop = topo.level(d)
         cand = log_a + m[start:stop, None, :]
         back[start:stop] = cand.argmax(axis=2)
         best[start:stop] = cand.max(axis=2)
-        m[group_parents] += (best[start:stop] if groups is None
-                             else np.add.reduceat(best[:stop], groups))
+        np.add.at(m, topo.parent_position[start:stop], best[start:stop])
     root_score = log_initial + m[0]
     root_state = int(np.argmax(root_score))
     log_joint = float(root_score[root_state])
@@ -191,7 +189,7 @@ def _max_product(model: HmmModel, tree: ObservedTree):
     flat_back = back.reshape(-1)
     row = np.arange(0, n * j, j)
     for d in range(1, topo.num_levels):
-        start, stop, _, _ = topo.level(d)
+        start, stop = topo.level(d)
         states[start:stop] = flat_back[row[start:stop]
                                        + states[topo.parent_position[start:stop]]]
     return states[topo.position], log_joint, m, best
@@ -208,7 +206,7 @@ def _constrained_maxima(model: HmmModel, tree: ObservedTree, m, best):
         down = np.empty_like(m)
         down[0] = np.log(model.initial)
         for d in range(1, topo.num_levels):
-            start, stop, _, _ = topo.level(d)
+            start, stop = topo.level(d)
             parent = topo.parent_position[start:stop]
             # m[p] already contains best[u]; removing it leaves the outside
             # score.  Where the child subtree is impossible (best -inf) the

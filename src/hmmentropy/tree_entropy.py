@@ -7,16 +7,17 @@ the profile uses approach 1, and approach 2 is the reference the tests
 compare it with:
 
 * approach 1 accumulates parent-conditional entropies upward, one numpy
-  step per level of the topology's level plan, and takes the complement
-  profile from the result; it consumes the downward (smoothed) recursion
-  results;
+  step per level of the topology's level plan that adds each vertex's sum
+  into its parent's with ``np.add.at``, and takes the complement profile
+  from the result; it consumes the downward (smoothed) recursion results;
 * approach 2 runs an upward recursion on state-conditioned entropies of
   children subtrees and never needs the downward pass for its table.  It
   stays a scalar loop over vertices, as the reference implementation.
 
 The parent-conditional profile is one vectorized expression over all
 vertices, and the children-conditional profile one per group of vertices
-with the same number of children.  Both run in blocks of at most about
+with the same number of children, reading the children of each vertex from
+the topology's by-parent order.  Both run in blocks of at most about
 BLOCK_CELLS numbers, which bounds their temporaries whatever the tree size.
 
 Children-conditioned entropies require enumerating children state tuples,
@@ -97,26 +98,21 @@ def _child_given_parent(model, posterior, v):
 
 
 def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
-                               posterior: TreePosterior):
-    """Profile of H(S_u | S_parent(u), X) plus the pairwise posteriors.
-
-    Returns (vector, joints) where joints[u, i, k] = P(S_parent(u)=i, S_u=k | X)
-    for u != 0 (the root slab is zero and the root entry of the vector is the
-    marginal entropy of the root state).
-    """
+                               posterior: TreePosterior) -> np.ndarray:
+    """Profile of H(S_u | S_parent(u), X); the root entry is the marginal
+    entropy of the root state."""
     _require_smoothed(posterior)
     parent = tree.topology.parent
     n, j = tree.num_vertices, model.num_states
     out = np.empty(n)
-    joints = np.zeros((n, j, j))
     out[0] = float(entr(posterior.smoothed[0]).sum())
     for lo, hi in _blocks(1, n, j * j):
         block = slice(lo, hi)
         cond = _child_given_parent(model, posterior, block)
-        joint = np.multiply(cond, posterior.smoothed[parent[block]][:, :, None],
-                            out=joints[block])
+        # P(S_parent(u) = i, S_u = k | X)
+        joint = cond * posterior.smoothed[parent[block]][:, :, None]
         out[block] = -xlogy(joint, cond).sum(axis=(1, 2))
-    return out, joints
+    return out
 
 
 def subtree_entropies_approach1(model: HmmModel, tree: ObservedTree,
@@ -135,11 +131,12 @@ def subtree_entropies_approach1(model: HmmModel, tree: ObservedTree,
     """
     _require_smoothed(posterior)
     topo = tree.topology
-    sgp = parent_cond[topo.level_order]
+    sgp = parent_cond[topo.downward_order]
     for d in range(topo.num_levels - 1, 0, -1):
-        start, stop, groups, group_parents = topo.level(d)
-        sgp[group_parents] += (sgp[start:stop] if groups is None
-                               else np.add.reduceat(sgp[:stop], groups))
+        start, stop = topo.level(d)
+        # a copy: values that alias the target make ufunc.at copy the
+        # whole target on every call
+        np.add.at(sgp, topo.parent_position[start:stop], sgp[start:stop].copy())
     sgp = sgp[topo.position]
     marginal = entr(posterior.smoothed).sum(axis=1)
     partial_subtree = sgp - parent_cond + marginal
@@ -178,7 +175,7 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     global_entropy = float(beta0 @ h[0]) + float(entr(beta0).sum())
     partial_subtree = np.einsum("uj,uj->u", posterior.smoothed, h) \
         + entr(posterior.smoothed).sum(axis=1)
-    parent_cond, _ = parent_conditional_profile(model, tree, posterior)
+    parent_cond = parent_conditional_profile(model, tree, posterior)
     complement = global_entropy \
         - np.einsum("uj,uj->u", posterior.smoothed, h) - parent_cond
     complement[0] = 0.0
@@ -227,16 +224,17 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
     topo = tree.topology
     j = model.num_states
     _children_budget_check(j, topo.child_count, op_budget)
+    order, first = topo.by_parent
     out = entr(posterior.smoothed).sum(axis=1)  # leaf convention
     for c in np.unique(topo.child_count[topo.child_count > 0]).tolist():
         group = np.flatnonzero(topo.child_count == c)
         for lo, hi in _blocks(0, group.size, j ** (c + 1)):
             us = group[lo:hi]
-            first = topo.first_child[us]
+            first_child = first[us]
             # joint over (S_u, children tuple), one children position at a time
             table = posterior.smoothed[us][:, :, None]
             for t in range(c):
-                w = _child_given_parent(model, posterior, topo.level_order[first + t])
+                w = _child_given_parent(model, posterior, order[first_child + t])
                 table = (table[:, :, :, None] * w[:, :, None, :]).reshape(
                     us.size, j, -1)
             cond = safe_div(table, table.sum(axis=1)[:, None, :])
@@ -250,7 +248,7 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
     """Assemble the full per-vertex entropy profile of a smoothed tree."""
     _require_smoothed(posterior)
     marginal = entr(posterior.smoothed).sum(axis=1)
-    parent_cond, _ = parent_conditional_profile(model, tree, posterior)
+    parent_cond = parent_conditional_profile(model, tree, posterior)
     sgp, partial_subtree, complement, global_entropy = subtree_entropies_approach1(
         model, tree, posterior, parent_cond)
     children_cond = children_conditional_profile(model, tree, posterior, op_budget)

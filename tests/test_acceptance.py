@@ -175,7 +175,7 @@ def big_batch():
     for k, model in enumerate((M1, model4)):
         _, tree = simulate_tree(model, topo, seed=400 + k)
         post = smooth_tree(model, tree)
-        pc, _ = parent_conditional_profile(model, tree, post)
+        pc = parent_conditional_profile(model, tree, post)
         ps1 = subtree_entropies_approach1(model, tree, post, pc)
         ps2 = subtree_entropies_approach2(model, tree, post)
         cc = children_conditional_profile(model, tree, post)
@@ -420,7 +420,7 @@ def _chain_entropy_end_to_end(model, seq):
 
 def _tree_entropy_end_to_end(model, tree):
     post = smooth_tree(model, tree)
-    pc, _ = parent_conditional_profile(model, tree, post)
+    pc = parent_conditional_profile(model, tree, post)
     subtree_entropies_approach1(model, tree, post, pc)
     subtree_entropies_approach2(model, tree, post)
 

@@ -12,7 +12,8 @@ from hmmentropy import (Categorical, HmmModel, ObservedTree, Poisson,
                         simulate_chain, simulate_tree, validate_model)
 from hmmentropy.model import emission_log_prob
 
-from conftest import M1, random_model, random_topology, state_revealing_model
+from conftest import (M1, TOPOLOGY_KINDS, random_model, random_topology,
+                      state_revealing_model)
 
 PINE_TRANSITION = [
     [0.18, 0.47, 0.33, 0.02, 0.00],
@@ -261,3 +262,24 @@ class TestTopology:
         topo = random_topology(np.random.default_rng(8), 30, kind="random")
         for c in topo.children:
             assert np.all(np.diff(c) > 0) if c.size > 1 else True
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_level_plan(self, kind):
+        topo = random_topology(np.random.default_rng(4), 40, kind=kind)
+        plan = topo.downward_order
+        stop = 0
+        for d in range(topo.num_levels):
+            start, stop_d = topo.level(d)
+            assert start == stop  # levels are consecutive runs of the plan
+            stop = stop_d
+            assert np.array_equal(plan[start:stop], np.flatnonzero(topo.depth == d))
+        assert stop == 40
+        assert np.array_equal(plan[topo.position], np.arange(40))
+        assert topo.parent_position[0] == -1
+        assert np.array_equal(plan[topo.parent_position[1:]], topo.parent[plan[1:]])
+        order, first = topo.by_parent
+        for u in range(40):
+            children = np.flatnonzero(topo.parent == u)
+            assert np.array_equal(topo.children[u], children)
+            assert np.array_equal(
+                order[first[u]:first[u] + topo.child_count[u]], children)
