@@ -12,7 +12,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .chain import smooth_chain, viterbi_chain
+# smooth_chain is not called here; perfbench/selftest.py checks that its
+# tracer restores this name
+from .chain import smooth_chain, smooth_dataset, viterbi_chain  # noqa: F401
 from .chain_entropy import entropy_future, entropy_past_hernando
 from .criteria import CriterionInput, bic, free_parameter_count, icl_bic, nec
 from .errors import (BudgetExceededError, DataFormatError,
@@ -90,9 +92,10 @@ def _id_table(kind, data):
         table.add("parent", data.topology.parent)
         values = data.values
     else:
-        table.add("sequence", np.concatenate(
-            [np.full(seq.length, s) for s, seq in enumerate(data)]))
-        table.add("index", np.concatenate([np.arange(seq.length) for seq in data]))
+        lengths = np.array([seq.length for seq in data])
+        table.add("sequence", np.repeat(np.arange(lengths.size), lengths))
+        table.add("index", np.arange(lengths.sum())
+                  - np.repeat(np.cumsum(lengths) - lengths, lengths))
         values = np.concatenate([seq.values for seq in data])
     for k in range(values.shape[1]):
         table.add(f"obs_{k}", values[:, k])
@@ -101,14 +104,11 @@ def _id_table(kind, data):
 
 def _chain_sums(model, data):
     """Log-likelihood, H(S | X) and marginal entropy sum over the sequences."""
-    log_likelihood = g = m = 0.0
-    for seq in data:
-        post = smooth_chain(model, seq)
-        prof = entropy_past_hernando(model, seq, post)
-        log_likelihood += post.log_likelihood
-        g += prof.global_entropy
-        m += fsum(prof.marginal)
-    return log_likelihood, g, m
+    post = smooth_dataset(model, data)
+    g = fsum([entropy_past_hernando(model, seq, chain).global_entropy
+              for seq, chain in zip(data, post.chains)])
+    m = fsum(entr(post.smoothed).sum(axis=1))
+    return post.log_likelihood, g, m
 
 
 @cli.command()
@@ -138,8 +138,7 @@ def smooth(model_file, data_file, out_file, log_base):
     if kind == "tree":
         smoothed = smooth_tree(model, data).smoothed
     else:
-        smoothed = np.concatenate([smooth_chain(model, seq).smoothed
-                                   for seq in data])
+        smoothed = smooth_dataset(model, data).smoothed
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
@@ -231,17 +230,17 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
         if cond not in ("past", "future"):
             raise click.UsageError("chain input takes --cond past|future")
         route = entropy_past_hernando if cond == "past" else entropy_future
-        smooth_col, profs = [], []
-        for seq in data:
-            post = smooth_chain(model, seq)
-            profs.append(route(model, seq, post))
-            smooth_col.append(post.smoothed)
-        smoothed = np.concatenate(smooth_col)
-        marginal = np.concatenate([p.marginal for p in profs])
-        columns = [(f"cond_entropy_{cond}",
-                    np.concatenate([p.conditional for p in profs])),
-                   (f"partial_entropy_{cond}",
-                    np.concatenate([p.partial for p in profs]))]
+        post = smooth_dataset(model, data)
+        smoothed = post.smoothed
+        marginal, conditional, partial = np.empty((3, smoothed.shape[0]))
+        bounds = post.offsets.tolist()
+        for seq, chain, lo, hi in zip(data, post.chains, bounds, bounds[1:]):
+            prof = route(model, seq, chain)
+            marginal[lo:hi] = prof.marginal
+            conditional[lo:hi] = prof.conditional
+            partial[lo:hi] = prof.partial
+        columns = [(f"cond_entropy_{cond}", conditional),
+                   (f"partial_entropy_{cond}", partial)]
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])

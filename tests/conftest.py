@@ -7,9 +7,14 @@ so every generated instance has positive evidence.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, simulate_chain, simulate_tree)
+
+# --hypothesis-profile=ci: no per-example deadline on shared runners, and
+# four times the default number of examples for the tests that set none
+settings.register_profile("ci", deadline=None, max_examples=400)
 
 M1 = HmmModel(
     [0.5, 0.5],

@@ -81,12 +81,12 @@ class TestForward:
     def test_m1_single_step(self, m1):
         post = forward_pass(m1, ObservedSequence([0]))
         np.testing.assert_allclose(post.forward[0], [0.8, 0.2], rtol=1e-12)
-        assert post.normalizers[0] == pytest.approx(0.5, rel=1e-12)
+        assert np.exp(post.log_normalizers[0]) == pytest.approx(0.5, rel=1e-12)
 
     def test_m1_two_steps(self, m1):
         post = forward_pass(m1, ObservedSequence([0, 0]))
         np.testing.assert_allclose(post.predicted[1], [0.74, 0.26], rtol=1e-12)
-        assert post.normalizers[1] == pytest.approx(0.644, rel=1e-12)
+        assert np.exp(post.log_normalizers[1]) == pytest.approx(0.644, rel=1e-12)
         np.testing.assert_allclose(
             post.forward[1], [0.9192546583850931, 0.08074534161490683], rtol=1e-12)
 
@@ -97,9 +97,9 @@ class TestForward:
         expected = np.eye(3)[seq.values[:, 0]]
         np.testing.assert_allclose(post.forward, expected, atol=1e-12)
         # N_t is the visible-chain transition probability
-        assert post.normalizers[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert np.exp(post.log_normalizers[0]) == pytest.approx(1.0 / 3.0, rel=1e-12)
         for t in range(1, 4):
-            assert post.normalizers[t] == pytest.approx(
+            assert np.exp(post.log_normalizers[t]) == pytest.approx(
                 model.transition[seq.values[t - 1, 0], seq.values[t, 0]], rel=1e-12)
 
     def test_matches_brute_force_filter(self):
@@ -109,7 +109,7 @@ class TestForward:
             fwd, pred, norm = brute_force_filter(model, seq)
             np.testing.assert_allclose(post.forward, fwd, atol=1e-12)
             np.testing.assert_allclose(post.predicted[1:], pred[1:], atol=1e-12)
-            np.testing.assert_allclose(post.normalizers, norm, atol=1e-12)
+            np.testing.assert_allclose(np.exp(post.log_normalizers), norm, atol=1e-12)
 
     def test_matches_enumerated_filter_up_to_four_states(self):
         for seed in range(25):
@@ -119,7 +119,8 @@ class TestForward:
             fwd, pred, norm = enumerated_filter(model, seq)
             np.testing.assert_allclose(post.forward, fwd, atol=1e-10)
             np.testing.assert_allclose(post.predicted[1:], pred[1:], atol=1e-10)
-            np.testing.assert_allclose(post.normalizers, norm, atol=1e-10)
+            np.testing.assert_allclose(np.exp(post.log_normalizers), norm,
+                                       atol=1e-10)
 
     def test_impossible_observation_position(self):
         model = HmmModel([0.5, 0.5], np.full((2, 2), 0.5),
@@ -168,8 +169,8 @@ class TestBackward:
             post = smooth_chain(model, seq)
             for table in (post.forward, post.predicted, post.smoothed):
                 np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(post.normalizers > 0)
-            assert np.all(post.normalizers <= 1.0 + 1e-12)
+            assert np.all(np.exp(post.log_normalizers) > 0)
+            assert np.all(np.exp(post.log_normalizers) <= 1.0 + 1e-12)
 
 
 class TestViterbi:

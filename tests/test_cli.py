@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hmmentropy import HmmModel, fileio, serialize_model
+from hmmentropy import Categorical, HmmModel, fileio, serialize_model
 from hmmentropy.cli import main
 
 from conftest import M1, uniform_model
@@ -310,6 +310,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "smooth", "--model", str(model_path),
                            "--data", str(data_path))
         assert code == 3 and "position 1" in err
+
+    @pytest.mark.parametrize("argv", [("smooth",), ("entropy",), ("criteria",),
+                                      ("summary",)])
+    def test_impossible_observation_names_sequence(self, capsys, tmp_path,
+                                                   argv):
+        # both states emit only 0: sequence 2 fails at position 0, but the
+        # first failure in sequence order is sequence 1's, at position 2
+        model = HmmModel([0.5, 0.5], np.full((2, 2), 0.5),
+                         [[Categorical([1.0, 0.0])]] * 2)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(serialize_model(model))
+        data_path = tmp_path / "d.txt"
+        data_path.write_text("0 0 0\n0 0 1 0\n1 0\n")
+        code, out, err = run(capsys, *argv, "--model", str(model_path),
+                             "--data", str(data_path))
+        assert code == 3 and out == ""
+        assert "sequence 1, position 2" in err
 
     # Same leaves: the 19,999 leaf messages of the root multiply past
     # 1e308.  Alternating leaves: the root's product sinks below the
