@@ -7,8 +7,8 @@ with an exact enumeration oracle for verification on small instances and
 entropy-aware model selection criteria.
 """
 
-from .chain import (ChainPosterior, DatasetPosterior, backward_smooth,
-                    forward_pass, smooth_chain, smooth_dataset, viterbi_chain)
+from .chain import (ChainPosterior, backward_smooth, forward_pass, smooth_chain,
+                    smooth_dataset, viterbi_chain, viterbi_dataset)
 from .chain_entropy import (ChainEntropyProfile, entropy_future,
                             entropy_future_direct, entropy_past_direct,
                             entropy_past_hernando, marginal_entropy_profile)
@@ -36,8 +36,8 @@ __all__ = [
     "HmmModel", "Categorical", "Poisson", "ObservedSequence", "ObservedTree",
     "TreeTopology", "validate_model", "emission_prob", "simulate_chain",
     "simulate_tree",
-    "ChainPosterior", "DatasetPosterior", "forward_pass", "backward_smooth",
-    "smooth_chain", "smooth_dataset", "viterbi_chain",
+    "ChainPosterior", "forward_pass", "backward_smooth", "smooth_chain",
+    "smooth_dataset", "viterbi_chain", "viterbi_dataset",
     "ChainEntropyProfile", "marginal_entropy_profile", "entropy_past_hernando",
     "entropy_past_direct", "entropy_future", "entropy_future_direct",
     "TreePosterior", "upward_pass", "downward_pass", "smooth_tree",

@@ -26,6 +26,9 @@ Backward smoothing runs the vector recursion on the last segments, stitches
 the boundaries back with the same transfer matrices, and runs the other
 segments from their successors' smoothed laws.  That is at most 3L numpy
 steps per direction, instead of one per position.
+
+Viterbi restoration runs its max-product recursion over all positions of a
+dataset in one pass, which restarts at each sequence's last position.
 """
 
 import math
@@ -38,13 +41,15 @@ from .errors import ImpossibleObservationError
 from .model import HmmModel, ObservedSequence, log_emission_matrix
 from .numutil import fsum, safe_div
 
-__all__ = ["ChainPosterior", "DatasetPosterior", "forward_pass",
-           "backward_smooth", "smooth_chain", "smooth_dataset", "viterbi_chain"]
+__all__ = ["ChainPosterior", "forward_pass", "backward_smooth", "smooth_chain",
+           "smooth_dataset", "viterbi_chain", "viterbi_dataset"]
 
 
 @dataclass
 class ChainPosterior:
-    """Smoothing tables of a chain.
+    """Smoothing tables of a dataset of chains, stacked in dataset order:
+    rows offsets[s]:offsets[s + 1] belong to sequence s, and log_likelihood
+    is the dataset's.  Within each sequence:
 
     forward[t]       P(S_t = . | X_0^t = x_0^t)
     log_normalizers  log N_t = log P(X_t = x_t | X_0^{t-1} = x_0^{t-1})
@@ -56,31 +61,8 @@ class ChainPosterior:
     log_normalizers: np.ndarray
     predicted: np.ndarray
     log_likelihood: float
-    smoothed: Optional[np.ndarray] = None
-
-    @property
-    def length(self) -> int:
-        return self.forward.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.forward.shape[1]
-
-
-@dataclass
-class DatasetPosterior:
-    """Smoothing tables of a dataset of chains, stacked in dataset order:
-    rows offsets[s]:offsets[s + 1] belong to sequence s.  chains[s] is the
-    ChainPosterior of sequence s, whose tables are views of these, and
-    log_likelihood is the dataset's."""
-
-    forward: np.ndarray
-    log_normalizers: np.ndarray
-    predicted: np.ndarray
-    smoothed: np.ndarray
     offsets: np.ndarray
-    chains: list
-    log_likelihood: float
+    smoothed: Optional[np.ndarray] = None
 
 
 def _segment_length(t_max: int) -> int:
@@ -290,18 +272,19 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
     return smoothed
 
 
-def _prepare(model: HmmModel, values: np.ndarray, lengths):
+def _prepare(model: HmmModel, seqs: list):
     """(segments, log-emission matrix, transfer, log_scale) of a dataset."""
-    seg = _Segments(lengths)
-    log_b = log_emission_matrix(model, values)
+    seg = _Segments([seq.length for seq in seqs])
+    log_b = log_emission_matrix(model, np.concatenate([seq.values
+                                                       for seq in seqs]))
     return (seg, log_b) + _transfers(model, seg, log_b)
 
 
 def forward_pass(model: HmmModel, seq: ObservedSequence) -> ChainPosterior:
     """Scaled forward recursion; returns a posterior without smoothed table."""
-    forward, predicted, log_norm = _forward(
-        model, *_prepare(model, seq.values, [seq.length]))
-    return ChainPosterior(forward, log_norm, predicted, fsum(log_norm))
+    forward, predicted, log_norm = _forward(model, *_prepare(model, [seq]))
+    return ChainPosterior(forward, log_norm, predicted, fsum(log_norm),
+                          np.array([0, seq.length]))
 
 
 def backward_smooth(model: HmmModel, seq: ObservedSequence,
@@ -311,67 +294,73 @@ def backward_smooth(model: HmmModel, seq: ObservedSequence,
     The L_{t+1}(k)/G_{t+1}(k) weights use the 0/0 = 0 convention, which is
     the only way a zero predicted probability can be reached.
     """
-    seg, _, transfer, log_scale = _prepare(model, seq.values, [seq.length])
+    seg, _, transfer, log_scale = _prepare(model, [seq])
     smoothed = _backward(model, seg, fwd.forward, fwd.predicted, transfer,
                          log_scale)
     return ChainPosterior(fwd.forward, fwd.log_normalizers, fwd.predicted,
-                          fwd.log_likelihood, smoothed)
+                          fwd.log_likelihood, fwd.offsets, smoothed)
 
 
-def smooth_dataset(model: HmmModel, seqs) -> DatasetPosterior:
+def smooth_dataset(model: HmmModel, seqs) -> ChainPosterior:
     """Forward pass and backward smoothing of every sequence of a dataset
     in one batch.  An impossible observation is reported at the lowest
     sequence index that has one, and at that sequence's first."""
-    seqs = list(seqs)
-    seg, log_b, transfer, log_scale = _prepare(
-        model, np.concatenate([seq.values for seq in seqs]),
-        [seq.length for seq in seqs])
+    seg, log_b, transfer, log_scale = _prepare(model, list(seqs))
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
                                             log_scale)
     del log_b
     smoothed = _backward(model, seg, forward, predicted, transfer, log_scale)
-    bounds = seg.offsets.tolist()
-    chains = [ChainPosterior(forward[lo:hi], log_norm[lo:hi], predicted[lo:hi],
-                             fsum(log_norm[lo:hi]), smoothed[lo:hi])
-              for lo, hi in zip(bounds, bounds[1:])]
-    return DatasetPosterior(forward, log_norm, predicted, smoothed, seg.offsets,
-                            chains, fsum(log_norm))
+    return ChainPosterior(forward, log_norm, predicted, fsum(log_norm),
+                          seg.offsets, smoothed)
 
 
 def smooth_chain(model: HmmModel, seq: ObservedSequence) -> ChainPosterior:
     """Forward pass followed by backward smoothing of one sequence."""
-    return smooth_dataset(model, [seq]).chains[0]
+    return smooth_dataset(model, [seq])
 
 
-def viterbi_chain(model: HmmModel, seq: ObservedSequence):
-    """Most likely state sequence and its log joint probability.
+def viterbi_dataset(model: HmmModel, seqs):
+    """Most likely state sequence of every sequence of a dataset: the
+    stacked paths and the log joint probability of each.
 
-    The max-product recursion runs backward and the path is reconstructed
+    The max-product recursion runs backward over the stacked positions,
+    from each sequence's last position, and the paths are reconstructed
     front-to-back, breaking ties toward the smaller state index at every
     backtracking step.  Among equally likely optima this selects the
     lexicographically smallest path, matching the tree restoration on path
-    topologies and the enumeration oracle.
+    topologies and the enumeration oracle.  A sequence whose every path is
+    impossible is reported at the lowest sequence index that has one.
     """
-    log_b = log_emission_matrix(model, seq.values)
-    t_len = seq.length
-    j = model.num_states
+    seqs = list(seqs)
+    # score[t, i]: best log prob of emissions/transitions from t on, given S_t=i
+    score = log_emission_matrix(model, np.concatenate([seq.values
+                                                       for seq in seqs]))
+    offsets = np.concatenate(([0], np.cumsum([seq.length for seq in seqs])))
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)
         log_pi = np.log(model.initial)
-    # score[t, i]: best log prob of emissions/transitions from t on, given S_t=i
-    nxt = np.empty((t_len, j), dtype=np.int64)
-    score = log_b[t_len - 1].copy()
-    for t in range(t_len - 2, -1, -1):
-        cand = log_a + score[None, :]
+    # the rows with a successor in their sequence
+    steps = np.delete(np.arange(offsets[-1]), offsets[1:] - 1).tolist()
+    nxt = np.empty(score.shape, dtype=np.int64)
+    for t in reversed(steps):
+        cand = log_a + score[t + 1]
         nxt[t] = np.argmax(cand, axis=1)
-        score = cand[np.arange(j), nxt[t]] + log_b[t]
-    first = log_pi + score
-    best_first = int(np.argmax(first))
-    log_joint = float(first[best_first])
-    if log_joint == -np.inf:
-        raise ImpossibleObservationError("all state sequences are impossible")
-    path = np.empty(t_len, dtype=np.int64)
-    path[0] = best_first
-    for t in range(t_len - 1):
+        score[t] += cand.max(axis=1)
+    first = log_pi + score[offsets[:-1]]
+    log_joint = first.max(axis=1)
+    impossible = np.flatnonzero(log_joint == -np.inf)
+    if impossible.size:
+        raise ImpossibleObservationError(
+            f"all state sequences are impossible at sequence {impossible[0]}")
+    path = np.empty(offsets[-1], dtype=np.int64)
+    path[offsets[:-1]] = np.argmax(first, axis=1)
+    for t in steps:
         path[t + 1] = nxt[t, path[t]]
     return path, log_joint
+
+
+def viterbi_chain(model: HmmModel, seq: ObservedSequence):
+    """Most likely state sequence of one sequence and its log joint
+    probability; see viterbi_dataset."""
+    path, log_joint = viterbi_dataset(model, [seq])
+    return path, float(log_joint[0])

@@ -1,13 +1,14 @@
-"""Entropy profiles for the hidden state sequence of a chain.
+"""Entropy profiles for the hidden state sequences of chains.
 
-The global state entropy H(S | X = x) decomposes along the sequence as a sum
+The global state entropy H(S | X = x) decomposes along a sequence as a sum
 of conditional entropies, conditioning either on the preceding state (past
 direction) or on the following state (future direction).  The recursive
 routes, which the command line runs, are one state-conditioned entropy
 recursion walked in either direction, with its matrices built in blocks of
 about BLOCK_CELLS numbers; the direct routes (conditionals from the pairwise
 posteriors, partials by summation) are independent references that the
-tests compare against them.
+tests compare against them.  Every route takes a ChainPosterior of any
+number of sequences, restarts at each one and sums H(S | X) over them.
 
 All entropies are in nats.
 """
@@ -28,7 +29,8 @@ __all__ = ["ChainEntropyProfile", "marginal_entropy_profile",
 
 @dataclass
 class ChainEntropyProfile:
-    """Per-position entropy profile of a smoothed chain.
+    """Per-position entropy profile of smoothed chains, one row per row of
+    their posterior; the formulas below hold within each sequence.
 
     direction   'past' or 'future'
     marginal    H(S_t | X = x)
@@ -57,40 +59,47 @@ def _require_smoothed(posterior):
         raise ValueError("posterior lacks the smoothed table; run backward_smooth")
 
 
-def _entropy_walk(direction, smoothed, law):
-    """Profile from h[0] = 0, h[s] = K_s h[s-1] + entr(K_s) 1 over the rows
-    of smoothed, the smoothed laws in walk order.  K_s[a, b] is the law of
-    the state at walk position s - 1 given state a at s; law(lo, hi) returns
-    K_s for lo <= s < hi as a (hi - lo, J, J) array.  Partial entropies are
+def _entropy_walk(direction, smoothed, offsets, law):
+    """Profile from h[s] = 0 at each sequence's first row, h[s] = K_s h[s-1]
+    + entr(K_s) 1 at its others, over the rows of smoothed, the smoothed
+    laws in walk order; offsets are in walk order too.  K_s[a, b] is the law
+    of the state at walk position s - 1 given state a at s; law(pos) returns
+    K_s for the rows pos as a (len(pos), J, J) array.  Partial entropies are
     smoothed[s] . h[s] + H(S_s | X), conditionals their increments; a future
-    walk starts at the last position, and its results are reversed.
+    walk starts at the last row, and its results are reversed.
     """
     t_len, j = smoothed.shape
     h = np.zeros((t_len, j))
-    for lo, hi in _blocks(1, t_len, j * j):
-        k = law(lo, hi)
+    steps = np.delete(np.arange(t_len), offsets[:-1])  # rows with a predecessor
+    for lo, hi in _blocks(0, steps.size, j * j):
+        pos = steps[lo:hi]
+        k = law(pos)
         e = entr(k).sum(axis=2)
-        for s, (k_s, e_s) in enumerate(zip(k, e), start=lo):
+        for s, k_s, e_s in zip(pos.tolist(), k, e):
             h[s] = k_s @ h[s - 1] + e_s
     marginal = entr(smoothed).sum(axis=1)
     partial = np.matmul(smoothed[:, None, :], h[:, :, None])[:, 0, 0] + marginal
     conditional = np.diff(partial, prepend=0.0)
+    conditional[offsets[:-1]] = partial[offsets[:-1]]
     order = slice(None, None, -1 if direction == "future" else 1)
     return ChainEntropyProfile(direction, marginal[order], conditional[order],
-                               partial[order], partial[-1], hernando=h[order])
+                               partial[order], fsum(partial[offsets[1:] - 1]),
+                               hernando=h[order])
 
 
 def _pairwise_entropies(model, posterior):
-    """H(S_{t-1}, S_t | X = x) for 1 <= t < T, from the pairwise posteriors
+    """The rows t with a predecessor in their sequence, and H(S_{t-1}, S_t |
+    X = x) at each from the pairwise posteriors
     P(S_{t-1}=i, S_t=k | X) = F_{t-1}(i) p_ik L_t(k) / G_t(k), in blocks."""
     f, g, smoothed = posterior.forward, posterior.predicted, posterior.smoothed
-    t_len, j = smoothed.shape
-    out = np.empty(t_len - 1)
-    for lo, hi in _blocks(1, t_len, j * j):
-        joint = safe_div(smoothed[lo:hi, None, :] * model.transition
-                         * f[lo - 1:hi - 1, :, None], g[lo:hi, None, :])
-        out[lo - 1:hi - 1] = entr(joint).sum(axis=(1, 2))
-    return out
+    steps = np.delete(np.arange(len(smoothed)), posterior.offsets[:-1])
+    out = np.empty(steps.size)
+    for lo, hi in _blocks(0, steps.size, model.num_states ** 2):
+        pos = steps[lo:hi]
+        joint = safe_div(smoothed[pos][:, None, :] * model.transition
+                         * f[pos - 1][:, :, None], g[pos][:, None, :])
+        out[lo:hi] = entr(joint).sum(axis=(1, 2))
+    return steps, out
 
 
 def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
@@ -104,10 +113,11 @@ def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
     """
     _require_smoothed(posterior)
     f, g = posterior.forward, posterior.predicted
-    def predecessor(lo, hi):
-        w = safe_div(model.transition * f[lo - 1:hi - 1, :, None], g[lo:hi, None, :])
+    def predecessor(pos):
+        w = safe_div(model.transition * f[pos - 1][:, :, None], g[pos][:, None, :])
         return w.transpose(0, 2, 1)
-    return _entropy_walk("past", posterior.smoothed, predecessor)
+    return _entropy_walk("past", posterior.smoothed, posterior.offsets,
+                         predecessor)
 
 
 def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
@@ -120,10 +130,13 @@ def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
     """
     _require_smoothed(posterior)
     marginal = entr(posterior.smoothed).sum(axis=1)
-    conditional = np.concatenate(
-        (marginal[:1], _pairwise_entropies(model, posterior) - marginal[:-1]))
-    return ChainEntropyProfile("past", marginal, conditional,
-                               compensated_cumsum(conditional), fsum(conditional))
+    steps, pairwise = _pairwise_entropies(model, posterior)
+    conditional = marginal.copy()
+    conditional[steps] = pairwise - marginal[steps - 1]
+    return ChainEntropyProfile(
+        "past", marginal, conditional,
+        compensated_cumsum(conditional, posterior.offsets[:-1]),
+        fsum(conditional))
 
 
 def entropy_future(model: HmmModel, seq: ObservedSequence,
@@ -139,11 +152,12 @@ def entropy_future(model: HmmModel, seq: ObservedSequence,
     """
     _require_smoothed(posterior)
     smoothed, g = posterior.smoothed[::-1], posterior.predicted[::-1]
-    def successor(lo, hi):
-        u = model.transition * safe_div(smoothed[lo - 1:hi - 1],
-                                        g[lo - 1:hi - 1])[:, None, :]
+    def successor(pos):
+        u = model.transition * safe_div(smoothed[pos - 1],
+                                        g[pos - 1])[:, None, :]
         return safe_div(u, u.sum(axis=2)[:, :, None])
-    return _entropy_walk("future", smoothed, successor)
+    offsets = posterior.offsets[-1] - posterior.offsets[::-1]
+    return _entropy_walk("future", smoothed, offsets, successor)
 
 
 def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
@@ -156,8 +170,11 @@ def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
     """
     _require_smoothed(posterior)
     marginal = entr(posterior.smoothed).sum(axis=1)
-    conditional = np.concatenate(
-        (_pairwise_entropies(model, posterior) - marginal[1:], marginal[-1:]))
-    return ChainEntropyProfile("future", marginal, conditional,
-                               compensated_cumsum(conditional[::-1])[::-1],
-                               fsum(conditional))
+    steps, pairwise = _pairwise_entropies(model, posterior)
+    conditional = marginal.copy()
+    conditional[steps - 1] = pairwise - marginal[steps]
+    offsets = posterior.offsets
+    return ChainEntropyProfile(
+        "future", marginal, conditional,
+        compensated_cumsum(conditional[::-1], offsets[-1] - offsets[1:])[::-1],
+        fsum(conditional))

@@ -14,7 +14,7 @@ import numpy as np
 
 # smooth_chain is not called here; perfbench/selftest.py checks that its
 # tracer restores this name
-from .chain import smooth_chain, smooth_dataset, viterbi_chain  # noqa: F401
+from .chain import smooth_chain, smooth_dataset, viterbi_dataset  # noqa: F401
 from .chain_entropy import entropy_future, entropy_past_hernando
 from .criteria import CriterionInput, bic, free_parameter_count, icl_bic, nec
 from .errors import (BudgetExceededError, DataFormatError,
@@ -86,7 +86,7 @@ def _scalar_table(pairs, entropy_keys=(), log_base="e"):
 def _id_table(kind, data):
     """A table of the columns that identify each row: vertex, parent and
     obs_k for a tree; sequence, index and obs_k for chains."""
-    table = ProfileTable(kind)
+    table = ProfileTable()
     if kind == "tree":
         table.add("vertex", np.arange(data.num_vertices))
         table.add("parent", data.topology.parent)
@@ -103,12 +103,11 @@ def _id_table(kind, data):
 
 
 def _chain_sums(model, data):
-    """Log-likelihood, H(S | X) and marginal entropy sum over the sequences."""
+    """Posterior, H(S | X) and marginal entropy sum of a dataset."""
     post = smooth_dataset(model, data)
-    g = fsum([entropy_past_hernando(model, seq, chain).global_entropy
-              for seq, chain in zip(data, post.chains)])
+    g = entropy_past_hernando(model, data, post).global_entropy
     m = fsum(entr(post.smoothed).sum(axis=1))
-    return post.log_likelihood, g, m
+    return post, g, m
 
 
 @cli.command()
@@ -157,12 +156,9 @@ def viterbi(model_file, data_file, out_file):
         states, log_joint = viterbi_tree(model, data)
         click.echo(f"log_joint\t{format(log_joint, '.12g')}", err=True)
     else:
-        paths = []
-        for s, seq in enumerate(data):
-            path, log_joint = viterbi_chain(model, seq)
-            paths.append(path)
+        states, log_joints = viterbi_dataset(model, data)
+        for s, log_joint in enumerate(log_joints.tolist()):
             click.echo(f"log_joint[{s}]\t{format(log_joint, '.12g')}", err=True)
-        states = np.concatenate(paths)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)
     _emit(write_profile(table), out_file)
@@ -232,15 +228,12 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
         route = entropy_past_hernando if cond == "past" else entropy_future
         post = smooth_dataset(model, data)
         smoothed = post.smoothed
-        marginal, conditional, partial = np.empty((3, smoothed.shape[0]))
-        bounds = post.offsets.tolist()
-        for seq, chain, lo, hi in zip(data, post.chains, bounds, bounds[1:]):
-            prof = route(model, seq, chain)
-            marginal[lo:hi] = prof.marginal
-            conditional[lo:hi] = prof.conditional
-            partial[lo:hi] = prof.partial
-        columns = [(f"cond_entropy_{cond}", conditional),
-                   (f"partial_entropy_{cond}", partial)]
+        prof = route(model, data, post)
+        marginal = prof.marginal
+        columns = [(f"cond_entropy_{cond}", prof.conditional),
+                   (f"partial_entropy_{cond}", prof.partial)]
+        # only these columns are written: free the other tables first
+        del post, prof
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
@@ -288,8 +281,9 @@ def criteria(model_file, data_file, out_file, baseline_loglik):
         log_likelihood = post.log_likelihood
         sample_size = data.num_vertices
     else:
-        log_likelihood, h, _ = _chain_sums(model, data)
-        sample_size = sum(seq.length for seq in data)
+        post, h, _ = _chain_sums(model, data)
+        log_likelihood = post.log_likelihood
+        sample_size = len(post.smoothed)
     inp = CriterionInput(log_likelihood=log_likelihood, global_entropy=h,
                          free_params=free_parameter_count(model),
                          sample_size=sample_size,

@@ -235,7 +235,6 @@ class ProfileTable:
     Columns listed in entropy_columns are log-base converted on output.
     """
 
-    kind: str  # 'chain' | 'tree'
     columns: List[Tuple[str, np.ndarray]] = field(default_factory=list)
     entropy_columns: frozenset = frozenset()
 
@@ -253,31 +252,28 @@ class ProfileTable:
         return self.columns[0][1].shape[0] if self.columns else 0
 
 
-def _format_value(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def write_profile(table: ProfileTable, log_base: str = "e") -> str:
-    """Render a table as TSV; entropies divided by ln(2) for base-2 output."""
+    """Render a table as TSV; entropies divided by ln(2) for base-2 output.
+
+    Integer columns print as integers, every other column with 12
+    significant digits.  Each column is formatted with one map over it.
+    """
     if log_base not in ("e", "2"):
         raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
     scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
-    names = [name for name, _ in table.columns]
-    out = ["\t".join(names)]
-    for r in range(table.num_rows):
-        cells = []
-        for name, col in table.columns:
-            v = col[r]
-            if name in table.entropy_columns and scale != 1.0:
-                v = float(v) * scale
-            cells.append(_format_value(v))
-        out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    cells = []
+    for name, col in table.columns:
+        if name in table.entropy_columns and scale != 1.0:
+            col = col.astype(float) * scale
+        fmt = str if col.dtype.kind in "iu" else "{:.12g}".format
+        # a memoryview yields the Python numbers one at a time, where
+        # tolist() would hold them all at once
+        cells.append(map(fmt, memoryview(col)))
+    header = "\t".join(name for name, _ in table.columns)
+    return "\n".join([header, *map("\t".join, zip(*cells))]) + "\n"
 
 
-def read_profile(text: str, kind: str = "chain") -> ProfileTable:
+def read_profile(text: str) -> ProfileTable:
     """Parse a TSV profile back into a table (entropy flags are not part of
     the wire format and are not recovered)."""
     lines = [line for line in text.splitlines() if line]
@@ -289,7 +285,7 @@ def read_profile(text: str, kind: str = "chain") -> ProfileTable:
         if len(row) != len(names):
             raise DataFormatError(f"row {r} has {len(row)} cells, "
                                   f"header has {len(names)}")
-    table = ProfileTable(kind)
+    table = ProfileTable()
     for c, name in enumerate(names):
         tokens = [row[c] for row in rows]
         try:

@@ -1,5 +1,6 @@
 """The batched chain smoothing kernel against a log-space reference and the
-enumeration oracle.
+enumeration oracle; entropy profiles and Viterbi restorations of datasets
+against those of their sequences.
 
 smooth_dataset cuts every sequence into segments of L = ceil(sqrt(T_max))
 positions and runs all segments of all sequences as the rows of one batch.
@@ -17,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from hmmentropy import (Categorical, HmmModel, ImpossibleObservationError,
-                        ObservedSequence, Poisson, enumerate_chain,
-                        simulate_chain, smooth_chain, smooth_dataset)
+from hmmentropy import (Categorical, ChainPosterior, HmmModel,
+                        ImpossibleObservationError, ObservedSequence, Poisson,
+                        entropy_future, entropy_future_direct,
+                        entropy_past_direct, entropy_past_hernando,
+                        enumerate_chain, simulate_chain, smooth_chain,
+                        smooth_dataset, viterbi_chain, viterbi_dataset)
 from hmmentropy.chain import _segment_length
 from hmmentropy.model import log_emission_matrix
 
@@ -123,16 +127,28 @@ def extreme_datasets(draw):
     return model, seqs, size
 
 
+def sequence_posteriors(post):
+    """The posterior of each sequence of a dataset posterior: its rows, as
+    a dataset of one."""
+    bounds = post.offsets.tolist()
+    return [ChainPosterior(post.forward[lo:hi], post.log_normalizers[lo:hi],
+                           post.predicted[lo:hi],
+                           math.fsum(post.log_normalizers[lo:hi]),
+                           np.array([0, hi - lo]), post.smoothed[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 @given(extreme_datasets())
 @settings(deadline=None)
 def test_kernel_matches_log_space_reference(instance):
     model, seqs, size = instance
     assert _segment_length(max(seq.length for seq in seqs)) == size
     post = smooth_dataset(model, seqs)
-    for seq, chain in zip(seqs, post.chains):
+    chains = sequence_posteriors(post)
+    for seq, chain in zip(seqs, chains):
         assert_matches_log_space(model, seq, chain)
     assert post.log_likelihood == pytest.approx(
-        math.fsum(chain.log_likelihood for chain in post.chains),
+        math.fsum(chain.log_likelihood for chain in chains),
         rel=1e-12, abs=1e-9)
 
 
@@ -147,7 +163,7 @@ def test_kernel_matches_oracle(seed, count):
                            int(rng.integers(0, 2 ** 31)))[1]
             for _ in range(count)]
     post = smooth_dataset(model, seqs)
-    for seq, chain in zip(seqs, post.chains):
+    for seq, chain in zip(seqs, sequence_posteriors(post)):
         res = enumerate_chain(model, seq)
         for t in range(seq.length):
             np.testing.assert_allclose(chain.smoothed[t], res.marginal(t),
@@ -202,21 +218,20 @@ def test_start_state_far_below_the_others_survives_stitching():
     assert_matches_log_space(model, seq, post)
 
 
-def test_dataset_chains_are_views_of_the_dataset_tables():
+def test_dataset_rows_are_the_sequences_in_order():
     rng = np.random.default_rng(5)
     model = random_model(rng, 3, poisson=True)
     seqs = [simulate_chain(model, t_len, seed)[1]
             for seed, t_len in enumerate((40, 7, 1, 90, 12))]
     post = smooth_dataset(model, seqs)
     np.testing.assert_array_equal(post.offsets, [0, 40, 47, 48, 138, 150])
-    for seq, chain, lo in zip(seqs, post.chains, post.offsets):
+    np.testing.assert_array_equal(smooth_chain(model, seqs[0]).offsets, [0, 40])
+    for seq, chain in zip(seqs, sequence_posteriors(post)):
         alone = smooth_chain(model, seq)
         np.testing.assert_allclose(chain.smoothed, alone.smoothed, atol=1e-13)
+        np.testing.assert_allclose(chain.forward, alone.forward, atol=1e-13)
         assert chain.log_likelihood == pytest.approx(alone.log_likelihood,
                                                      rel=1e-13)
-        assert np.shares_memory(chain.smoothed, post.smoothed)
-        np.testing.assert_array_equal(chain.forward,
-                                      post.forward[lo:lo + seq.length])
 
 
 def test_impossible_observation_names_lowest_sequence_first():
@@ -246,3 +261,80 @@ def test_smoothing_out_of_double_range_is_an_error(initial, transition,
     model = HmmModel(initial, transition, emissions)
     with pytest.raises(FloatingPointError, match="sequence 0, position 0"):
         smooth_chain(model, ObservedSequence(values))
+
+
+@st.composite
+def datasets(draw):
+    """(model, sequences): 1-6 sequences of lengths 1, 2, 3, 7 or 40 from a
+    model of up to 8 states, with structural zeros or without."""
+    lengths = draw(st.lists(st.sampled_from((1, 2, 3, 7, 40)), min_size=1,
+                            max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = random_model(rng, draw(st.integers(1, 8)), zeros=draw(st.booleans()),
+                         poisson=True)
+    return model, [simulate_chain(model, t_len, int(rng.integers(0, 2 ** 31)))[1]
+                   for t_len in lengths]
+
+
+def sequential_viterbi(model, seq):
+    """Max-product recursion over one sequence, one position at a time."""
+    log_b = log_emission_matrix(model, seq.values)
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transition)
+        log_pi = np.log(model.initial)
+    j = model.num_states
+    nxt = np.empty((seq.length, j), dtype=np.int64)
+    score = log_b[-1].copy()
+    for t in range(seq.length - 2, -1, -1):
+        cand = log_a + score[None, :]
+        nxt[t] = np.argmax(cand, axis=1)
+        score = cand[np.arange(j), nxt[t]] + log_b[t]
+    first = log_pi + score
+    path = [int(np.argmax(first))]
+    for t in range(seq.length - 1):
+        path.append(int(nxt[t, path[-1]]))
+    return path, float(first[path[0]])
+
+
+@given(datasets())
+@settings(deadline=None)
+def test_dataset_profiles_are_the_sequence_profiles(instance):
+    """Every route restarts at each sequence: a dataset's profile is its
+    sequences' profiles, computed from the same posterior's rows, end to
+    end, bit for bit."""
+    model, seqs = instance
+    post = smooth_dataset(model, seqs)
+    chains = sequence_posteriors(post)
+    for route in (entropy_past_hernando, entropy_future):
+        whole = route(model, seqs, post)
+        parts = [route(model, seq, chain) for seq, chain in zip(seqs, chains)]
+        for name in ("marginal", "conditional", "partial", "hernando"):
+            np.testing.assert_array_equal(
+                getattr(whole, name),
+                np.concatenate([getattr(part, name) for part in parts]))
+        assert whole.global_entropy == math.fsum(part.global_entropy
+                                                 for part in parts)
+    for route in (entropy_past_direct, entropy_future_direct):
+        whole = route(model, seqs, post)
+        parts = [route(model, seq, chain) for seq, chain in zip(seqs, chains)]
+        for name in ("marginal", "conditional", "partial"):
+            np.testing.assert_array_equal(
+                getattr(whole, name),
+                np.concatenate([getattr(part, name) for part in parts]))
+        assert whole.global_entropy == math.fsum(whole.conditional)
+        assert whole.global_entropy == pytest.approx(
+            math.fsum(part.global_entropy for part in parts), rel=1e-14,
+            abs=1e-14)
+
+
+@given(datasets())
+@settings(deadline=None)
+def test_dataset_viterbi_is_the_sequence_viterbi(instance):
+    model, seqs = instance
+    path, log_joint = viterbi_dataset(model, seqs)
+    expected = [sequential_viterbi(model, seq) for seq in seqs]
+    np.testing.assert_array_equal(path, np.concatenate([p for p, _ in expected]))
+    assert log_joint.tolist() == [lj for _, lj in expected]
+    for seq, (p, lj) in zip(seqs, expected):
+        alone, alone_lj = viterbi_chain(model, seq)
+        assert alone.tolist() == p and alone_lj == lj

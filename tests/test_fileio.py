@@ -143,13 +143,13 @@ class TestTreeFormat:
 
 class TestWriteProfile:
     def test_single_row(self):
-        table = ProfileTable("chain")
+        table = ProfileTable()
         table.add("index", np.array([0]))
         table.add("value", np.array([0.5]))
         assert write_profile(table) == "index\tvalue\n0\t0.5\n"
 
     def test_base2_converts_entropy_columns_only(self):
-        table = ProfileTable("chain")
+        table = ProfileTable()
         table.add("index", np.array([0]))
         table.add("h", np.array([math.log(2.0)]), entropy=True)
         table.add("p", np.array([math.log(2.0)]))
@@ -159,24 +159,24 @@ class TestWriteProfile:
         assert float(rows[2]) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_twelve_significant_digits(self):
-        table = ProfileTable("chain")
+        table = ProfileTable()
         table.add("x", np.array([1.0 / 3.0]))
         assert write_profile(table) == "x\n0.333333333333\n"
 
     def test_deterministic(self):
-        table = ProfileTable("tree")
+        table = ProfileTable()
         table.add("vertex", np.arange(3))
         table.add("h", np.array([0.1, 0.2, 0.3]), entropy=True)
         assert write_profile(table, "2") == write_profile(table, "2")
 
     def test_length_mismatch(self):
-        table = ProfileTable("chain")
+        table = ProfileTable()
         table.add("a", np.array([1, 2]))
         with pytest.raises(ValueError, match="length"):
             table.add("b", np.array([1]))
 
     def test_round_trip(self):
-        table = ProfileTable("chain")
+        table = ProfileTable()
         table.add("index", np.arange(4))
         table.add("h", np.array([0.1, 1 / 3, 0.0, 2.5e-13]), entropy=True)
         table.add("p", np.array([0.25, 0.5, 1.0, 0.0]))
