@@ -65,22 +65,22 @@ def _entropy_walk(direction, smoothed, offsets, law):
     laws in walk order; offsets are in walk order too.  K_s[a, b] is the law
     of the state at walk position s - 1 given state a at s; law(pos) returns
     K_s for the rows pos as a (len(pos), J, J) array.  Partial entropies are
-    smoothed[s] . h[s] + H(S_s | X), conditionals their increments; a future
-    walk starts at the last row, and its results are reversed.
+    smoothed[s] . h[s] + H(S_s | X), conditionals H(S_s | X) + smoothed[s] .
+    entr(K_s) 1 - H(S_{s-1} | X); a future walk's results are reversed.
     """
     t_len, j = smoothed.shape
     h = np.zeros((t_len, j))
+    marginal = entr(smoothed).sum(axis=1)
+    conditional = marginal.copy()
     steps = np.delete(np.arange(t_len), offsets[:-1])  # rows with a predecessor
     for lo, hi in _blocks(0, steps.size, j * j):
         pos = steps[lo:hi]
         k = law(pos)
         e = entr(k).sum(axis=2)
+        conditional[pos] += (smoothed[pos] * e).sum(axis=1) - marginal[pos - 1]
         for s, k_s, e_s in zip(pos.tolist(), k, e):
             h[s] = k_s @ h[s - 1] + e_s
-    marginal = entr(smoothed).sum(axis=1)
     partial = np.matmul(smoothed[:, None, :], h[:, :, None])[:, 0, 0] + marginal
-    conditional = np.diff(partial, prepend=0.0)
-    conditional[offsets[:-1]] = partial[offsets[:-1]]
     order = slice(None, None, -1 if direction == "future" else 1)
     return ChainEntropyProfile(direction, marginal[order], conditional[order],
                                partial[order], fsum(partial[offsets[1:] - 1]),
@@ -108,8 +108,8 @@ def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
 
     The table h[t, j] = H(S_0^{t-1} | S_t=j, X_0^t=x_0^t) is built forward
     with the predecessor distribution p_ij F_{t-1}(i) / G_t(j); the partial
-    entropies H(S_0^t | X) combine it with the smoothed law, and the
-    conditional profile follows by first-order differencing.
+    entropies H(S_0^t | X) combine it with the smoothed law, and each
+    conditional comes from the predecessor law at its position.
     """
     _require_smoothed(posterior)
     f, g = posterior.forward, posterior.predicted
@@ -144,7 +144,7 @@ def entropy_future(model: HmmModel, seq: ObservedSequence,
     """Future-conditioned profile via the backward entropy recursion.
 
     Builds h[t, j] = H(S_{t+1}^{T-1} | S_t=j, X_{t+1}^{T-1}), the suffix
-    partials H(S_t^{T-1} | X), and the conditionals by reverse differencing.
+    partials H(S_t^{T-1} | X), and each conditional from its successor law.
 
     Table rows at states with zero smoothed mass hold conventional values
     (the smoothed/predicted ratios driving the recursion are guarded to 0

@@ -100,9 +100,12 @@ def serialize_model(model: HmmModel) -> str:
 
 def _parse_int(token: str, where: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise DataFormatError(f"{where}: {token!r} is not an integer") from None
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise DataFormatError(f"{where}: {token!r} is outside the int64 range")
+    return value
 
 
 def parse_sequence(text: str) -> List[ObservedSequence]:

@@ -210,15 +210,22 @@ def validate_model(model: HmmModel) -> ValidationReport:
 # observed data
 # ---------------------------------------------------------------------------
 
+def _int64_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"{what} must fit in 64-bit integers") from None
+
+
 class ObservedSequence:
     """T x V matrix of non-negative integer observations, T >= 1."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=np.int64)
+        values = _int64_array(values, "observed values")
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2 or values.shape[0] < 1:
-            raise ValidationError("sequence values must be a non-empty TxV matrix")
+            raise ValidationError("observed values must be a non-empty matrix")
         if np.any(values < 0):
             raise ValidationError("observed values must be non-negative integers")
         self.values = values
@@ -282,7 +289,7 @@ class TreeTopology:
     """
 
     def __init__(self, parent):
-        parent = np.asarray(parent, dtype=np.int64)
+        parent = _int64_array(parent, "parent ids")
         if parent.ndim != 1 or parent.size < 1:
             raise ValidationError("parent array must be a non-empty vector")
         n = parent.size
@@ -372,18 +379,13 @@ class ObservedTree:
     """Observations aligned with the vertices of a rooted tree."""
 
     def __init__(self, topology: TreeTopology, values):
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim == 1:
-            values = values[:, None]
+        values = ObservedSequence(values).values  # one row per vertex
         if values.shape[0] != topology.num_vertices:
             raise ValidationError(
                 f"{values.shape[0]} observation rows for {topology.num_vertices} vertices"
             )
-        if np.any(values < 0):
-            raise ValidationError("observed values must be non-negative integers")
         self.topology = topology
         self.values = values
-        self.values.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:

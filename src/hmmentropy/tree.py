@@ -13,15 +13,15 @@ of the best full configuration constrained to that state value.
 
 Every pass walks the level plan of the topology (see TreeTopology): one
 numpy step per level handles all vertices of that depth at once, and child
-messages are scattered into their parents' rows with ``ufunc.at``, in
+messages are scattered into their parents' rows with ``np.add.at``, in
 ascending child id.  The number of Python-level steps is therefore the depth
 of the tree, not its size; a path takes one step per vertex, a complete
 binary tree one per level.
 
-The messages are scaled probabilities, not logarithms.  On a very wide
-vertex the product of its children's edge messages can overflow or
-underflow double precision; the upward pass then raises FloatingPointError
-(CLI exit 3) rather than return non-finite or imprecise tables.
+As in the chain filter, a vertex's row, log emission plus log child
+messages, is exponentiated after subtracting its maximum (kept in log N_u)
+and weighted by the prior only then; a state is lost only where its subtree
+likelihood is below 1e-308 of the largest at its vertex.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ImpossibleObservationError
-from .model import HmmModel, ObservedTree, emission_matrix, log_emission_matrix
+from .model import HmmModel, ObservedTree, log_emission_matrix
 from .numutil import fsum, safe_div
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
@@ -41,28 +41,33 @@ __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
 class TreePosterior:
     """Smoothing tables of a tree.
 
-    prior[u]      P(S_u = .)                        (downward marginal law)
-    beta[u]       P(S_u = . | observed subtree at u)
-    beta_edge[u]  beta_{parent(u),u}, indexed by the parent state; the root
-                  row is unused and filled with ones
-    normalizers   N_u, with prod_u N_u = P(X = x)
-    smoothed[u]   xi_u = P(S_u = . | X = x)  (None until downward_pass)
+    prior[u]           P(S_u = .)                   (downward marginal law)
+    beta[u]            P(S_u = . | observed subtree at u)   (prior * ratio)
+    ratio[u]           beta_u / P(S_u = .), 0 where the prior is 0
+    beta_edge[u]       beta_{parent(u),u} = A ratio[u], indexed by the parent
+                       state; the root row is unused and filled with ones
+    log_normalizers[u] log N_u, with sum_u log N_u = log P(X = x)
+    smoothed[u]        xi_u = P(S_u = . | X = x)  (None until downward_pass)
     """
 
     prior: np.ndarray
-    beta: np.ndarray
+    ratio: np.ndarray
     beta_edge: np.ndarray
-    normalizers: np.ndarray
+    log_normalizers: np.ndarray
     log_likelihood: float
     smoothed: Optional[np.ndarray] = None
 
     @property
+    def beta(self) -> np.ndarray:
+        return self.prior * self.ratio
+
+    @property
     def num_vertices(self) -> int:
-        return self.beta.shape[0]
+        return self.ratio.shape[0]
 
     @property
     def num_states(self) -> int:
-        return self.beta.shape[1]
+        return self.ratio.shape[1]
 
 
 def _level_priors(model: HmmModel, topo) -> np.ndarray:
@@ -77,57 +82,48 @@ def _level_priors(model: HmmModel, topo) -> np.ndarray:
 def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     """Leaf-to-root recursion; returns a posterior without smoothed table.
 
-    Raises ImpossibleObservationError when a normalizing factor vanishes
-    and FloatingPointError when a table leaves double precision (the
-    product of many child messages overflows or underflows on very wide
-    vertices).
+    Raises FloatingPointError when the messages of a vertex overflow (a
+    state prior below the smallest normal double) and
+    ImpossibleObservationError when the joint law of a vertex vanishes.
     """
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
     level_prior = _level_priors(model, topo)
-    prior_positive = level_prior > 0.0
-    # emissions times priors times child messages, normalized level by
-    # level into beta
-    beta = emission_matrix(model, tree.values)[topo.downward_order]
-    beta *= np.repeat(level_prior, np.bincount(topo.depth), axis=0)
-    beta_edge = np.zeros((n, j))
-    beta_edge[0] = 1.0
-    normalizers = np.empty(n)
-    transition_t = model.transition.T
+    beta_edge = np.ones((n, j))
+    top, total = np.empty((2, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # log emissions plus log child messages, -inf where the prior is 0,
+        # turned level by level into the ratio table
+        ratio = log_emission_matrix(model, tree.values)[topo.downward_order]
+        ratio[(level_prior == 0.0)[topo.depth[topo.downward_order]]] = -np.inf
         for d in range(topo.num_levels - 1, -1, -1):
             start, stop = topo.level(d)
-            level = beta[start:stop]
-            norm = level.sum(axis=1)
-            normalizers[start:stop] = norm
-            level /= norm[:, None]
+            level = ratio[start:stop]
+            top[start:stop] = level.max(axis=1)
+            level -= top[start:stop, None]
+            np.exp(level, out=level)
+            total[start:stop] = level @ level_prior[d]
+            level /= total[start:stop, None]
             if d:
-                edge = beta_edge[start:stop]  # beta / prior, 0 where the prior is
-                np.divide(level, level_prior[d], out=edge, where=prior_positive[d])
-                edge[...] = edge @ transition_t
-                np.multiply.at(beta, topo.parent_position[start:stop], edge)
-    impossible = np.flatnonzero(normalizers <= 0.0)
+                edge = beta_edge[start:stop] = level @ model.transition.T
+                np.add.at(ratio, topo.parent_position[start:stop], np.log(edge))
+        log_normalizers = np.log(total) + top
+    # An overflowed message turns its parent's row into NaN, so it is looked
+    # for first, among the vertices whose own joint law is defined.
+    defined = log_normalizers > -np.inf
+    broken = np.flatnonzero(defined & ~np.isfinite(ratio).all(axis=1))
+    if broken.size:
+        raise FloatingPointError(
+            f"upward pass: the messages of vertex {topo.downward_order[broken[-1]]}"
+            " overflow; a state prior there is below the smallest normal double")
+    impossible = np.flatnonzero(~defined)
     if impossible.size:
         raise ImpossibleObservationError(
             "observation impossible under model at vertex "
             f"{topo.downward_order[impossible[-1]]}")
-    # Finite tables and normalizers that are normal doubles; a subnormal
-    # normalizer has lost most of its significant bits.  The log-likelihood
-    # is then finite and accurate too.
-    broken = np.flatnonzero(~(np.isfinite(beta).all(axis=1)
-                              & np.isfinite(beta_edge).all(axis=1)
-                              & np.isfinite(normalizers)
-                              & (normalizers >= np.finfo(float).tiny)))
-    if broken.size:
-        u = topo.downward_order[broken[-1]]
-        raise FloatingPointError(
-            f"upward pass: vertex {u} ({topo.child_count[u]} children) leaves "
-            "double precision; the product of its child messages overflows "
-            "or underflows")
-    log_likelihood = fsum(np.log(normalizers))
     at = topo.position
-    return TreePosterior(level_prior[topo.depth], beta[at], beta_edge[at],
-                         normalizers[at], log_likelihood)
+    return TreePosterior(level_prior[topo.depth], ratio[at], beta_edge[at],
+                         log_normalizers[at], fsum(log_normalizers))
 
 
 def downward_pass(model: HmmModel, tree: ObservedTree,
@@ -136,17 +132,15 @@ def downward_pass(model: HmmModel, tree: ObservedTree,
     topo = tree.topology
     order = topo.downward_order
     beta_edge = up.beta_edge[order]
-    edge_positive = beta_edge != 0.0
-    # beta / prior, turned into the smoothed table level by level
-    smoothed = safe_div(up.beta[order], up.prior[order])
-    smoothed[0] = up.beta[0]
+    # the ratio table, turned into the smoothed table level by level
+    smoothed = up.ratio[order]
+    smoothed[0] *= up.prior[0]
     for d in range(1, topo.num_levels):
         start, stop = topo.level(d)
-        level = beta_edge[start:stop]
-        ratio = np.divide(smoothed[topo.parent_position[start:stop]], level,
-                          out=np.zeros_like(level), where=edge_positive[start:stop])
-        smoothed[start:stop] *= ratio @ model.transition
-    return TreePosterior(up.prior, up.beta, up.beta_edge, up.normalizers,
+        weight = safe_div(smoothed[topo.parent_position[start:stop]],
+                          beta_edge[start:stop])
+        smoothed[start:stop] *= weight @ model.transition
+    return TreePosterior(up.prior, up.ratio, up.beta_edge, up.log_normalizers,
                          up.log_likelihood, smoothed[topo.position])
 
 

@@ -93,8 +93,8 @@ def _require_smoothed(posterior):
 def _child_given_parent(model, posterior, v):
     """W[..., i, k] = P(S_v = k | S_parent(v) = i, X = x) for a vertex v, a
     slice of vertices or an array of them (one J x J matrix each)."""
-    ratio = safe_div(posterior.beta[v], posterior.prior[v])[..., None, :]
-    return safe_div(model.transition * ratio, posterior.beta_edge[v][..., :, None])
+    return safe_div(model.transition * posterior.ratio[v][..., None, :],
+                    posterior.beta_edge[v][..., :, None])
 
 
 def parent_conditional_profile(model: HmmModel, tree: ObservedTree,

@@ -5,12 +5,16 @@ paths matter) and always pair them with data simulated from the same model,
 so every generated instance has positive evidence.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import logsumexp
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, simulate_chain, simulate_tree)
+from hmmentropy.model import log_emission_matrix
 
 # --hypothesis-profile=ci: no per-example deadline on shared runners, and
 # four times the default number of examples for the tests that set none
@@ -54,6 +58,49 @@ def random_prob_vector(rng, k, zeros=False):
             v[idx] = 0.0
             v = v / v.sum()
     return v
+
+
+def near_deterministic_row(rng, j):
+    """Entries 1e-300 around one of 1 - 1e-16 (next to a 1e-16) or 1."""
+    row = np.full(j, 1e-300)
+    d = int(rng.integers(j))
+    if j > 1 and rng.random() < 0.5:
+        row[(d + 1 + int(rng.integers(j - 1))) % j] = 1e-16
+        row[d] = 1.0 - 1e-16
+    else:
+        row[d] = 1.0
+    return row
+
+
+def extreme_model(rng, j, near_deterministic, tiny_initial):
+    """(model, kinds): j states, near-deterministic transition rows or
+    Dirichlet ones, an initial law with a 1e-300 entry or without, and one
+    or two variables, each Poisson (rates 0.5-20) or categorical; kinds
+    names them."""
+    initial = rng.dirichlet(np.ones(j))
+    if tiny_initial and j > 1:
+        initial[int(rng.integers(j))] = 1e-300
+        initial /= initial.sum()
+    transition = np.stack([near_deterministic_row(rng, j) if near_deterministic
+                           else rng.dirichlet(np.ones(j)) for _ in range(j)])
+    kinds = ["poisson" if rng.random() < 0.7 else "categorical"
+             for _ in range(int(rng.integers(1, 3)))]
+    sizes = [int(rng.integers(2, 5)) for _ in kinds]
+    emissions = [[Poisson(rng.uniform(0.5, 20.0)) if kind == "poisson"
+                  else Categorical(rng.dirichlet(np.ones(n)))
+                  for kind, n in zip(kinds, sizes)] for _ in range(j)]
+    return HmmModel(initial, transition, emissions), kinds
+
+
+def with_tails(rng, values, kinds, tail_share):
+    """A copy of values whose Poisson observations are replaced, each with
+    probability tail_share, by values in [200, 3000)."""
+    values = values.copy()
+    for k, kind in enumerate(kinds):
+        if kind == "poisson":
+            tail = rng.random(len(values)) < tail_share
+            values[tail, k] = rng.integers(200, 3000, size=int(tail.sum()))
+    return values
 
 
 def random_model(rng, num_states, num_variables=1, zeros=False, poisson=False):
@@ -150,3 +197,46 @@ def oracle_tree_instances(count, **kwargs):
     ordering_instances."""
     return [random_tree_instance(seed, **kwargs)
             for seed in range(count)] + ordering_instances()
+
+
+def log_space_tree(model, tree):
+    """(smoothed, subtree_log_evidence, log_likelihood) of a tree from
+    unnormalized upward messages in log space,
+    log m_u(i) = log P(observed subtree at u | S_u = i)
+               = log b_u(i) + sum over children c of log P(subtree at c | S_u = i),
+    each child term a logsumexp over the child's state and each sum over
+    children exact (math.fsum), and the downward completion
+    P(S_c = k | X) = sum_i P(S_u = i | X) a_ik m_c(k) / sum_l a_il m_c(l) on
+    logarithms.  subtree_log_evidence[u] is log P(observed subtree at u)."""
+    topo = tree.topology
+    n, j = topo.num_vertices, model.num_states
+    order = topo.downward_order
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transition)
+        log_prior = np.empty((topo.num_levels, j))
+        log_prior[0] = np.log(model.initial)
+    for d in range(1, topo.num_levels):
+        log_prior[d] = logsumexp(log_prior[d - 1][:, None] + log_a, axis=0)
+    log_m = log_emission_matrix(model, tree.values)
+    to_parent = np.empty((n, j))  # log P(subtree at u | S_parent(u) = i)
+    for d in range(topo.num_levels - 1, -1, -1):
+        level = order[slice(*topo.level(d))]
+        for u in level[topo.child_count[level] > 0].tolist():
+            log_m[u] += [math.fsum(col) for col in to_parent[topo.children[u]].T]
+        to_parent[level] = logsumexp(log_a + log_m[level][:, None, :], axis=2)
+    log_joint = log_prior[topo.depth] + log_m
+    subtree_log_evidence = logsumexp(log_joint, axis=1)
+    log_smoothed = np.empty((n, j))
+    log_smoothed[0] = log_joint[0] - subtree_log_evidence[0]
+    with np.errstate(invalid="ignore"):
+        for d in range(1, topo.num_levels):
+            level = order[slice(*topo.level(d))]
+            # a parent state under which the child's subtree is impossible
+            # has no mass itself
+            given = np.where(to_parent[level] > -np.inf,
+                             log_smoothed[topo.parent[level]] - to_parent[level],
+                             -np.inf)
+            log_smoothed[level] = (logsumexp(given[:, :, None] + log_a, axis=1)
+                                   + log_m[level])
+    return (np.exp(log_smoothed), subtree_log_evidence,
+            float(subtree_log_evidence[0]))

@@ -27,7 +27,7 @@ from hmmentropy import (Categorical, ChainPosterior, HmmModel,
 from hmmentropy.chain import _segment_length
 from hmmentropy.model import log_emission_matrix
 
-from conftest import random_model
+from conftest import extreme_model, random_model, with_tails
 
 
 def log_space_smoothing(model, seq):
@@ -76,18 +76,6 @@ def segment_boundaries(size):
     return (1, 2, size - 1, size, size + 1, 2 * size, 3 * size + 1)
 
 
-def near_deterministic_row(rng, j):
-    """Entries 1e-300 around one of 1 - 1e-16 (next to a 1e-16) or 1."""
-    row = np.full(j, 1e-300)
-    d = int(rng.integers(j))
-    if j > 1 and rng.random() < 0.5:
-        row[(d + 1 + int(rng.integers(j - 1))) % j] = 1e-16
-        row[d] = 1.0 - 1e-16
-    else:
-        row[d] = 1.0
-    return row
-
-
 @st.composite
 def extreme_datasets(draw):
     """(model, sequences, L): 1-6 sequences whose lengths sit at the
@@ -102,28 +90,12 @@ def extreme_datasets(draw):
     tiny_initial = draw(st.booleans())
     tail_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    initial = rng.dirichlet(np.ones(j))
-    if tiny_initial and j > 1:
-        initial[int(rng.integers(j))] = 1e-300
-        initial /= initial.sum()
-    transition = np.stack([near_deterministic_row(rng, j) if near_deterministic
-                           else rng.dirichlet(np.ones(j)) for _ in range(j)])
-    kinds = ["poisson" if rng.random() < 0.7 else "categorical"
-             for _ in range(int(rng.integers(1, 3)))]
-    sizes = [int(rng.integers(2, 5)) for _ in kinds]
-    emissions = [[Poisson(rng.uniform(0.5, 20.0)) if kind == "poisson"
-                  else Categorical(rng.dirichlet(np.ones(n)))
-                  for kind, n in zip(kinds, sizes)] for _ in range(j)]
-    model = HmmModel(initial, transition, emissions)
+    model, kinds = extreme_model(rng, j, near_deterministic, tiny_initial)
     seqs = []
     for t_len in lengths:
         _, seq = simulate_chain(model, t_len, int(rng.integers(0, 2 ** 31)))
-        values = seq.values.copy()
-        for k, kind in enumerate(kinds):
-            if kind == "poisson":
-                tail = rng.random(t_len) < tail_share
-                values[tail, k] = rng.integers(200, 3000, size=int(tail.sum()))
-        seqs.append(ObservedSequence(values))
+        seqs.append(ObservedSequence(with_tails(rng, seq.values, kinds,
+                                                tail_share)))
     return model, seqs, size
 
 

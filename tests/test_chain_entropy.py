@@ -235,3 +235,14 @@ class TestStructuralProperties:
         np.testing.assert_allclose(a.conditional, b.conditional, atol=1e-9)
         np.testing.assert_allclose(a.partial, b.partial, atol=1e-9)
         assert f.global_entropy == pytest.approx(a.global_entropy, abs=1e-9)
+
+    def test_conditionals_at_scale_match_the_direct_route(self, m1):
+        # the partials reach about 1e3 at T = 1e4; a conditional taken as
+        # their difference would carry their rounding, about 1e-12
+        _, seq = simulate_chain(m1, 10 ** 4, seed=5)
+        post = smooth_chain(m1, seq)
+        for recursion, direct in ((entropy_past_hernando, entropy_past_direct),
+                                  (entropy_future, entropy_future_direct)):
+            np.testing.assert_allclose(
+                recursion(m1, seq, post).conditional,
+                direct(m1, seq, post).conditional, rtol=0, atol=1e-12)

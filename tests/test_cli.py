@@ -10,7 +10,7 @@ import pytest
 from hmmentropy import Categorical, HmmModel, fileio, serialize_model
 from hmmentropy.cli import main
 
-from conftest import M1, uniform_model
+from conftest import M1, log_space_tree, uniform_model
 
 CHAIN_DATA = "0 0\n"
 STAR_DATA = "0\t-1\t0\n1\t0\t0\n2\t0\t0\n"
@@ -286,6 +286,20 @@ class TestExitCodes:
                            "--data", str(path))
         assert code == 2 and "token" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("0 99999999999999999999 1\n", "line 1: error at token 2"),
+        ("0 -1 0\n1 0 99999999999999999999\n", "line 2, variable 1"),
+        ("0 -1 0\n1 99999999999999999999 0\n", "line 2, parent id"),
+    ], ids=["sequence value", "tree value", "parent id"])
+    def test_integer_beyond_int64_is_2(self, capsys, model_file, tmp_path,
+                                       text, where):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "smooth", "--model", model_file,
+                             "--data", str(path))
+        assert code == 2 and out == ""
+        assert f"{where}: '99999999999999999999' is outside the int64" in err
+
     @pytest.mark.parametrize("text, message", [
         ("0 -1 0\n0 0 1\n", "duplicate"),
         ("0 -1 0\n1 -1 1\n", "multiple roots"),
@@ -333,14 +347,14 @@ class TestExitCodes:
         else:
             assert "sequence 1, position 2" in err
 
-    # Same leaves: the 19,999 leaf messages of the root multiply past
-    # 1e308.  Alternating leaves: the root's product sinks below the
-    # smallest normal double, and its normalizer loses its precision.
+    # Same leaves: the product of the 19,999 leaf messages of the root would
+    # pass 1e308.  Alternating leaves: it would sink below the smallest
+    # normal double.  Summed as logarithms, both are ordinary numbers.
     @pytest.mark.parametrize("argv", [("entropy", "--cond", "parent"),
                                       ("criteria",)])
     @pytest.mark.parametrize("n, period", [(20_000, 1), (4_001, 2)])
-    def test_star_out_of_double_range_is_3(self, capsys, tmp_path, argv, n,
-                                           period):
+    def test_star_beyond_double_range_computes(self, capsys, tmp_path, argv,
+                                               n, period):
         model = HmmModel([0.5, 0.5], [[0.99, 0.01], [0.01, 0.99]],
                          M1.emissions)
         model_path = tmp_path / "m.json"
@@ -349,7 +363,17 @@ class TestExitCodes:
         data_path.write_text(star_text(n, period))
         code, out, err = run(capsys, *argv, "--model", str(model_path),
                              "--data", str(data_path))
-        assert code == 3 and out == "" and "vertex 0" in err
+        assert code == 0 and err == ""
+        if argv == ("criteria",):
+            table = dict(line.split("\t") for line in out.splitlines())
+            expected = log_space_tree(model,
+                                      fileio.parse_tree(star_text(n, period)))[2]
+            # within 1e-9 once the 12 printed digits are accounted for
+            half_digit = 0.5 * 10.0 ** (math.floor(math.log10(-expected)) - 11)
+            assert abs(float(table["log_likelihood"]) - expected) <= \
+                half_digit + 1e-9
+        else:
+            assert len(out.splitlines()) == n + 1
 
     def test_wide_star_over_budget_is_4(self, capsys, tmp_path):
         model_path = tmp_path / "uniform.json"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmentropy import (Categorical, HmmModel, ObservedTree, Poisson,
-                        TreeTopology, ValidationError, emission_prob,
+from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
+                        Poisson, TreeTopology, ValidationError, emission_prob,
                         simulate_chain, simulate_tree, validate_model)
 from hmmentropy.model import emission_log_prob
 
@@ -283,3 +283,14 @@ class TestTopology:
             assert np.array_equal(topo.children[u], children)
             assert np.array_equal(
                 order[first[u]:first[u] + topo.child_count[u]], children)
+
+
+class TestObservedData:
+    @pytest.mark.parametrize("build", [
+        lambda big: ObservedSequence([0, big, 1]),
+        lambda big: ObservedTree(TreeTopology([-1, 0]), [0, big]),
+        lambda big: TreeTopology([-1, big]),
+    ], ids=["sequence value", "tree value", "parent id"])
+    def test_integer_beyond_int64(self, build):
+        with pytest.raises(ValidationError, match="64-bit"):
+            build(10 ** 20)
