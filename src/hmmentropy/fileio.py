@@ -54,9 +54,16 @@ def parse_model(text: str, check: bool = True) -> HmmModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError("model document must be a JSON object")
     for key in ("num_states", "initial", "transition", "emissions"):
         if key not in doc:
             raise DataFormatError(f"model document lacks field {key!r}")
+    if not isinstance(doc["emissions"], list):
+        raise DataFormatError("emissions must be a list with one entry per state")
+    for j, state_vars in enumerate(doc["emissions"]):
+        if not isinstance(state_vars, list):
+            raise DataFormatError(f"emissions[{j}] must be a list of variable specs")
     emissions = [
         [_emission_var_from_spec(var, f"emissions[{j}][{k}]")
          for k, var in enumerate(state_vars)]

@@ -27,8 +27,6 @@ PROB_TOL = 1e-9  # tolerance on probability-vector sums
 class Categorical:
     """Distribution over a finite alphabet {0, ..., len(probs)-1}."""
 
-    kind = "categorical"
-
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
         if self.probs.ndim != 1 or self.probs.size == 0:
@@ -79,8 +77,6 @@ class Categorical:
 
 class Poisson:
     """Poisson distribution with rate >= 0 (rate 0 is the point mass at 0)."""
-
-    kind = "poisson"
 
     def __init__(self, rate):
         self.rate = float(rate)
@@ -406,80 +402,39 @@ class ObservedTree:
         return f"ObservedTree(n={self.num_vertices}, V={self.num_variables})"
 
 
-def check_compatible(model: HmmModel, values: np.ndarray):
-    """Raise unless the observation matrix matches the model's variables."""
-    if values.shape[1] != model.num_variables:
-        raise ValidationError(
-            f"data has {values.shape[1]} variables, model has {model.num_variables}"
-        )
-    for k, var in enumerate(model.emissions[0]):
-        if isinstance(var, Categorical):
-            col = values[:, k]
-            bad = np.flatnonzero(col >= var.alphabet_size)
-            if bad.size:
-                raise ValidationError(
-                    f"variable {k}: value {int(col[bad[0]])} outside categorical "
-                    f"alphabet of size {var.alphabet_size}"
-                )
-
-
 # ---------------------------------------------------------------------------
 # emission likelihood evaluation
 # ---------------------------------------------------------------------------
 
-def emission_log_prob(model: HmmModel, state: int, observation) -> float:
-    """log b_state(observation), a sum of per-variable log pmfs."""
-    obs = np.asarray(observation, dtype=np.int64).reshape(-1)
-    if obs.size != model.num_variables:
-        raise ValidationError(
-            f"observation has {obs.size} variables, model has {model.num_variables}"
-        )
-    total = 0.0
-    for k, var in enumerate(model.emissions[state]):
-        try:
-            total += float(var.log_pmf(obs[k]))
-        except ValidationError as exc:
-            raise ValidationError(f"variable {k}: {exc}") from None
-    return total
-
-
-def emission_prob(model: HmmModel, state: int, observation) -> float:
-    """b_state(observation) = product over variables of per-variable pmfs."""
-    return float(np.exp(emission_log_prob(model, state, observation)))
-
-
 def log_emission_matrix(model: HmmModel, values: np.ndarray) -> np.ndarray:
-    """N x J matrix of log b_j(x_row), evaluated per variable then summed."""
-    check_compatible(model, values)
-    n = values.shape[0]
-    out = np.zeros((n, model.num_states))
+    """N x J matrix of log b_j(x_row), evaluated per variable then summed.
+
+    The one emission evaluator: it checks the variable count here and each
+    value's range in the per-variable ``log_pmf``."""
+    if values.shape[1] != model.num_variables:
+        raise ValidationError(
+            f"data has {values.shape[1]} variables, model has {model.num_variables}"
+        )
+    out = np.zeros((values.shape[0], model.num_states))
     for j in range(model.num_states):
         for k, var in enumerate(model.emissions[j]):
-            out[:, j] += var.log_pmf(values[:, k])
+            try:
+                out[:, j] += var.log_pmf(values[:, k])
+            except ValidationError as exc:
+                raise ValidationError(f"variable {k}: {exc}") from None
     return out
 
 
-def emission_matrix(model: HmmModel, values: np.ndarray) -> np.ndarray:
-    """N x J matrix of b_j(x_row); log-space internally, then exponentiated."""
-    return np.exp(log_emission_matrix(model, values))
+def emission_prob(model: HmmModel, state: int, observation) -> float:
+    """b_state(observation), the product over variables of per-variable
+    pmfs: one row of :func:`log_emission_matrix`, exponentiated."""
+    values = np.asarray(observation, dtype=np.int64).reshape(1, -1)
+    return float(np.exp(log_emission_matrix(model, values)[0, state]))
 
 
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
-
-def _draw_states_chain(model, length, rng):
-    cum_pi = np.cumsum(model.initial)
-    cum_a = np.cumsum(model.transition, axis=1)
-    u = rng.random(length)
-    j = model.num_states
-    states = np.empty(length, dtype=np.int64)
-    states[0] = min(np.searchsorted(cum_pi, u[0] * cum_pi[-1], side="right"), j - 1)
-    for t in range(1, length):
-        row = cum_a[states[t - 1]]
-        states[t] = min(np.searchsorted(row, u[t] * row[-1], side="right"), j - 1)
-    return states
-
 
 def _draw_observations(model, states, rng):
     n = states.size
@@ -493,12 +448,15 @@ def _draw_observations(model, states, rng):
 
 
 def simulate_chain(model: HmmModel, length: int, seed: int):
-    """Draw (state sequence, ObservedSequence); deterministic given seed."""
+    """Draw (state sequence, ObservedSequence); deterministic given seed.
+
+    A chain is drawn as the path tree 0 -> 1 -> ... -> length-1 by
+    :func:`simulate_tree`, so it matches ``simulate_tree`` on that path
+    draw for draw."""
     if length < 1:
         raise ValidationError("length must be >= 1")
-    rng = np.random.default_rng(seed)
-    states = _draw_states_chain(model, length, rng)
-    return states, ObservedSequence(_draw_observations(model, states, rng))
+    states, tree = simulate_tree(model, TreeTopology(np.arange(-1, length - 1)), seed)
+    return states, ObservedSequence(tree.values)
 
 
 def simulate_tree(model: HmmModel, topology: TreeTopology, seed: int):

@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import BudgetExceededError, ImpossibleObservationError
-from .model import HmmModel, ObservedSequence, ObservedTree, emission_matrix
+from .model import HmmModel, ObservedSequence, ObservedTree, log_emission_matrix
 from .numutil import entr, entropy
 
 __all__ = ["OracleResult", "enumerate_chain", "enumerate_tree", "oracle_entropy",
@@ -41,15 +41,14 @@ def _config_table(num_states: int, length: int) -> np.ndarray:
 class OracleResult:
     """Joint enumeration of all state configurations of one instance."""
 
-    def __init__(self, model, values, configs, joint, evidence, topology=None):
+    def __init__(self, model, configs, joint, evidence, emission, topology=None):
         self.model = model
         self.configurations = configs
         self.joint = joint
         self.evidence = float(evidence)
         self.posterior = joint / evidence
+        self.emission = emission  # emission[u, j] = b_j(x_u)
         self.topology = topology  # None for chains
-        self._values = values
-        self._emission = None
 
     @property
     def length(self) -> int:
@@ -165,18 +164,13 @@ class OracleResult:
 
     # -- state-conditioned, partial-evidence entropies ----------------------
 
-    def _emission_table(self):
-        if self._emission is None:
-            self._emission = emission_matrix(self.model, self._values)
-        return self._emission
-
     def hernando_past(self, t: int, j: int):
         """H(S_0^{t-1} | S_t = j, X_0^{t-1}); None if the event is impossible."""
         if self.kind != "chain":
             raise ValueError("hernando_past applies to chain instances")
         if t == 0:
             return 0.0
-        model, b = self.model, self._emission_table()
+        model, b = self.model, self.emission
         configs = _config_table(model.num_states, t)
         w = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
         for tau in range(1, t):
@@ -195,7 +189,7 @@ class OracleResult:
         last = self.length - 1
         if t == last:
             return 0.0
-        model, b = self.model, self._emission_table()
+        model, b = self.model, self.emission
         k = last - t
         configs = _config_table(model.num_states, k)
         w = model.transition[j, configs[:, 0]] * b[t + 1, configs[:, 0]]
@@ -215,7 +209,7 @@ class OracleResult:
         below = [v for v in self.topology.subtree_vertices(u).tolist() if v != u]
         if not below:
             return 0.0
-        model, b = self.model, self._emission_table()
+        model, b = self.model, self.emission
         pos = {v: i for i, v in enumerate(below)}
         configs = _config_table(model.num_states, len(below))
         w = np.ones(configs.shape[0])
@@ -231,46 +225,44 @@ class OracleResult:
         return float(entr(w / norm).sum())
 
 
+def _enumerate(model: HmmModel, values, parent, config_budget: int):
+    """Joint probability of every state configuration of the tree with the
+    given parent array (root 0 first, ``parent[0] = -1``); a chain is the
+    path with parents -1, 0, ..., T-2.  Each configuration's product runs
+    over the vertices in id order, one transition and one emission factor
+    per vertex.  Returns (configurations, emission table, joint, evidence)."""
+    j, n = model.num_states, len(parent)
+    if j ** n > config_budget:
+        raise BudgetExceededError(
+            f"{j}^{n} configurations exceed budget {config_budget}"
+        )
+    b = np.exp(log_emission_matrix(model, values))
+    configs = _config_table(j, n)
+    prob = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
+    for u in range(1, n):
+        prob = prob * model.transition[configs[:, parent[u]], configs[:, u]] \
+            * b[u, configs[:, u]]
+    return configs, b, prob, prob.sum()
+
+
 def enumerate_chain(model: HmmModel, seq: ObservedSequence,
                     config_budget: int = DEFAULT_CONFIG_BUDGET) -> OracleResult:
     """Exact posterior over all J^T state sequences of a chain instance."""
-    j, t_len = model.num_states, seq.length
-    if j ** t_len > config_budget:
-        raise BudgetExceededError(
-            f"{j}^{t_len} configurations exceed budget {config_budget}"
-        )
-    b = emission_matrix(model, seq.values)
-    configs = _config_table(j, t_len)
-    prob = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
-    for t in range(1, t_len):
-        prob = prob * model.transition[configs[:, t - 1], configs[:, t]] \
-            * b[t, configs[:, t]]
-    evidence = prob.sum()
+    configs, b, joint, evidence = _enumerate(
+        model, seq.values, np.arange(-1, seq.length - 1), config_budget)
     if evidence <= 0.0:
         raise ImpossibleObservationError("observed sequence has zero probability")
-    return OracleResult(model, seq.values, configs, prob, evidence)
+    return OracleResult(model, configs, joint, evidence, b)
 
 
 def enumerate_tree(model: HmmModel, tree: ObservedTree,
                    config_budget: int = DEFAULT_CONFIG_BUDGET) -> OracleResult:
     """Exact posterior over all J^n state trees of a tree instance."""
-    j, n = model.num_states, tree.num_vertices
-    if j ** n > config_budget:
-        raise BudgetExceededError(
-            f"{j}^{n} configurations exceed budget {config_budget}"
-        )
-    b = emission_matrix(model, tree.values)
-    configs = _config_table(j, n)
-    prob = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
-    for u in range(1, n):
-        parent = int(tree.topology.parent[u])
-        prob = prob * model.transition[configs[:, parent], configs[:, u]] \
-            * b[u, configs[:, u]]
-    evidence = prob.sum()
+    configs, b, joint, evidence = _enumerate(
+        model, tree.values, tree.topology.parent, config_budget)
     if evidence <= 0.0:
         raise ImpossibleObservationError("observed tree has zero probability")
-    return OracleResult(model, tree.values, configs, prob, evidence,
-                        topology=tree.topology)
+    return OracleResult(model, configs, joint, evidence, b, topology=tree.topology)
 
 
 _QUERY_RE = re.compile(

@@ -61,14 +61,6 @@ class TreePosterior:
     def beta(self) -> np.ndarray:
         return self.prior * self.ratio
 
-    @property
-    def num_vertices(self) -> int:
-        return self.ratio.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.ratio.shape[1]
-
 
 def _level_priors(model: HmmModel, topo) -> np.ndarray:
     """Row d is P(S_u = .) for the vertices u at depth d."""

@@ -21,11 +21,11 @@ def enumerated_filter(model, seq):
     product of transition/emission factors up to t; prefix weights are that
     running product times a constant overcount that cancels on
     normalization.  Returns (forward, predicted, normalizers)."""
-    from hmmentropy.model import emission_matrix
+    from hmmentropy.model import log_emission_matrix
     from hmmentropy.oracle import _config_table
 
     j, t_len = model.num_states, seq.length
-    b = emission_matrix(model, seq.values)
+    b = np.exp(log_emission_matrix(model, seq.values))
     configs = _config_table(j, t_len)
     fwd = np.empty((t_len, j))
     pred = np.empty((t_len, j))

@@ -84,6 +84,30 @@ class TestValidate:
         assert code == 2
         assert "initial" in out
 
+    @pytest.mark.parametrize("argv", [("validate",), ("smooth",)])
+    @pytest.mark.parametrize("doc, message", [
+        (["num_states", "initial", "transition", "emissions"],
+         "model document must be a JSON object"),
+        ("num_states initial transition emissions",
+         "model document must be a JSON object"),
+        ({"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+          "emissions": 5},
+         "emissions must be a list"),
+        ({"num_states": 2, "initial": [0.5, 0.5],
+          "transition": [[0.5, 0.5], [0.5, 0.5]],
+          "emissions": [[{"type": "categorical", "probs": [1.0]}], 3]},
+         "emissions[1] must be a list"),
+    ], ids=["array document", "string document", "emissions not a list",
+            "state entry not a list"])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, chain_file,
+                                       argv, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        data = ("--data", chain_file) if argv == ("smooth",) else ()
+        code, out, err = run(capsys, *argv, "--model", str(path), *data)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestSmooth:
     def test_chain(self, capsys, model_file, chain_file):

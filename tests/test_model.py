@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, ValidationError, emission_prob,
                         simulate_chain, simulate_tree, validate_model)
-from hmmentropy.model import emission_log_prob
+from hmmentropy.model import log_emission_matrix
 
 from conftest import (M1, TOPOLOGY_KINDS, random_model, random_topology,
                       state_revealing_model)
@@ -169,13 +169,57 @@ class TestEmissionProb:
         )
         assert total == pytest.approx(1.0, abs=1e-11)
 
+    def test_negative_value(self):
+        model = HmmModel([1.0], [[1.0]], [[Categorical([0.5, 0.5]), Poisson(2.0)]])
+        with pytest.raises(ValidationError, match="variable 0: value -1 outside"):
+            emission_prob(model, 0, [-1, 0])
+        with pytest.raises(ValidationError, match="variable 1: Poisson values"):
+            emission_prob(model, 0, [0, -1])
+
+    def test_wrong_variable_count(self):
+        model = HmmModel([1.0], [[1.0]], [[Categorical([0.5, 0.5])]])
+        with pytest.raises(ValidationError,
+                           match="data has 2 variables, model has 1"):
+            emission_prob(model, 0, [0, 1])
+
     def test_log_prob_matches_prob(self):
         model = HmmModel([1.0], [[1.0]], [[Poisson(3.0), Categorical([0.4, 0.6])]])
-        lp = emission_log_prob(model, 0, [2, 1])
+        lp = log_emission_matrix(model, np.array([[2, 1]]))[0, 0]
         assert math.exp(lp) == pytest.approx(emission_prob(model, 0, [2, 1]), rel=1e-12)
 
 
+# two states, one categorical and one Poisson variable: the seeded draws
+# below are pinned, so any change of the sampler's arithmetic shows
+PIN_MODEL = HmmModel([0.3, 0.7], [[0.8, 0.2], [0.4, 0.6]],
+                     [[Categorical([0.6, 0.3, 0.1]), Poisson(1.5)],
+                      [Categorical([0.1, 0.2, 0.7]), Poisson(6.0)]])
+
+
 class TestSimulation:
+    def test_pinned_chain(self):
+        states, seq = simulate_chain(PIN_MODEL, 8, seed=2024)
+        assert states.tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
+        assert seq.values.tolist() == [[0, 4], [0, 3], [0, 0], [0, 1],
+                                       [2, 7], [1, 1], [0, 1], [0, 1]]
+
+    def test_pinned_tree(self):
+        topo = TreeTopology([-1, 0, 0, 1, 1, 2, 5, 2])
+        states, tree = simulate_tree(PIN_MODEL, topo, seed=7)
+        assert states.tolist() == [1, 1, 1, 0, 0, 1, 1, 0]
+        assert tree.values.tolist() == [[1, 6], [1, 2], [2, 3], [1, 4],
+                                        [0, 0], [2, 8], [2, 6], [0, 1]]
+
+    @pytest.mark.parametrize("model", [M1, PIN_MODEL],
+                             ids=["categorical", "with poisson"])
+    @pytest.mark.parametrize("length", [1, 2, 37])
+    def test_chain_is_path_tree(self, model, length):
+        path = TreeTopology(np.arange(-1, length - 1))
+        for seed in (0, 5, 91):
+            states, seq = simulate_chain(model, length, seed)
+            tree_states, tree = simulate_tree(model, path, seed)
+            assert np.array_equal(states, tree_states)
+            assert np.array_equal(seq.values, tree.values)
+
     def test_single_state_chain(self):
         model = HmmModel([1.0], [[1.0]], [[Categorical([0.5, 0.5])]])
         states, seq = simulate_chain(model, 7, seed=0)
