@@ -29,7 +29,7 @@ from .tree import _constrained_maxima, _max_product, smooth_tree, viterbi_tree
 from .tree_entropy import (DEFAULT_OP_BUDGET, _summary_of_sums,
                            children_conditional_profile,
                            parent_conditional_profile,
-                           subtree_entropies_approach1, tree_entropy_profile)
+                           subtree_entropies_approach1)
 
 _model_opt = click.option("--model", "model_file", required=True,
                           type=click.Path(exists=True, dir_okay=False),
@@ -102,12 +102,15 @@ def _id_table(kind, data):
     return table
 
 
-def _chain_sums(model, data):
-    """Posterior, H(S | X) and marginal entropy sum of a dataset."""
-    post = smooth_dataset(model, data)
-    g = entropy_past_hernando(model, data, post).global_entropy
-    m = fsum(entr(post.smoothed).sum(axis=1))
-    return post, g, m
+def _sums(model, kind, data):
+    """Posterior, H(S | X) and marginal entropy sum of a tree or a dataset."""
+    if kind == "tree":
+        post = smooth_tree(model, data)
+        g = fsum(parent_conditional_profile(model, data, post))
+    else:
+        post = smooth_dataset(model, data)
+        g = entropy_past_hernando(model, data, post).global_entropy
+    return post, g, fsum(entr(post.smoothed).sum(axis=1))
 
 
 @cli.command()
@@ -205,22 +208,18 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
         smoothed = post.smoothed
         marginal = entr(smoothed).sum(axis=1)
-        if cond == "children":
-            columns = [("cond_entropy_children", children_conditional_profile(
-                model, data, post, op_budget))]
-        elif cond == "parent":
+        columns = []
+        if cond != "children":
             pc = parent_conditional_profile(model, data, post)
             _, partial_subtree, complement, _ = subtree_entropies_approach1(
                 model, data, post, pc)
             columns = [("cond_entropy_parent", pc),
                        ("partial_subtree_entropy", partial_subtree),
                        ("partial_complement_entropy", complement)]
-        else:
-            prof = tree_entropy_profile(model, data, post, op_budget)
-            columns = [("cond_entropy_parent", prof.parent_conditional),
-                       ("cond_entropy_children", prof.children_conditional),
-                       ("partial_subtree_entropy", prof.partial_subtree),
-                       ("partial_complement_entropy", prof.partial_complement)]
+        if cond != "parent":
+            cc = children_conditional_profile(model, data, post, op_budget)
+            # after cond_entropy_parent, when the parent family is there
+            columns.insert(1, ("cond_entropy_children", cc))
     else:
         cond = cond or "past"
         if cond not in ("past", "future"):
@@ -275,15 +274,9 @@ def criteria(model_file, data_file, out_file, baseline_loglik):
     """BIC / ICL-BIC (and NEC given a baseline) over the whole dataset."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    if kind == "tree":
-        post = smooth_tree(model, data)
-        h = fsum(parent_conditional_profile(model, data, post))
-        log_likelihood = post.log_likelihood
-        sample_size = data.num_vertices
-    else:
-        post, h, _ = _chain_sums(model, data)
-        log_likelihood = post.log_likelihood
-        sample_size = len(post.smoothed)
+    post, h, _ = _sums(model, kind, data)
+    log_likelihood = post.log_likelihood
+    sample_size = len(post.smoothed)
     inp = CriterionInput(log_likelihood=log_likelihood, global_entropy=h,
                          free_params=free_parameter_count(model),
                          sample_size=sample_size,
@@ -335,16 +328,13 @@ def summary(model_file, data_file, out_file, log_base, budget):
     """G/C/M entropy sums and their relative gaps."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
+    post, g, m = _sums(model, kind, data)
     if kind == "tree":
-        post = smooth_tree(model, data)
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
-        g = fsum(parent_conditional_profile(model, data, post))
         c = fsum(children_conditional_profile(model, data, post, op_budget))
-        m = fsum(entr(post.smoothed).sum(axis=1))
     else:
         # on a chain the children-conditional profile is the future
         # profile, which sums to H(S | X): C = G
-        _, g, m = _chain_sums(model, data)
         c = g
     s = _summary_of_sums(g, c, m)
     pairs = [("global_entropy", s.g), ("g_parent_conditional_sum", s.g),
@@ -361,9 +351,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="hmmentropy", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -125,6 +125,8 @@ def parse_sequence(text: str) -> List[ObservedSequence]:
             continue
         if ";" in line or "," in line:
             steps = [s for s in line.split(";") if s.strip()]
+            if not steps:
+                raise DataFormatError(f"line {lineno}: no time steps")
             rows = []
             for s, step in enumerate(steps):
                 rows.append([

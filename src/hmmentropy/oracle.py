@@ -6,11 +6,16 @@ constrained maxima are then computed directly from the definitions.  This is
 the ground truth the O(J^2 T) recursions are verified against.  Budgets
 guard against accidental exponential blowups.
 
+A chain is enumerated as the path tree 0 -> 1 -> ... -> T-1 and its result
+carries that topology: the past, future and suffix queries are the parent,
+children and subtree queries on the path.
+
 Quantities conditioned on a state value together with partial evidence
 (the state-conditioned partial-sequence and children-subtree entropies) are
 computed by fresh enumerations over the relevant positions only, so they
 stay well defined even when the conditioning state is ruled out by the rest
-of the data.  Methods return None when the conditioning event is impossible.
+of the data.  One product loop serves these and the full enumeration.
+Methods return None when the conditioning event is impossible.
 """
 
 import re
@@ -18,13 +23,15 @@ import re
 import numpy as np
 
 from .errors import BudgetExceededError, ImpossibleObservationError
-from .model import HmmModel, ObservedSequence, ObservedTree, log_emission_matrix
+from .model import (HmmModel, ObservedSequence, ObservedTree, TreeTopology,
+                    log_emission_matrix)
 from .numutil import entr, entropy
 
 __all__ = ["OracleResult", "enumerate_chain", "enumerate_tree", "oracle_entropy",
            "DEFAULT_CONFIG_BUDGET"]
 
 DEFAULT_CONFIG_BUDGET = 10 ** 7
+_TIE_REL_TOL = 1e-12
 
 
 def _config_table(num_states: int, length: int) -> np.ndarray:
@@ -39,16 +46,18 @@ def _config_table(num_states: int, length: int) -> np.ndarray:
 
 
 class OracleResult:
-    """Joint enumeration of all state configurations of one instance."""
+    """Joint enumeration of all state configurations of one instance;
+    ``kind`` is "chain" or "tree", and a chain carries its path topology."""
 
-    def __init__(self, model, configs, joint, evidence, emission, topology=None):
+    def __init__(self, model, configs, joint, evidence, emission, topology, kind):
         self.model = model
         self.configurations = configs
         self.joint = joint
         self.evidence = float(evidence)
         self.posterior = joint / evidence
         self.emission = emission  # emission[u, j] = b_j(x_u)
-        self.topology = topology  # None for chains
+        self.topology = topology
+        self.kind = kind
 
     @property
     def length(self) -> int:
@@ -57,10 +66,6 @@ class OracleResult:
     @property
     def num_states(self) -> int:
         return self.model.num_states
-
-    @property
-    def kind(self) -> str:
-        return "chain" if self.topology is None else "tree"
 
     # -- basic posterior queries -------------------------------------------
 
@@ -100,21 +105,6 @@ class OracleResult:
             return self.marginal_entropy(target)
         return self.subset_entropy([target] + given) - self.subset_entropy(given)
 
-    # -- chain-shaped queries ----------------------------------------------
-
-    def conditional_past(self, t: int) -> float:
-        return self.conditional_entropy(t, [] if t == 0 else [t - 1])
-
-    def conditional_future(self, t: int) -> float:
-        last = self.length - 1
-        return self.conditional_entropy(t, [] if t == last else [t + 1])
-
-    def prefix_entropy(self, t: int) -> float:
-        return self.subset_entropy(range(t + 1))
-
-    def suffix_entropy(self, t: int) -> float:
-        return self.subset_entropy(range(t, self.length))
-
     # -- tree-shaped queries -----------------------------------------------
 
     def conditional_parent(self, u: int) -> float:
@@ -133,9 +123,18 @@ class OracleResult:
         return self.subset_entropy([v for v in range(self.length)
                                     if v not in inside])
 
+    # -- chain-shaped queries: the tree queries on the path ----------------
+
+    conditional_past = conditional_parent
+    conditional_future = conditional_children
+    suffix_entropy = subtree_entropy
+
+    def prefix_entropy(self, t: int) -> float:
+        return self.subset_entropy(range(t + 1))
+
     # -- constrained maxima ------------------------------------------------
 
-    def best_configuration(self, order=None, tie_rel_tol: float = 1e-12):
+    def best_configuration(self, order=None):
         """Argmax configuration with its joint probability.
 
         Exact ties (distinct optimal configurations multiplying the same
@@ -143,10 +142,10 @@ class OracleResult:
         lexicographically smallest configuration in the given coordinate
         order (vertex/time ids by default; pass a tree's downward order to
         mirror the downward Viterbi backtracking).  Configurations within
-        tie_rel_tol of the maximum count as tied.
+        _TIE_REL_TOL of the maximum count as tied.
         """
         best = float(self.joint.max())
-        cand = np.flatnonzero(self.joint >= best * (1.0 - tie_rel_tol))
+        cand = np.flatnonzero(self.joint >= best * (1.0 - _TIE_REL_TOL))
         if order is None:
             order = range(self.length)
         for pos in order:
@@ -165,94 +164,92 @@ class OracleResult:
     # -- state-conditioned, partial-evidence entropies ----------------------
 
     def hernando_past(self, t: int, j: int):
-        """H(S_0^{t-1} | S_t = j, X_0^{t-1}); None if the event is impossible."""
+        """H(S_0^{t-1} | S_t = j, X_0^{t-1}); None if the event is impossible.
+
+        The path 0..t-1 is enumerated, times the final factor A[s_{t-1}, j]."""
         if self.kind != "chain":
             raise ValueError("hernando_past applies to chain instances")
         if t == 0:
             return 0.0
-        model, b = self.model, self.emission
-        configs = _config_table(model.num_states, t)
-        w = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
-        for tau in range(1, t):
-            w = w * model.transition[configs[:, tau - 1], configs[:, tau]] \
-                * b[tau, configs[:, tau]]
-        w = w * model.transition[configs[:, t - 1], j]
-        norm = w.sum()
-        if norm <= 0.0:
-            return None
-        return float(entr(w / norm).sum())
+        model = self.model
+        configs, w = _product(model.transition, self.emission[:t],
+                              self.topology.parent[:t], model.initial)
+        return _normalized_entropy(w * model.transition[configs[:, t - 1], j])
 
     def hernando_future(self, t: int, j: int):
         """H(S_{t+1}^{T-1} | S_t = j, X_{t+1}^{T-1}); None if impossible."""
         if self.kind != "chain":
             raise ValueError("hernando_future applies to chain instances")
-        last = self.length - 1
-        if t == last:
-            return 0.0
-        model, b = self.model, self.emission
-        k = last - t
-        configs = _config_table(model.num_states, k)
-        w = model.transition[j, configs[:, 0]] * b[t + 1, configs[:, 0]]
-        for pos in range(1, k):
-            w = w * model.transition[configs[:, pos - 1], configs[:, pos]] \
-                * b[t + 1 + pos, configs[:, pos]]
-        norm = w.sum()
-        if norm <= 0.0:
-            return None
-        return float(entr(w / norm).sum())
+        return self._children_subtrees(t, j)
 
     def children_subtrees_conditional(self, u: int, j: int):
         """H(states below u | S_u = j, observed subtree at u); None if the
         event is impossible given the children subtree observations."""
         if self.kind != "tree":
             raise ValueError("children_subtrees_conditional applies to trees")
-        below = [v for v in self.topology.subtree_vertices(u).tolist() if v != u]
+        return self._children_subtrees(u, j)
+
+    def _children_subtrees(self, u: int, j: int):
+        """The vertices below u, enumerated as a forest whose roots (the
+        children of u) draw their states from A[j]."""
+        subtree = self.topology.subtree_vertices(u).tolist()
+        below = [v for v in subtree if v != u]
         if not below:
             return 0.0
-        model, b = self.model, self.emission
         pos = {v: i for i, v in enumerate(below)}
-        configs = _config_table(model.num_states, len(below))
-        w = np.ones(configs.shape[0])
-        for v in below:
-            parent = int(self.topology.parent[v])
-            src = np.full(configs.shape[0], j) if parent == u \
-                else configs[:, pos[parent]]
-            w = w * model.transition[src, configs[:, pos[v]]] \
-                * b[v, configs[:, pos[v]]]
-        norm = w.sum()
-        if norm <= 0.0:
-            return None
-        return float(entr(w / norm).sum())
+        parent = [pos.get(int(self.topology.parent[v]), -1) for v in below]
+        _, w = _product(self.model.transition, self.emission[below], parent,
+                        self.model.transition[j])
+        return _normalized_entropy(w)
+
+
+def _product(transition, emission, parent, root_law):
+    """All state configurations of the forest with the given parent indices
+    (-1 for a root) and their products over vertices in index order: per
+    vertex one transition factor, taken from ``root_law`` at a root, and one
+    factor of its emission row.  Returns (configurations, products)."""
+    configs = _config_table(emission.shape[1], len(parent))
+    prob = np.ones(configs.shape[0])
+    for v, p in enumerate(parent):
+        s = configs[:, v]
+        factor = root_law[s] if p < 0 else transition[configs[:, p], s]
+        prob = prob * factor * emission[v, s]
+    return configs, prob
+
+
+def _normalized_entropy(w):
+    """Entropy of the law proportional to w; None if w has no mass."""
+    norm = w.sum()
+    if norm <= 0.0:
+        return None
+    return float(entr(w / norm).sum())
 
 
 def _enumerate(model: HmmModel, values, parent, config_budget: int):
     """Joint probability of every state configuration of the tree with the
-    given parent array (root 0 first, ``parent[0] = -1``); a chain is the
-    path with parents -1, 0, ..., T-2.  Each configuration's product runs
-    over the vertices in id order, one transition and one emission factor
-    per vertex.  Returns (configurations, emission table, joint, evidence)."""
+    given parent array (root 0 first, ``parent[0] = -1``).  Returns
+    (configurations, emission table, joint, evidence)."""
     j, n = model.num_states, len(parent)
     if j ** n > config_budget:
         raise BudgetExceededError(
             f"{j}^{n} configurations exceed budget {config_budget}"
         )
     b = np.exp(log_emission_matrix(model, values))
-    configs = _config_table(j, n)
-    prob = model.initial[configs[:, 0]] * b[0, configs[:, 0]]
-    for u in range(1, n):
-        prob = prob * model.transition[configs[:, parent[u]], configs[:, u]] \
-            * b[u, configs[:, u]]
+    configs, prob = _product(model.transition, b, parent, model.initial)
     return configs, b, prob, prob.sum()
 
 
 def enumerate_chain(model: HmmModel, seq: ObservedSequence,
                     config_budget: int = DEFAULT_CONFIG_BUDGET) -> OracleResult:
-    """Exact posterior over all J^T state sequences of a chain instance."""
-    configs, b, joint, evidence = _enumerate(
-        model, seq.values, np.arange(-1, seq.length - 1), config_budget)
+    """Exact posterior over all J^T state sequences of a chain instance,
+    enumerated as the path tree 0 -> 1 -> ... -> T-1."""
+    parent = np.arange(-1, seq.length - 1)
+    configs, b, joint, evidence = _enumerate(model, seq.values, parent,
+                                             config_budget)
     if evidence <= 0.0:
         raise ImpossibleObservationError("observed sequence has zero probability")
-    return OracleResult(model, configs, joint, evidence, b)
+    return OracleResult(model, configs, joint, evidence, b, TreeTopology(parent),
+                        "chain")
 
 
 def enumerate_tree(model: HmmModel, tree: ObservedTree,
@@ -262,7 +259,7 @@ def enumerate_tree(model: HmmModel, tree: ObservedTree,
         model, tree.values, tree.topology.parent, config_budget)
     if evidence <= 0.0:
         raise ImpossibleObservationError("observed tree has zero probability")
-    return OracleResult(model, configs, joint, evidence, b, topology=tree.topology)
+    return OracleResult(model, configs, joint, evidence, b, tree.topology, "tree")
 
 
 _QUERY_RE = re.compile(
@@ -318,14 +315,13 @@ def oracle_entropy(result: OracleResult, query: str) -> float:
                 "complement": result.complement_entropy}[kind](u)
     if m.group("h_u") is not None:
         u, j = int(m.group("h_u")), int(m.group("h_j"))
-        kind = m.group("h_kind") or ("past" if result.kind == "chain" else "upward")
-        if result.kind == "chain":
-            value = result.hernando_past(u, j) if kind == "past" \
-                else result.hernando_future(u, j)
+        future = m.group("h_kind") == "future"
+        if future and result.kind != "chain":
+            raise ValueError("hernando(.|future) applies to chains")
+        if result.kind == "chain" and not future:
+            value = result.hernando_past(u, j)
         else:
-            if kind == "future":
-                raise ValueError("hernando(.|future) applies to chains")
-            value = result.children_subtrees_conditional(u, j)
+            value = result._children_subtrees(u, j)
         return float("nan") if value is None else value
     u, j = int(m.group("v_u")), int(m.group("v_j"))
     return result.viterbi_profile(u, j)

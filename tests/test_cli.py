@@ -10,7 +10,7 @@ import pytest
 from hmmentropy import Categorical, HmmModel, fileio, serialize_model
 from hmmentropy.cli import main
 
-from conftest import M1, log_space_tree, uniform_model
+from conftest import M1, log_space_tree, random_tree_instance, uniform_model
 
 CHAIN_DATA = "0 0\n"
 STAR_DATA = "0\t-1\t0\n1\t0\t0\n2\t0\t0\n"
@@ -55,6 +55,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def text_columns(out):
+    """The cells of a TSV table as written, by column name."""
+    header, *rows = [line.split("\t") for line in out.splitlines()]
+    return {name: [row[c] for row in rows] for c, name in enumerate(header)}
 
 
 class TestValidate:
@@ -195,6 +201,25 @@ class TestEntropy:
         root = out.splitlines()[1].split("\t")
         assert float(root[header.index("partial_subtree_entropy")]) == \
             pytest.approx(0.412546575905, abs=1e-11)
+
+    @pytest.mark.parametrize("instance", ["star", "random"])
+    def test_tree_both_is_parent_and_children(self, capsys, tmp_path,
+                                              model_file, tree_file, instance):
+        if instance == "random":
+            model, tree = random_tree_instance(10, poisson=True)
+            model_file = tmp_path / "random.json"
+            model_file.write_text(serialize_model(model))
+            tree_file = tmp_path / "random.tree"
+            tree_file.write_text(fileio.serialize_tree(tree))
+        columns = {}
+        for cond in ("both", "parent", "children"):
+            code, out, err = run(capsys, "entropy", "--cond", cond,
+                                 "--model", str(model_file),
+                                 "--data", str(tree_file))
+            assert code == 0 and err == ""
+            columns[cond] = text_columns(out)
+        # the same names, each column byte for byte
+        assert columns["both"] == {**columns["parent"], **columns["children"]}
 
     def test_budget_exceeded_exit_4(self, capsys, model_file, tree_file):
         code, _, err = run(capsys, "entropy", "--model", model_file,
@@ -416,10 +441,11 @@ class TestExitCodes:
 
 class TestOneRoutePerQuantity:
     """Commands compute each quantity by one route and parse data once; the
-    second routes are references for the tests only."""
+    second routes are references for the tests only, and the full tree
+    profile is assembled for library callers only."""
 
     REFERENCES = ("subtree_entropies_approach2", "entropy_past_direct",
-                  "entropy_future_direct")
+                  "entropy_future_direct", "tree_entropy_profile")
     PARSERS = ("parse_tree", "parse_sequence")
 
     @pytest.mark.parametrize("data, argv", [

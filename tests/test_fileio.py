@@ -85,6 +85,10 @@ class TestSequenceFormat:
         with pytest.raises(DataFormatError, match="ragged"):
             parse_sequence("0,1;1\n")
 
+    def test_blank_steps(self):
+        with pytest.raises(DataFormatError, match="^line 2: no time steps$"):
+            parse_sequence("0 1\n ; \n")
+
     def test_multiple_sequences(self):
         seqs = parse_sequence("0 1\n1 0 1\n\n")
         assert [s.length for s in seqs] == [2, 3]

@@ -2,6 +2,7 @@
 is trusted as ground truth anywhere else."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from hmmentropy import (BudgetExceededError, Categorical, HmmModel,
                         ObservedSequence, ObservedTree, TreeTopology,
                         enumerate_chain, enumerate_tree, forward_pass,
-                        oracle_entropy, upward_pass)
+                        oracle_entropy, simulate_chain, upward_pass)
 from hmmentropy.numutil import entropy
 
 from conftest import M1, random_chain_instance, random_model, random_tree_instance
@@ -160,3 +161,61 @@ class TestQueries:
         res = enumerate_chain(model, seq)
         assert res.hernando_past(1, 1) is None
         assert math.isnan(oracle_entropy(res, "hernando(1,1)"))
+
+
+class TestChainIsPathTree:
+    """A chain's queries are the tree queries on its path 0 -> ... -> T-1."""
+
+    def test_chain_queries_are_path_tree_queries(self):
+        impossible = 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            j, length = int(rng.integers(2, 4)), int(rng.integers(1, 7))
+            model = random_model(rng, j, num_variables=2, zeros=True,
+                                 poisson=True)
+            _, seq = simulate_chain(model, length, seed)
+            chain = enumerate_chain(model, seq)
+            path = enumerate_tree(model, ObservedTree(
+                TreeTopology(np.arange(-1, length - 1)), seq.values))
+            for t in range(length):
+                assert chain.conditional_past(t) == path.conditional_parent(t)
+                assert chain.conditional_future(t) == \
+                    path.conditional_children(t)
+                assert chain.suffix_entropy(t) == path.subtree_entropy(t)
+                for s in range(j):
+                    value = chain.hernando_future(t, s)
+                    assert value == path.children_subtrees_conditional(t, s)
+                    impossible += value is None
+        # the exact zeros make some conditioning events impossible
+        assert impossible > 0
+
+    def test_cross_kind_queries_raise(self, m1):
+        chain = enumerate_chain(m1, ObservedSequence([0, 1, 0]))
+        tree = enumerate_tree(m1, ObservedTree(TreeTopology([-1, 0, 1]),
+                                               [0, 1, 0]))
+        for res, query, message in [
+                (chain, "conditional(1|parent)",
+                 "conditional(.|parent) applies to trees"),
+                (chain, "conditional(1|children)",
+                 "conditional(.|children) applies to trees"),
+                (chain, "partial(subtree:1)", "partial(subtree:.) applies to trees"),
+                (chain, "partial(complement:1)",
+                 "partial(complement:.) applies to trees"),
+                (tree, "conditional(1|past)",
+                 "conditional(.|past) applies to chains"),
+                (tree, "conditional(1|future)",
+                 "conditional(.|future) applies to chains"),
+                (tree, "partial(prefix:1)", "partial(prefix:.) applies to chains"),
+                (tree, "partial(suffix:1)", "partial(suffix:.) applies to chains"),
+                (tree, "hernando(1,0|future)",
+                 "hernando(.|future) applies to chains")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                oracle_entropy(res, query)
+        for call, message in [
+                (tree.hernando_past, "hernando_past applies to chain instances"),
+                (tree.hernando_future,
+                 "hernando_future applies to chain instances"),
+                (chain.children_subtrees_conditional,
+                 "children_subtrees_conditional applies to trees")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(1, 0)
