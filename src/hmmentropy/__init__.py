@@ -11,7 +11,8 @@ from .chain import (ChainPosterior, backward_smooth, forward_pass, smooth_chain,
                     smooth_dataset, viterbi_chain, viterbi_dataset)
 from .chain_entropy import (ChainEntropyProfile, entropy_future,
                             entropy_future_direct, entropy_past_direct,
-                            entropy_past_hernando, marginal_entropy_profile)
+                            entropy_past_hernando, hernando_table,
+                            marginal_entropy_profile)
 from .criteria import CriterionInput, bic, free_parameter_count, icl_bic, nec
 from .errors import (BudgetExceededError, DataFormatError, HmmError,
                      ImpossibleObservationError, ValidationError)
@@ -40,6 +41,7 @@ __all__ = [
     "smooth_dataset", "viterbi_chain", "viterbi_dataset",
     "ChainEntropyProfile", "marginal_entropy_profile", "entropy_past_hernando",
     "entropy_past_direct", "entropy_future", "entropy_future_direct",
+    "hernando_table",
     "TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
     "viterbi_tree", "viterbi_profiles",
     "TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",

@@ -110,7 +110,8 @@ def _sums(model, kind, data):
     else:
         post = smooth_dataset(model, data)
         g = entropy_past_hernando(model, data, post).global_entropy
-    return post, g, fsum(entr(post.smoothed).sum(axis=1))
+    # sums of non-negative terms, which go negative only by rounding
+    return post, max(0.0, g), max(0.0, fsum(entr(post.smoothed).sum(axis=1)))
 
 
 @cli.command()

@@ -282,9 +282,9 @@ def oracle_entropy(result: OracleResult, query: str) -> float:
     ``conditional(u|past)``, ``conditional(u|future)``,
     ``conditional(u|parent)``, ``conditional(u|children)``,
     ``partial(prefix:t)``, ``partial(suffix:t)``, ``partial(subtree:u)``,
-    ``partial(complement:u)``, ``hernando(u,j)``, ``hernando(u,j|future)``
-    and ``viterbi-profile(u,j)``.  State-conditioned queries whose
-    conditioning event is impossible evaluate to NaN.
+    ``partial(complement:u)``, ``hernando(u,j)``, ``hernando(u,j|past)``,
+    ``hernando(u,j|future)`` and ``viterbi-profile(u,j)``.  State-conditioned
+    queries whose conditioning event is impossible evaluate to NaN.
     """
     m = _QUERY_RE.match(query)
     if not m:
@@ -314,14 +314,11 @@ def oracle_entropy(result: OracleResult, query: str) -> float:
                 "subtree": result.subtree_entropy,
                 "complement": result.complement_entropy}[kind](u)
     if m.group("h_u") is not None:
-        u, j = int(m.group("h_u")), int(m.group("h_j"))
-        future = m.group("h_kind") == "future"
-        if future and result.kind != "chain":
-            raise ValueError("hernando(.|future) applies to chains")
-        if result.kind == "chain" and not future:
-            value = result.hernando_past(u, j)
-        else:
-            value = result._children_subtrees(u, j)
+        u, j, kind = int(m.group("h_u")), int(m.group("h_j")), m.group("h_kind")
+        if kind and result.kind != "chain":
+            raise ValueError(f"hernando(.|{kind}) applies to chains")
+        past = result.kind == "chain" and kind != "future"
+        value = (result.hernando_past if past else result._children_subtrees)(u, j)
         return float("nan") if value is None else value
     u, j = int(m.group("v_u")), int(m.group("v_j"))
     return result.viterbi_profile(u, j)

@@ -17,7 +17,7 @@ import hmmentropy as he
 from hmmentropy import (children_conditional_profile, entropy_future,
                         entropy_future_direct, entropy_past_direct,
                         entropy_past_hernando, entropy_summary,
-                        enumerate_chain, enumerate_tree,
+                        enumerate_chain, enumerate_tree, hernando_table,
                         parent_conditional_profile, smooth_chain, smooth_tree,
                         subtree_entropies_approach1, subtree_entropies_approach2,
                         simulate_chain, simulate_tree, tree_entropy_profile,
@@ -370,7 +370,7 @@ def test_criterion_06_linear_tree_reduction():
         # guarded ratios underflow differently (and the entries weigh zero)
         mask = post_t.smoothed > 1e-9
         worst = max(worst, float(np.max(np.abs(
-            upward[mask] - future.hernando[mask]),
+            upward[mask] - hernando_table(model, post_c, "future")[mask]),
             initial=0.0)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9

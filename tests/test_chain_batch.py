@@ -22,8 +22,9 @@ from hmmentropy import (Categorical, ChainPosterior, HmmModel,
                         ImpossibleObservationError, ObservedSequence, Poisson,
                         entropy_future, entropy_future_direct,
                         entropy_past_direct, entropy_past_hernando,
-                        enumerate_chain, simulate_chain, smooth_chain,
-                        smooth_dataset, viterbi_chain, viterbi_dataset)
+                        enumerate_chain, hernando_table, simulate_chain,
+                        smooth_chain, smooth_dataset, viterbi_chain,
+                        viterbi_dataset)
 from hmmentropy.chain import _segment_length
 from hmmentropy.model import log_emission_matrix
 
@@ -277,26 +278,21 @@ def test_dataset_profiles_are_the_sequence_profiles(instance):
     model, seqs = instance
     post = smooth_dataset(model, seqs)
     chains = sequence_posteriors(post)
-    for route in (entropy_past_hernando, entropy_future):
-        whole = route(model, seqs, post)
-        parts = [route(model, seq, chain) for seq, chain in zip(seqs, chains)]
-        for name in ("marginal", "conditional", "partial", "hernando"):
-            np.testing.assert_array_equal(
-                getattr(whole, name),
-                np.concatenate([getattr(part, name) for part in parts]))
-        assert whole.global_entropy == math.fsum(part.global_entropy
-                                                 for part in parts)
-    for route in (entropy_past_direct, entropy_future_direct):
+    for route in (entropy_past_hernando, entropy_future, entropy_past_direct,
+                  entropy_future_direct):
         whole = route(model, seqs, post)
         parts = [route(model, seq, chain) for seq, chain in zip(seqs, chains)]
         for name in ("marginal", "conditional", "partial"):
             np.testing.assert_array_equal(
                 getattr(whole, name),
                 np.concatenate([getattr(part, name) for part in parts]))
-        assert whole.global_entropy == math.fsum(whole.conditional)
-        assert whole.global_entropy == pytest.approx(
-            math.fsum(part.global_entropy for part in parts), rel=1e-14,
-            abs=1e-14)
+        assert whole.global_entropy == math.fsum(part.global_entropy
+                                                 for part in parts)
+    for direction in ("past", "future"):
+        np.testing.assert_array_equal(
+            hernando_table(model, post, direction),
+            np.concatenate([hernando_table(model, chain, direction)
+                            for chain in chains]))
 
 
 @given(datasets())

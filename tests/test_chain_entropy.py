@@ -7,10 +7,10 @@ import pytest
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence,
                         enumerate_chain, entropy_future, entropy_future_direct,
-                        entropy_past_direct,
-                        entropy_past_hernando, marginal_entropy_profile,
+                        entropy_past_direct, entropy_past_hernando,
+                        forward_pass, hernando_table, marginal_entropy_profile,
                         simulate_chain, smooth_chain)
-from hmmentropy.numutil import BLOCK_CELLS, entr, safe_div
+from hmmentropy.numutil import BLOCK_CELLS, compensated_cumsum, entr, safe_div
 
 from conftest import random_chain_instance, state_revealing_model, uniform_model
 
@@ -118,23 +118,23 @@ class TestOracleEquivalence:
         for seed in range(40):
             model, seq = random_chain_instance(seed, max_states=3, max_length=6)
             post = smooth_chain(model, seq)
-            past = entropy_past_hernando(model, seq, post)
-            future = entropy_future(model, seq, post)
+            past = hernando_table(model, post, "past")
+            future = hernando_table(model, post, "future")
             res = enumerate_chain(model, seq)
             for t in range(seq.length):
                 for j in range(model.num_states):
                     expect = res.hernando_past(t, j)
                     if expect is None:
-                        assert past.hernando[t, j] == 0.0
+                        assert past[t, j] == 0.0
                     else:
-                        assert past.hernando[t, j] == pytest.approx(expect, abs=1e-9)
+                        assert past[t, j] == pytest.approx(expect, abs=1e-9)
                     # future-table rows at states with zero smoothed mass are
                     # conventional (the L/G ratios the recursion uses are
                     # guarded there); they are never consumed downstream
                     if post.smoothed[t, j] > 0:
                         expect = res.hernando_future(t, j)
                         assert expect is not None
-                        assert future.hernando[t, j] == pytest.approx(expect, abs=1e-9)
+                        assert future[t, j] == pytest.approx(expect, abs=1e-9)
 
 
 def block_edge_instances():
@@ -155,18 +155,38 @@ class TestStructuralProperties:
                                            poisson=True) for seed in range(80)]
         for model, seq in instances + list(block_edge_instances()):
             post = smooth_chain(model, seq)
-            for recursion, direct in ((entropy_past_hernando, entropy_past_direct),
-                                      (entropy_future, entropy_future_direct)):
+            for recursion, direct, direction in (
+                    (entropy_past_hernando, entropy_past_direct, "past"),
+                    (entropy_future, entropy_future_direct, "future")):
                 a = recursion(model, seq, post)
                 b = direct(model, seq, post)
                 np.testing.assert_allclose(a.conditional, b.conditional, atol=1e-9)
                 np.testing.assert_allclose(a.partial, b.partial, atol=1e-9)
                 assert a.global_entropy == pytest.approx(b.global_entropy,
                                                          abs=1e-9)
+                # the state-conditioned reference gives the same partials
+                h = hernando_table(model, post, direction)
+                np.testing.assert_allclose(
+                    a.partial, (post.smoothed * h).sum(axis=1) + a.marginal,
+                    rtol=0, atol=1e-9)
+
+    def test_invalid_direction_and_unsmoothed_posterior_raise(self, m1):
+        seq = ObservedSequence([0, 1])
+        with pytest.raises(ValueError, match="^direction must be 'past' or "
+                                             "'future', not 'sideways'$"):
+            hernando_table(m1, smooth_chain(m1, seq), "sideways")
+        forward = forward_pass(m1, seq)
+        for call in (lambda: hernando_table(m1, forward, "past"),
+                     lambda: entropy_past_hernando(m1, seq, forward),
+                     lambda: entropy_future_direct(m1, seq, forward)):
+            with pytest.raises(ValueError, match="lacks the smoothed table"):
+                call()
 
     def test_blocked_walk_rounds_as_one_step_per_position(self):
         # the same float operations in the same order as a per-position
-        # loop, so the tables and partials must agree bit for bit
+        # loop, so the tables and conditionals must agree bit for bit; the
+        # partials are the running sums of the conditionals, bit for bit,
+        # and agree with the tables' partials to rounding
         instances = [random_chain_instance(seed, max_states=8, max_length=40)
                      for seed in range(20)]
         for model, seq in instances + list(block_edge_instances()):
@@ -174,20 +194,33 @@ class TestStructuralProperties:
             a, f, g = model.transition, post.forward, post.predicted
             smoothed, t_len = post.smoothed, seq.length
             past, future = np.zeros_like(smoothed), np.zeros_like(smoothed)
+            marginal = entr(smoothed).sum(axis=1)
+            cond_past, cond_future = marginal.copy(), marginal.copy()
             for t in range(1, t_len):
                 w = safe_div(a * f[t - 1][:, None], g[t][None, :])
                 past[t] = w.T @ past[t - 1] + entr(w).sum(axis=0)
+                cond_past[t] += ((smoothed[t] * entr(w).sum(axis=0)).sum()
+                                 - marginal[t - 1])
             for t in range(t_len - 2, -1, -1):
                 u = a * safe_div(smoothed[t + 1], g[t + 1])[None, :]
                 w = safe_div(u, u.sum(axis=1)[:, None])
                 future[t] = w @ future[t + 1] + entr(w).sum(axis=1)
-            for h, route in ((past, entropy_past_hernando),
-                             (future, entropy_future)):
-                prof = route(model, seq, post)
-                np.testing.assert_array_equal(prof.hernando, h)
+                cond_future[t] += ((smoothed[t] * entr(w).sum(axis=1)).sum()
+                                   - marginal[t + 1])
+            for h, cond, route, direction in (
+                    (past, cond_past, entropy_past_hernando, "past"),
+                    (future, cond_future, entropy_future, "future")):
                 np.testing.assert_array_equal(
+                    hernando_table(model, post, direction), h)
+                prof = route(model, seq, post)
+                np.testing.assert_array_equal(prof.conditional, cond)
+                order = slice(None, None, 1 if direction == "past" else -1)
+                np.testing.assert_array_equal(
+                    prof.partial,
+                    compensated_cumsum(prof.conditional[order], [0])[order])
+                np.testing.assert_allclose(
                     prof.partial, [float(smoothed[t] @ h[t]) + prof.marginal[t]
-                                   for t in range(t_len)])
+                                   for t in range(t_len)], rtol=1e-12)
 
     def test_direction_consistency_and_bounds(self):
         for seed in range(60):

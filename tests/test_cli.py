@@ -10,7 +10,8 @@ import pytest
 from hmmentropy import Categorical, HmmModel, fileio, serialize_model
 from hmmentropy.cli import main
 
-from conftest import M1, log_space_tree, random_tree_instance, uniform_model
+from conftest import (M1, log_space_tree, random_chain_instance,
+                      random_tree_instance, uniform_model)
 
 CHAIN_DATA = "0 0\n"
 STAR_DATA = "0\t-1\t0\n1\t0\t0\n2\t0\t0\n"
@@ -317,6 +318,23 @@ class TestSummaryCommand:
         assert float(table["global_entropy"]) == pytest.approx(
             0.444643549929, abs=1e-10)
 
+    def test_rounding_below_zero_prints_zero(self, capsys, tmp_path):
+        # the emissions reveal every state, so G = M = 0, but smoothed
+        # entries round to 1 + 2.2e-16, whose entropy terms are -2.2e-16
+        model, _ = random_chain_instance(537, max_states=4, max_length=12,
+                                         zeros_prob=1.0)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(serialize_model(model))
+        data_path = tmp_path / "x.txt"
+        data_path.write_text("1 0 0 0 0\n")
+        for command, keys in (("summary", ("global_entropy", "m_marginal_sum")),
+                              ("criteria", ("global_entropy",))):
+            code, out, err = run(capsys, command, "--model", str(model_path),
+                                 "--data", str(data_path))
+            assert (code, err) == (0, "")
+            table = dict(line.split("\t") for line in out.splitlines())
+            assert [table[key] for key in keys] == ["0"] * len(keys)
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -445,7 +463,8 @@ class TestOneRoutePerQuantity:
     profile is assembled for library callers only."""
 
     REFERENCES = ("subtree_entropies_approach2", "entropy_past_direct",
-                  "entropy_future_direct", "tree_entropy_profile")
+                  "entropy_future_direct", "hernando_table",
+                  "tree_entropy_profile")
     PARSERS = ("parse_tree", "parse_sequence")
 
     @pytest.mark.parametrize("data, argv", [
@@ -457,6 +476,7 @@ class TestOneRoutePerQuantity:
         ("tree", ("oracle",)), ("tree", ("summary",)),
         ("chain", ("summary",)), ("chain", ("entropy", "--cond", "future")),
         ("chain", ("entropy", "--cond", "past")), ("chain", ("criteria",)),
+        ("chain", ("smooth",)), ("chain", ("viterbi",)), ("chain", ("oracle",)),
     ])
     def test_references_unused_and_data_parsed_once(
             self, capsys, monkeypatch, model_file, tree_file, chain_file,

@@ -207,6 +207,8 @@ class TestChainIsPathTree:
                  "conditional(.|future) applies to chains"),
                 (tree, "partial(prefix:1)", "partial(prefix:.) applies to chains"),
                 (tree, "partial(suffix:1)", "partial(suffix:.) applies to chains"),
+                (tree, "hernando(1,0|past)",
+                 "hernando(.|past) applies to chains"),
                 (tree, "hernando(1,0|future)",
                  "hernando(.|future) applies to chains")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -10,7 +10,8 @@ import pytest
 from hmmentropy import (BudgetExceededError, Categorical, HmmModel,
                         ObservedTree, TreeTopology, children_conditional_profile,
                         entropy_future, entropy_past_hernando, entropy_summary,
-                        enumerate_tree, parent_conditional_profile, smooth_chain,
+                        enumerate_tree, hernando_table,
+                        parent_conditional_profile, smooth_chain,
                         smooth_tree, subtree_entropies_approach1,
                         subtree_entropies_approach2, tree_entropy_profile,
                         simulate_tree, ObservedSequence)
@@ -235,8 +236,8 @@ class TestLinearTreeReduction:
             # the upward table generalizes the future-conditioned recursion
             mask = post_t.smoothed > 0
             np.testing.assert_allclose(
-                upward_table(model, tree, post_t)[mask], future.hernando[mask],
-                atol=1e-9)
+                upward_table(model, tree, post_t)[mask],
+                hernando_table(model, post_c, "future")[mask], atol=1e-9)
             # equality in the children bound on linear trees
             s = entropy_summary(prof)
             assert s.c == pytest.approx(s.g, abs=1e-9)
