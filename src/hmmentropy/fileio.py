@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import List, Tuple
 
 import numpy as np
@@ -104,6 +105,21 @@ def serialize_model(model: HmmModel) -> str:
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
+#
+# A data file is read in one pass over its lines that collects its tokens,
+# and one conversion of all of them with Python's int (so acceptance cannot
+# depend on numpy's string casting).  That pass rejects without a message;
+# a rejected text is walked again token by token, and the walk reports the
+# first fault with its line number.
+
+def _int64_tokens(tokens):
+    """The tokens as one int64 array, or None when one of them is not an
+    integer or lies outside the int64 range."""
+    try:
+        return np.array(list(map(int, tokens)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
 
 def _parse_int(token: str, where: str) -> int:
     try:
@@ -117,6 +133,44 @@ def _parse_int(token: str, where: str) -> int:
 
 def parse_sequence(text: str) -> List[ObservedSequence]:
     """One sequence per line; ';' separates multivariate time steps."""
+    sequences = _sequences_from_tokens(text)
+    if sequences is None:
+        _walk_sequences(text)  # raises at the first fault
+        raise AssertionError("a sequence file the walk accepts was rejected")
+    return sequences
+
+
+def _sequences_from_tokens(text):
+    """The sequences of a valid file, else None."""
+    tokens, lengths, widths = [], [], set()
+    for line in text.splitlines():
+        if ";" in line or "," in line:
+            steps = [s for s in line.split(";") if s.strip()]
+            commas = set(map(str.count, steps, repeat(",")))
+            if len(commas) != 1:
+                return None
+            widths.add(commas.pop() + 1)
+            tokens += ",".join(steps).split(",")
+        else:
+            steps = line.split()
+            if not steps:
+                continue
+            widths.add(1)
+            tokens += steps
+        lengths.append(len(steps))
+    if len(widths) != 1:
+        return None
+    values = _int64_tokens(tokens)
+    if values is None or values.min() < 0:
+        return None
+    cuts = np.cumsum(lengths)[:-1]
+    return [ObservedSequence(rows)
+            for rows in np.split(values.reshape(-1, widths.pop()), cuts)]
+
+
+def _walk_sequences(text: str) -> List[ObservedSequence]:
+    """The per-token parse, which raises at the first faulty line; valid
+    files give what the token path gives."""
     sequences = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,14 +210,18 @@ def parse_sequence(text: str) -> List[ObservedSequence]:
     return sequences
 
 
+def _columns(values):
+    """The columns of an integer matrix, each a map of its numbers to text."""
+    return [map(str, col) for col in values.T.tolist()]
+
+
 def serialize_sequence(sequences) -> str:
     lines = []
     for seq in sequences:
         if seq.num_variables == 1:
-            lines.append(" ".join(str(int(v)) for v in seq.values[:, 0]))
+            lines.append(" ".join(*_columns(seq.values)))
         else:
-            lines.append(";".join(",".join(str(int(v)) for v in row)
-                                  for row in seq.values))
+            lines.append(";".join(map(",".join, zip(*_columns(seq.values)))))
     return "\n".join(lines) + "\n"
 
 
@@ -173,6 +231,46 @@ def serialize_sequence(sequences) -> str:
 
 def parse_tree(text: str) -> ObservedTree:
     """One vertex per line: ``vertex_id parent_id v1[,v2,...]``."""
+    tree = _tree_from_tokens(text)
+    if tree is None:
+        _walk_tree(text)  # raises at the first fault
+        raise AssertionError("a tree file the walk accepts was rejected")
+    return tree
+
+
+def _tree_from_tokens(text):
+    """The tree of a valid file, else None."""
+    # every line break is whitespace to str.split, so the tokens of the
+    # text are those of its lines in order
+    if set(map(len, map(str.split, text.splitlines()))) - {0} != {3}:
+        return None
+    tokens = text.split()
+    fields = tokens[2::3]
+    commas = set(map(str.count, fields, repeat(",")))
+    if len(commas) != 1:
+        return None
+    n = len(fields)
+    numbers = _int64_tokens(chain(tokens[0::3], tokens[1::3],
+                                  ",".join(fields).split(",")))
+    if numbers is None:
+        return None
+    order = np.argsort(numbers[:n])
+    if not np.array_equal(numbers[:n][order], np.arange(n)):
+        return None
+    parent = numbers[n:2 * n][order]
+    if np.count_nonzero(parent == -1) != 1:
+        return None
+    values = numbers[2 * n:].reshape(n, commas.pop() + 1)[order]
+    try:
+        return ObservedTree(TreeTopology(parent), values)
+    except ValidationError:
+        return None
+
+
+def _walk_tree(text: str) -> ObservedTree:
+    """The per-token parse, which raises at the first fault: per line in
+    file order, then the checks on the whole vertex set; valid files give
+    what the token path gives."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -216,11 +314,10 @@ def parse_tree(text: str) -> ObservedTree:
 
 
 def serialize_tree(tree: ObservedTree) -> str:
-    lines = []
-    for u in range(tree.num_vertices):
-        vals = ",".join(str(int(v)) for v in tree.values[u])
-        lines.append(f"{u}\t{int(tree.topology.parent[u])}\t{vals}")
-    return "\n".join(lines) + "\n"
+    vertices = map(str, range(tree.num_vertices))
+    parents = map(str, tree.topology.parent.tolist())
+    values = map(",".join, zip(*_columns(tree.values)))
+    return "\n".join(map("\t".join, zip(vertices, parents, values))) + "\n"
 
 
 def detect_data_kind(text: str) -> str:

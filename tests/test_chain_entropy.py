@@ -279,3 +279,64 @@ class TestStructuralProperties:
             np.testing.assert_allclose(
                 recursion(m1, seq, post).conditional,
                 direct(m1, seq, post).conditional, rtol=0, atol=1e-12)
+
+
+def neumaier_loop(values, starts):
+    """The scalar Neumaier running sum, restarted at each index in starts:
+    the reference compensated_cumsum must match bit for bit."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    starts = set(np.asarray(starts).tolist())
+    total = comp = 0.0
+    for i, v in enumerate(values):
+        if i in starts:
+            total = comp = 0.0
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[i] = total + comp
+    return out
+
+
+class TestCompensatedCumsum:
+    def assert_bitwise(self, values, starts):
+        got = compensated_cumsum(values, starts)
+        want = neumaier_loop(values, starts)
+        np.testing.assert_array_equal(got, want)
+        # array_equal takes -0.0 for 0.0; the printed profile would not
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_random_segments(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n = int(rng.integers(0, 400))
+            values = rng.random(n) * 10.0 ** int(rng.integers(-3, 4))
+            starts = rng.integers(-2, n + 2, int(rng.integers(0, 30)))
+            self.assert_bitwise(values, starts)
+        # every sequence of length 1, and lengths on both sides of 2^k
+        self.assert_bitwise(rng.random(10 ** 4), np.arange(10 ** 4))
+        lengths = rng.choice([1, 2, 3, 4, 5, 63, 64, 65, 129], 200)
+        self.assert_bitwise(rng.random(lengths.sum()),
+                            np.cumsum(lengths) - lengths)
+
+    def test_block_edge_chain(self):
+        for model, seq in block_edge_instances():
+            post = smooth_chain(model, seq)
+            for route in (entropy_past_hernando, entropy_future):
+                conditional = route(model, seq, post).conditional
+                self.assert_bitwise(conditional, [0])
+                self.assert_bitwise(conditional[::-1], [0])
+
+    def test_mixed_signs_and_magnitudes(self):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            n = int(rng.integers(1, 500))
+            values = (rng.choice([-1.0, 1.0], n)
+                      * 10.0 ** rng.uniform(-8, 8, n))
+            values[rng.random(n) < 0.05] = 0.0
+            values[rng.random(n) < 0.05] = -0.0
+            starts = np.flatnonzero(rng.random(n) < 0.1)
+            self.assert_bitwise(values, starts)

@@ -8,12 +8,13 @@ import pytest
 
 from hmmentropy import (Categorical, DataFormatError, HmmModel, ObservedTree,
                         Poisson, ProfileTable, TreeTopology, ValidationError,
-                        parse_model, parse_sequence, parse_tree, read_profile,
-                        serialize_model, serialize_sequence, serialize_tree,
+                        fileio, parse_model, parse_sequence, parse_tree,
+                        read_profile, serialize_model, serialize_sequence,
+                        serialize_tree, simulate_chain, simulate_tree,
                         write_profile)
 from hmmentropy.fileio import detect_data_kind
 
-from conftest import M1, random_model
+from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology
 
 EARTHQUAKE_MODEL = {
     "num_states": 3,
@@ -193,3 +194,204 @@ class TestWriteProfile:
     def test_read_rejects_ragged(self):
         with pytest.raises(DataFormatError, match="cells"):
             read_profile("a\tb\n1\n")
+
+
+# ---------------------------------------------------------------------------
+# the token path and the per-token walk that reports faults
+# ---------------------------------------------------------------------------
+
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
+def without_walk(monkeypatch):
+    """Make every per-token conversion fail, so that only a text the token
+    path accepts on its own parses."""
+    def refuse(token, where):
+        raise AssertionError(f"per-token walk ran: {where}")
+    monkeypatch.setattr(fileio, "_parse_int", refuse)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def reference_serialize_tree(tree):
+    """serialize_tree as a per-vertex loop: its bytes must not change."""
+    lines = []
+    for u in range(tree.num_vertices):
+        vals = ",".join(str(int(v)) for v in tree.values[u])
+        lines.append(f"{u}\t{int(tree.topology.parent[u])}\t{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_serialize_sequence(sequences):
+    """serialize_sequence as a per-value loop: its bytes must not change."""
+    lines = []
+    for seq in sequences:
+        if seq.num_variables == 1:
+            lines.append(" ".join(str(int(v)) for v in seq.values[:, 0]))
+        else:
+            lines.append(";".join(",".join(str(int(v)) for v in row)
+                                  for row in seq.values))
+    return "\n".join(lines) + "\n"
+
+
+def sample_trees():
+    """A simulated tree of every topology kind, univariate and bivariate."""
+    for i, kind in enumerate(TOPOLOGY_KINDS):
+        for num_variables in (1, 2):
+            rng = np.random.default_rng([i, num_variables])
+            model = random_model(rng, 3, num_variables=num_variables,
+                                 poisson=num_variables == 2)
+            topo = random_topology(rng, 40, kind=kind)
+            yield rng, simulate_tree(model, topo, int(rng.integers(2 ** 31)))[1]
+
+
+def sample_datasets():
+    """Simulated datasets of univariate and bivariate sequences, some of
+    length 1."""
+    for num_variables in (1, 2):
+        rng = np.random.default_rng(num_variables)
+        model = random_model(rng, 3, num_variables=num_variables,
+                             poisson=True)
+        yield rng, [simulate_chain(model, int(t), seed=int(s))[1]
+                    for t, s in zip(rng.integers(1, 30, 12), range(12))]
+
+
+def tree_variants(rng, text):
+    """The same tree written with shuffled lines, blank lines, every line
+    break and mixed tabs and spaces."""
+    lines = text.splitlines()
+    for brk in LINE_BREAKS:
+        order = rng.permutation(len(lines))
+        spaced = [" \t"[int(rng.integers(2))].join(lines[u].split("\t"))
+                  for u in order]
+        yield brk.join(spaced) + brk
+        yield brk + (brk + "  " + brk).join(
+            "\t " + line.replace("\t", "  \t") + " " for line in spaced)
+
+
+class TestTokenPath:
+    def test_trees_of_every_kind(self, monkeypatch):
+        cases = []
+        for rng, tree in sample_trees():
+            for text in tree_variants(rng, serialize_tree(tree)):
+                cases.append((text, fileio._walk_tree(text)))
+                assert cases[-1][1] == tree
+        without_walk(monkeypatch)
+        for text, want in cases:
+            got = parse_tree(text)
+            assert_same_array(got.topology.parent, want.topology.parent)
+            assert_same_array(got.values, want.values)
+
+    def test_sequence_files(self, monkeypatch):
+        cases = []
+        for rng, dataset in sample_datasets():
+            text = serialize_sequence(dataset)
+            lines = text.splitlines()
+            if dataset[0].num_variables == 2:
+                # blank steps and whitespace around the tokens
+                lines = [" ; " + line.replace(",", " ,\t").replace(";", " ;;") + ";"
+                         for line in lines]
+            for brk in LINE_BREAKS:
+                cases.append(brk.join(lines) + brk)
+                cases.append(brk + (brk + " \t" + brk).join(lines))
+        # one value per step, mixed with whitespace-separated lines
+        cases += ["1;2;3\n4 5\n", " 1 ; ;2\r\n\n3\x0b4 5 6\n", "7;\n"]
+        expected = [[fileio._walk_sequences(text)] for text in cases]
+        without_walk(monkeypatch)
+        for text, (want,) in zip(cases, expected):
+            got = parse_sequence(text)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_array(g.values, w.values)
+
+    def test_tokens_that_int_accepts(self, monkeypatch):
+        without_walk(monkeypatch)
+        seqs = parse_sequence("+5 1_000 ٣ 007\n")
+        assert seqs[0].values[:, 0].tolist() == [5, 1000, 3, 7]
+        seqs = parse_sequence("+5,1_000;٣,0\n")
+        assert seqs[0].values.tolist() == [[5, 1000], [3, 0]]
+        tree = parse_tree("+0 -1 1_000\n١ 0 +2\n")
+        assert tree.topology.parent.tolist() == [-1, 0]
+        assert tree.values[:, 0].tolist() == [1000, 2]
+
+
+# (parser, text, message): the first fault of each text, as the per-token
+# walk has always reported it
+MALFORMED = [
+    (parse_sequence, "0 x 1\n",
+     "line 1: error at token 2: 'x' is not an integer"),
+    (parse_sequence, "0 1\n2 -1 3\n",
+     "line 2: observed values must be non-negative integers"),
+    (parse_sequence, f"0 {2 ** 63}\n",
+     f"line 1: error at token 2: '{2 ** 63}' is outside the int64 range"),
+    (parse_sequence, f"0 {-2 ** 63 - 1}\n",
+     f"line 1: error at token 2: '{-2 ** 63 - 1}' is outside the int64 range"),
+    (parse_sequence, f"{-2 ** 63}\n",
+     "line 1: observed values must be non-negative integers"),
+    (parse_sequence, "1 5.0\n", "line 1: error at token 2: '5.0' is not an integer"),
+    (parse_sequence, "0x10\n", "line 1: error at token 1: '0x10' is not an integer"),
+    (parse_sequence, "1,2;3,\n",
+     "line 1, step 2, variable 2: '' is not an integer"),
+    (parse_sequence, "0,1;1\n", "line 1: ragged variable counts [1, 2]"),
+    (parse_sequence, "0,1\n2\n", "line 2: 1 variables, earlier lines had 2"),
+    (parse_sequence, "0 1\n ; ;\n", "line 2: no time steps"),
+    (parse_sequence, "\n \n", "no sequences found"),
+    # the first fault in file order wins
+    (parse_sequence, "0 1\n1 -2\n0 x\n",
+     "line 2: observed values must be non-negative integers"),
+    (parse_sequence, "0 1\n1 y\n0,1\n", "line 2: error at token 2: 'y' is not an integer"),
+    (parse_tree, "0 -1 0\n1 0 x\n",
+     "line 2, variable 1: 'x' is not an integer"),
+    (parse_tree, "0 -1\n1 0 2 3\n",
+     "line 1: expected 'vertex parent values', got 2 fields"),
+    # the token count is right, and the tokens read as a valid tree
+    (parse_tree, "0 -1\n0 1 0 1\n",
+     "line 1: expected 'vertex parent values', got 2 fields"),
+    (parse_tree, "0 -1 0\n1 0 0\n1 0 1\n", "line 3: duplicate vertex id 1"),
+    (parse_tree, "0 -1 0\n2 0 0\n", "vertex ids must cover 0..1; missing [1]"),
+    (parse_tree, "0 -1 0\n1 -1 0\n", "multiple roots: vertices [0, 1]"),
+    (parse_tree, "1 2 0\n2 1 0\n",
+     "no root vertex (parent_id -1): the parent relation is a cycle"),
+    (parse_tree, "0 -1 0,1\n1 0 1\n", "ragged variable counts [1, 2]"),
+    (parse_tree, "0 -1 0\n1 0 -3\n", "observed values must be non-negative integers"),
+    (parse_tree, f"0 -1 {2 ** 63}\n",
+     f"line 1, variable 1: '{2 ** 63}' is outside the int64 range"),
+    (parse_tree, f"0 {-2 ** 63 - 1} 0\n",
+     f"line 1, parent id: '{-2 ** 63 - 1}' is outside the int64 range"),
+    (parse_tree, "0 -1 5.0\n", "line 1, variable 1: '5.0' is not an integer"),
+    (parse_tree, "0x10 -1 0\n", "line 1, vertex id: '0x10' is not an integer"),
+    (parse_tree, "0 -1 1,\n", "line 1, variable 2: '' is not an integer"),
+    (parse_tree, "1 -1 0\n0 1 0\n", "vertex 0 must be the root"),
+    (parse_tree, "0 -1 0\n1 2 0\n2 1 0\n", "parent relation contains a cycle"),
+    (parse_tree, "0 -1 0\n1 5 0\n", "parent ids must lie in [0, n)"),
+    (parse_tree, "\n", "no vertices found"),
+    (parse_tree, "0 -1 0\n0 0 x\n3\n",
+     "line 2, variable 1: 'x' is not an integer"),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("parse, text, message", MALFORMED)
+    def test_first_fault_reported(self, parse, text, message):
+        with pytest.raises(DataFormatError) as info:
+            parse(text)
+        assert type(info.value) is DataFormatError
+        assert str(info.value) == message
+
+
+class TestSerializers:
+    def test_tree_round_trip(self):
+        for _, tree in sample_trees():
+            text = serialize_tree(tree)
+            assert text == reference_serialize_tree(tree)
+            assert parse_tree(text) == tree
+
+    def test_sequence_round_trip(self):
+        for _, dataset in sample_datasets():
+            text = serialize_sequence(dataset)
+            assert text == reference_serialize_sequence(dataset)
+            assert parse_sequence(text) == dataset
