@@ -65,6 +65,7 @@ def compensated_cumsum(values, starts):
     first = np.flatnonzero(bound)
     segment = np.cumsum(bound[:n]) - 1
     column = np.arange(1, n + 1) - first[segment]
+    # a segment of length L runs in the block of width 2^e + 1, 2^(e-1) < L <= 2^e
     exponent = np.frexp(np.diff(first) - 1)[1]
     for e in np.unique(exponent):
         width = (1 << int(e)) + 1
@@ -76,7 +77,11 @@ def compensated_cumsum(values, starts):
         total = np.cumsum(block, axis=1)
         prev, v, t = total[:, :-1], block[:, 1:], total[:, 1:]
         larger = np.abs(prev) >= np.abs(v)
-        err = np.zeros_like(block)
-        err[:, 1:] = (np.where(larger, prev, v) - t) + np.where(larger, v, prev)
-        out[cells] = (total + np.cumsum(err, axis=1)).reshape(-1)[flat]
+        err = np.where(larger, prev, v)
+        err -= t
+        err += np.where(larger, v, prev)
+        # the block becomes the error terms, led by the same 0 column
+        v[...] = err
+        total += np.cumsum(block, axis=1, out=block)
+        out[cells] = total.reshape(-1)[flat]
     return out
