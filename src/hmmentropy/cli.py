@@ -178,7 +178,7 @@ def viterbi_profiles_cmd(model_file, data_file, out_file):
     kind, data = _load_data(data_file)
     if kind != "tree":
         raise DataFormatError("viterbi-profiles requires tree input")
-    states, _, m, best = _max_product(model, data)
+    states, m, best = _max_product(model, data)
     prof = _constrained_maxima(model, data, m, best)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)

@@ -322,14 +322,19 @@ def serialize_tree(tree: ObservedTree) -> str:
 
 def detect_data_kind(text: str) -> str:
     """'tree' when the second field of some line is a negative integer, as a
-    root's parent id -1 is and no sequence value can be; else 'chain'."""
+    root's parent id -1 is and no sequence value can be, and every non-blank
+    line before it has the three fields of a tree line; else 'chain'.  A
+    sequence file with a negative value below a line of another width is
+    thus left to the sequence parser, which reports that value."""
     for raw in text.splitlines():
-        fields = raw.split(None, 2)
+        fields = raw.split(None, 3)
         try:
             if len(fields) > 1 and int(fields[1]) < 0:
                 return "tree"
         except ValueError:
             pass
+        if fields and len(fields) != 3:
+            return "chain"
     return "chain"
 
 

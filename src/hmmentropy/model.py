@@ -425,6 +425,25 @@ def log_emission_matrix(model: HmmModel, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_joint_terms(model: HmmModel, log_b: np.ndarray, parent: np.ndarray,
+                    states: np.ndarray) -> np.ndarray:
+    """N x 2 table of the terms of a state configuration's log joint
+    probability, for a forest given by its parent array (-1 at a root; a
+    dataset of chains has one root per sequence): row u holds the log
+    probability of entering states[u], log pi at a root and the log
+    transition from the parent's state elsewhere, and its log emission
+    log_b[u, states[u]]."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transition)
+        log_pi = np.log(model.initial)
+    roots = parent < 0
+    terms = np.empty((states.size, 2))
+    terms[:, 0] = log_a[states[parent], states]
+    terms[roots, 0] = log_pi[states[roots]]
+    terms[:, 1] = log_b[np.arange(states.size), states]
+    return terms
+
+
 def emission_prob(model: HmmModel, state: int, observation) -> float:
     """b_state(observation), the product over variables of per-variable
     pmfs: one row of :func:`log_emission_matrix`, exponentiated."""

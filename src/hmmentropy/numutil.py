@@ -10,10 +10,17 @@ import math
 import numpy as np
 from scipy.special import entr, xlogy
 
-__all__ = ["entr", "xlogy", "safe_div", "entropy", "fsum", "compensated_cumsum"]
+__all__ = ["entr", "xlogy", "safe_div", "entropy", "fsum", "compensated_cumsum",
+           "tie_argmax", "TIE_RTOL"]
 
 # numbers per block of the blocked array expressions: 128 KiB per temporary
 BLOCK_CELLS = 2 ** 14
+
+# Viterbi candidates within TIE_RTOL * max(1, |best|) of the best log score
+# are tied: a bound on the rounding that summing the same terms in another
+# order leaves in a score.  At the |score| ~ 1.5e4 of a 10^4-position chain
+# it is 2e-10.
+TIE_RTOL = 64 * float(np.finfo(float).eps)
 
 
 def _blocks(start, stop, cells_per_row):
@@ -30,6 +37,21 @@ def safe_div(num, den):
     out = np.zeros(np.broadcast(num, den).shape)
     np.divide(num, den, out=out, where=den != 0)
     return out
+
+
+def tie_argmax(scores):
+    """(index, maximum) along the first axis, where the index is the smallest
+    one whose score is within TIE_RTOL * max(1, |maximum|) of the maximum.
+
+    Every Viterbi backtracking step uses this rule, so that among optima
+    whose log joints differ only by summation order the smaller state wins,
+    however the recursion added up the scores.  A column that is -inf
+    throughout gives index 0.  The candidates run along the first axis
+    because numpy reduces a short last axis slowly: along it, this rule took
+    2-3.4 times as long (J = 4-8, 100-1000 columns, numpy 2.4.6)."""
+    top = scores.max(axis=0)
+    floor = top - TIE_RTOL * np.maximum(1.0, np.abs(top))
+    return (scores >= floor).argmax(axis=0), top
 
 
 def entropy(p):

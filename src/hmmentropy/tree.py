@@ -24,14 +24,16 @@ and weighted by the prior only then; a state is lost only where its subtree
 likelihood is below 1e-308 of the largest at its vertex.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ImpossibleObservationError
-from .model import HmmModel, ObservedTree, log_emission_matrix
-from .numutil import fsum, safe_div
+from .model import (HmmModel, ObservedTree, log_emission_matrix,
+                    log_joint_terms)
+from .numutil import fsum, safe_div, tie_argmax
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
            "viterbi_tree", "viterbi_profiles"]
@@ -144,12 +146,12 @@ def smooth_tree(model: HmmModel, tree: ObservedTree) -> TreePosterior:
 def _max_product(model: HmmModel, tree: ObservedTree):
     """Upward max-product messages in log space and the Viterbi backtrack.
 
-    Returns (states, log_joint, m, best); the message tables are in plan
+    Returns (states, m, best); the message tables are in plan
     positions.  m[p, i] is the log probability of the observed subtree at
     plan position p jointly with the best states below it, given that its
     state is i; best[p, i] maximizes the edge term toward p from parent
-    state i.  Ties go to the smaller state index, at the root and at every
-    backtracking step.
+    state i.  Ties (numutil.tie_argmax) go to the smaller state index, at the
+    root and at every backtracking step.
     """
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
@@ -161,14 +163,11 @@ def _max_product(model: HmmModel, tree: ObservedTree):
     back = np.zeros((n, j), dtype=np.int64)
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
-        cand = log_a + m[start:stop, None, :]
-        back[start:stop] = cand.argmax(axis=2)
-        best[start:stop] = cand.max(axis=2)
+        back[start:stop], best[start:stop] = tie_argmax(
+            log_a.T[:, None, :] + m[start:stop].T[:, :, None])
         np.add.at(m, topo.parent_position[start:stop], best[start:stop])
-    root_score = log_initial + m[0]
-    root_state = int(np.argmax(root_score))
-    log_joint = float(root_score[root_state])
-    if log_joint == -np.inf:
+    root_state, top = tie_argmax(log_initial + m[0])
+    if top == -np.inf:
         raise ImpossibleObservationError("all state configurations are impossible")
     states = np.empty(n, dtype=np.int64)
     states[0] = root_state
@@ -178,7 +177,7 @@ def _max_product(model: HmmModel, tree: ObservedTree):
         start, stop = topo.level(d)
         states[start:stop] = flat_back[row[start:stop]
                                        + states[topo.parent_position[start:stop]]]
-    return states[topo.position], log_joint, m, best
+    return states[topo.position], m, best
 
 
 def _constrained_maxima(model: HmmModel, tree: ObservedTree, m, best):
@@ -204,13 +203,17 @@ def _constrained_maxima(model: HmmModel, tree: ObservedTree, m, best):
 
 
 def viterbi_tree(model: HmmModel, tree: ObservedTree):
-    """Most likely state tree and its log joint probability.
+    """Most likely state tree and its log joint probability, the exactly
+    rounded sum (fsum) of the restored tree's terms, as for chains.
 
-    Ties are broken toward the smaller state index at the root and at every
-    downward backtracking step.
+    Ties, scores within numutil.tie_argmax's rounding bound of the best, are
+    broken toward the smaller state index at the root and at every downward
+    backtracking step.
     """
-    states, log_joint, _, _ = _max_product(model, tree)
-    return states, log_joint
+    states, _, _ = _max_product(model, tree)
+    terms = log_joint_terms(model, log_emission_matrix(model, tree.values),
+                            tree.topology.parent, states)
+    return states, math.fsum(memoryview(terms.reshape(-1)))
 
 
 def viterbi_profiles(model: HmmModel, tree: ObservedTree) -> np.ndarray:
@@ -221,5 +224,5 @@ def viterbi_profiles(model: HmmModel, tree: ObservedTree) -> np.ndarray:
     full configuration forced through state j at vertex u.  Row maxima equal
     the posterior probability of the Viterbi restoration.
     """
-    _, _, m, best = _max_product(model, tree)
+    _, m, best = _max_product(model, tree)
     return _constrained_maxima(model, tree, m, best)

@@ -1,6 +1,7 @@
 """The batched chain smoothing kernel against a log-space reference and the
 enumeration oracle; entropy profiles and Viterbi restorations of datasets
-against those of their sequences.
+against those of their sequences; the segmented Viterbi kernel against the
+sequential recursion and the oracle, on instances whose optima tie.
 
 smooth_dataset cuts every sequence into segments of L = ceil(sqrt(T_max))
 positions and runs all segments of all sequences as the rows of one batch.
@@ -11,6 +12,7 @@ in the tail, where probabilities leave the double range.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,15 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import hmmentropy.chain as chain_module
 from hmmentropy import (Categorical, ChainPosterior, HmmModel,
-                        ImpossibleObservationError, ObservedSequence, Poisson,
-                        entropy_future, entropy_future_direct,
-                        entropy_past_direct, entropy_past_hernando,
-                        enumerate_chain, hernando_table, simulate_chain,
-                        smooth_chain, smooth_dataset, viterbi_chain,
-                        viterbi_dataset)
-from hmmentropy.chain import _segment_length
+                        ImpossibleObservationError, ObservedSequence,
+                        ObservedTree, Poisson, TreeTopology, entropy_future,
+                        entropy_future_direct, entropy_past_direct,
+                        entropy_past_hernando, enumerate_chain, hernando_table,
+                        simulate_chain, smooth_chain, smooth_dataset,
+                        viterbi_chain, viterbi_dataset, viterbi_tree)
+from hmmentropy.chain import _segment_length, _viterbi_segment_length
 from hmmentropy.model import log_emission_matrix
+from hmmentropy.numutil import tie_argmax
 
 from conftest import extreme_model, random_model, with_tails
 
@@ -249,24 +253,115 @@ def datasets(draw):
                    for t_len in lengths]
 
 
-def sequential_viterbi(model, seq):
-    """Max-product recursion over one sequence, one position at a time."""
-    log_b = log_emission_matrix(model, seq.values)
+def log_tables(model, seq):
+    """(log pi, log A, log b) of a sequence."""
     with np.errstate(divide="ignore"):
-        log_a = np.log(model.transition)
-        log_pi = np.log(model.initial)
-    j = model.num_states
-    nxt = np.empty((seq.length, j), dtype=np.int64)
-    score = log_b[-1].copy()
+        return (np.log(model.initial), np.log(model.transition),
+                log_emission_matrix(model, seq.values))
+
+
+def path_log_terms(model, seq, path):
+    """log pi, the log transitions and the log emissions of a path."""
+    log_pi, log_a, log_b = log_tables(model, seq)
+    path = np.asarray(path)
+    return ([float(log_pi[path[0]])] + log_a[path[:-1], path[1:]].tolist()
+            + log_b[np.arange(path.size), path].tolist())
+
+
+def sequential_recursion(model, seq):
+    """(score, nxt) of the max-product recursion over one sequence, one
+    position at a time: score[t, i] is the best log probability of x_t,
+    x_{t+1}, ... given S_t = i, and nxt[t, i] the state at t + 1 that the
+    kernel's tie rule (tie_argmax) continues with."""
+    _, log_a, log_b = log_tables(model, seq)
+    score = log_b.copy()
+    nxt = np.empty(log_b.shape, dtype=np.int64)
     for t in range(seq.length - 2, -1, -1):
-        cand = log_a + score[None, :]
-        nxt[t] = np.argmax(cand, axis=1)
-        score = cand[np.arange(j), nxt[t]] + log_b[t]
-    first = log_pi + score
-    path = [int(np.argmax(first))]
+        nxt[t], best = tie_argmax((log_a + score[t + 1]).T)
+        score[t] += best
+    return score, nxt
+
+
+def sequential_viterbi(model, seq):
+    """Path and log joint from sequential_recursion, with the kernel's tie
+    rule for the first state; the log joint is the fsum of the restored
+    path's terms."""
+    score, nxt = sequential_recursion(model, seq)
+    path = [int(tie_argmax(log_tables(model, seq)[0] + score[0])[0])]
     for t in range(seq.length - 1):
         path.append(int(nxt[t, path[-1]]))
-    return path, float(first[path[0]])
+    return path, math.fsum(path_log_terms(model, seq, path))
+
+
+def equal_optima(model, seq, path):
+    """Checks that no path that follows `path` up to some position, takes a
+    smaller state there and continues as the recursion does is as likely,
+    and returns how many that take a larger state are exactly as likely.
+
+    Only states whose recursion score is within 1e-6 of the path's are
+    tried.  Each is compared on the stretch until it rejoins the path, with
+    one fsum of both stretches' terms: an exact comparison of log joints.
+    """
+    log_pi, log_a, log_b = log_tables(model, seq)
+    score, nxt = sequential_recursion(model, seq)
+    path = np.asarray(path)
+    t_len = path.size
+    enter = np.vstack((log_pi, log_a[path[:-1]]))  # log prob of entering k at t
+    cand = enter + score
+    mine = cand[np.arange(t_len), path]
+    ties = 0
+    for t, k in zip(*np.nonzero(cand >= mine[:, None] - 1e-6)):
+        if k == path[t]:
+            continue
+        alt = [int(k)]
+        while (t + len(alt) < t_len
+               and nxt[t + len(alt) - 1, alt[-1]] != path[t + len(alt)]):
+            alt.append(int(nxt[t + len(alt) - 1, alt[-1]]))
+        end = t + len(alt)
+        gain = [enter[t, path[t]], -enter[t, k]]
+        for states, sign in ((path[t:end], 1.0), (np.array(alt), -1.0)):
+            stretch = (log_b[np.arange(t, end), states].tolist()
+                       + log_a[states[:-1], states[1:]].tolist())
+            if end < t_len:
+                stretch.append(log_a[states[-1], path[end]])
+            gain += [sign * x for x in stretch]
+        gain = math.fsum(gain)
+        assert gain > 0 if k < path[t] else gain >= 0, (
+            f"state {k} at position {t}: log joint higher by {-gain}")
+        ties += gain == 0
+    return ties
+
+
+def segmented_tie_instance(name):
+    """The instances where segmenting with plain argmax restores another
+    path than the sequential recursion: random models J = 2, T = 10^4 and
+    J = 8, T = 10^5 (seed J, path seed 5), and criterion 6's instance 96
+    (T = 1000)."""
+    if name == "criterion6-instance96":
+        rng = np.random.default_rng(40_000 + 96)
+        model = random_model(rng, int(rng.integers(2, 4)),
+                             zeros=bool(rng.random() < 0.3))
+        return model, simulate_chain(model, 1000, int(rng.integers(0, 2 ** 31)))[1]
+    j, t_len = {"J2-T1e4": (2, 10 ** 4), "J8-T1e5": (8, 10 ** 5)}[name]
+    model = random_model(np.random.default_rng(j), j)
+    return model, simulate_chain(model, t_len, 5)[1]
+
+
+@pytest.mark.parametrize("name", ["J2-T1e4", "J8-T1e5", "criterion6-instance96"])
+def test_segment_boundaries_break_no_tie(name):
+    """The segmented kernel restores the sequential recursion's path, the
+    lexicographically smallest of the optima with equal fsum log joints."""
+    model, seq = segmented_tie_instance(name)
+    assert _viterbi_segment_length([seq.length], model.num_states) < seq.length
+    path, log_joint = viterbi_chain(model, seq)
+    expected, expected_log_joint = sequential_viterbi(model, seq)
+    assert path.tolist() == expected
+    assert log_joint == expected_log_joint
+    assert equal_optima(model, seq, path) > 0
+    if seq.length <= 1000:
+        tree = ObservedTree(TreeTopology(np.arange(-1, seq.length - 1)),
+                            seq.values)
+        np.testing.assert_array_equal(viterbi_tree(model, tree)[0], path)
 
 
 @given(datasets())
@@ -306,3 +401,66 @@ def test_dataset_viterbi_is_the_sequence_viterbi(instance):
     for seq, (p, lj) in zip(seqs, expected):
         alone, alone_lj = viterbi_chain(model, seq)
         assert alone.tolist() == p and alone_lj == lj
+
+
+@st.composite
+def segmented_datasets(draw):
+    """(model, sequences): one sequence of 200-600 positions, which
+    viterbi_dataset cuts into segments, among 0-5 of 1-40 positions, from a
+    model of up to 8 states with structural zeros or without."""
+    lengths = draw(st.lists(st.integers(1, 40), max_size=5))
+    lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(200, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = random_model(rng, draw(st.integers(1, 8)), zeros=draw(st.booleans()),
+                         poisson=True)
+    return model, [simulate_chain(model, t_len, int(rng.integers(0, 2 ** 31)))[1]
+                   for t_len in lengths]
+
+
+@given(segmented_datasets())
+@settings(deadline=None)
+def test_segmented_viterbi_is_the_sequential_viterbi(instance):
+    model, seqs = instance
+    lengths = [seq.length for seq in seqs]
+    assert _viterbi_segment_length(lengths, model.num_states) < max(lengths)
+    path, log_joint = viterbi_dataset(model, seqs)
+    expected = [sequential_viterbi(model, seq) for seq in seqs]
+    np.testing.assert_array_equal(path, np.concatenate([p for p, _ in expected]))
+    assert log_joint.tolist() == [lj for _, lj in expected]
+
+
+def tie_heavy_model(rng, j):
+    """Uniform initial law; each transition row uniform or a permutation of
+    (1/2, 1/4, ..., 2^-(J-1), 2^-(J-1)); two-symbol emissions (1/2, 1/2),
+    (3/4, 1/4) or (1/4, 3/4).  Many paths then share one multiset of log
+    terms, and their log joints differ only by the order of summation."""
+    dyadic = np.append(0.5 ** np.arange(1, j), 0.5 ** (j - 1)) if j > 1 else [1.0]
+    rows = [np.full(j, 1.0 / j) if rng.random() < 0.5 else rng.permutation(dyadic)
+            for _ in range(j)]
+    laws = ([0.5, 0.5], [0.75, 0.25], [0.25, 0.75])
+    return HmmModel(np.full(j, 1.0 / j), rows,
+                    [[Categorical(laws[int(rng.integers(0, 3))])]
+                     for _ in range(j)])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 12))
+@settings(deadline=None)
+def test_tie_heavy_viterbi_is_the_oracle_optimum(seed, size):
+    """Segments of `size` positions (at least the longest sequence: one
+    segment each) on datasets small enough to enumerate."""
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(1, 5))
+    max_length = {1: 12, 2: 12, 3: 7, 4: 6}[j]  # J^T <= 4096
+    model = tie_heavy_model(rng, j)
+    seqs = [simulate_chain(model, int(rng.integers(1, max_length + 1)),
+                           int(rng.integers(0, 2 ** 31)))[1]
+            for _ in range(int(rng.integers(1, 5)))]
+    with patch.object(chain_module, "_viterbi_segment_length",
+                      lambda lengths, j: size):
+        path, log_joint = viterbi_dataset(model, seqs)
+    bounds = np.cumsum([0] + [seq.length for seq in seqs]).tolist()
+    for s, seq in enumerate(seqs):
+        best, best_prob = enumerate_chain(model, seq).best_configuration()
+        np.testing.assert_array_equal(path[bounds[s]:bounds[s + 1]], best)
+        assert sequential_viterbi(model, seq)[0] == best.tolist()
+        assert math.exp(log_joint[s]) == pytest.approx(best_prob, rel=1e-12)

@@ -319,6 +319,12 @@ class TestTokenPath:
         assert tree.values[:, 0].tolist() == [1000, 2]
 
 
+def parse_detected(text):
+    """text read by the parser that detect_data_kind picks, as the CLI does."""
+    return (parse_tree if detect_data_kind(text) == "tree"
+            else parse_sequence)(text)
+
+
 # (parser, text, message): the first fault of each text, as the per-token
 # walk has always reported it
 MALFORMED = [
@@ -371,6 +377,11 @@ MALFORMED = [
     (parse_tree, "\n", "no vertices found"),
     (parse_tree, "0 -1 0\n0 0 x\n3\n",
      "line 2, variable 1: 'x' is not an integer"),
+    # a sequence file whose line 2 looks like a root line of a tree
+    (parse_detected, "0 1\n2 -1 3\n",
+     "line 2: observed values must be non-negative integers"),
+    (parse_detected, f"0 1\n2 {-2 ** 63 - 1} 3\n",
+     f"line 2: error at token 2: '{-2 ** 63 - 1}' is outside the int64 range"),
 ]
 
 
