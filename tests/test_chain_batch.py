@@ -446,8 +446,8 @@ def tie_heavy_model(rng, j):
 @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 12))
 @settings(deadline=None)
 def test_tie_heavy_viterbi_is_the_oracle_optimum(seed, size):
-    """Segments of `size` positions (at least the longest sequence: one
-    segment each) on datasets small enough to enumerate."""
+    """Segments of `size` positions on datasets small enough to enumerate;
+    a size of at least the longest sequence leaves every sequence whole."""
     rng = np.random.default_rng(seed)
     j = int(rng.integers(1, 5))
     max_length = {1: 12, 2: 12, 3: 7, 4: 6}[j]  # J^T <= 4096
