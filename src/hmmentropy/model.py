@@ -222,7 +222,9 @@ class ObservedSequence:
             values = values[:, None]
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValidationError("observed values must be a non-empty matrix")
-        if np.any(values < 0):
+        # one reduction, no boolean temporary (a file of short lines builds
+        # many small sequences); a zero-width matrix has no minimum
+        if values.size and values.min() < 0:
             raise ValidationError("observed values must be non-negative integers")
         self.values = values
         self.values.setflags(write=False)

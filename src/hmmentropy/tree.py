@@ -13,10 +13,10 @@ of the best full configuration constrained to that state value.
 
 Every pass walks the level plan of the topology (see TreeTopology): one
 numpy step per level handles all vertices of that depth at once, and child
-messages are scattered into their parents' rows with ``np.add.at``, in
-ascending child id.  The number of Python-level steps is therefore the depth
-of the tree, not its size; a path takes one step per vertex, a complete
-binary tree one per level.
+messages are scattered into their parents' rows with ``np.add.at`` on the
+flattened table (_add_rows_at), in ascending child id.  The number of
+Python-level steps is therefore the depth of the tree, not its size; a path
+takes one step per vertex, a complete binary tree one per level.
 
 As in the chain filter, a vertex's row, log emission plus log child
 messages, is exponentiated after subtracting its maximum (kept in log N_u)
@@ -64,6 +64,18 @@ class TreePosterior:
         return self.prior * self.ratio
 
 
+def _add_rows_at(table: np.ndarray, rows: np.ndarray, values: np.ndarray):
+    """table[rows] += values with repeated rows accumulated in order.
+
+    np.add.at on the flattened table: every element still receives its terms
+    in the same order, so the sums are those of the 2-D form, which takes
+    about three times as long.  table must be C-contiguous.
+    """
+    j = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[:, None] * j + np.arange(j)).reshape(-1),
+              values.reshape(-1))
+
+
 def _level_priors(model: HmmModel, topo) -> np.ndarray:
     """Row d is P(S_u = .) for the vertices u at depth d."""
     level_prior = np.empty((topo.num_levels, model.num_states))
@@ -100,7 +112,7 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
             level /= total[start:stop, None]
             if d:
                 edge = beta_edge[start:stop] = level @ model.transition.T
-                np.add.at(ratio, topo.parent_position[start:stop], np.log(edge))
+                _add_rows_at(ratio, topo.parent_position[start:stop], np.log(edge))
         log_normalizers = np.log(total) + top
     # An overflowed message turns its parent's row into NaN, so it is looked
     # for first, among the vertices whose own joint law is defined.
@@ -165,7 +177,7 @@ def _max_product(model: HmmModel, tree: ObservedTree):
         start, stop = topo.level(d)
         back[start:stop], best[start:stop] = tie_argmax(
             log_a.T[:, None, :] + m[start:stop].T[:, :, None])
-        np.add.at(m, topo.parent_position[start:stop], best[start:stop])
+        _add_rows_at(m, topo.parent_position[start:stop], best[start:stop])
     root_state, top = tie_argmax(log_initial + m[0])
     if top == -np.inf:
         raise ImpossibleObservationError("all state configurations are impossible")

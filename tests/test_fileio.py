@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmentropy import (Categorical, DataFormatError, HmmModel, ObservedTree,
                         Poisson, ProfileTable, TreeTopology, ValidationError,
@@ -12,7 +14,7 @@ from hmmentropy import (Categorical, DataFormatError, HmmModel, ObservedTree,
                         read_profile, serialize_model, serialize_sequence,
                         serialize_tree, simulate_chain, simulate_tree,
                         write_profile)
-from hmmentropy.fileio import detect_data_kind
+from hmmentropy.fileio import PROFILE_BLOCK_ROWS, detect_data_kind
 
 from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology
 
@@ -194,6 +196,121 @@ class TestWriteProfile:
     def test_read_rejects_ragged(self):
         with pytest.raises(DataFormatError, match="cells"):
             read_profile("a\tb\n1\n")
+
+
+def reference_write_profile(table, log_base="e"):
+    """write_profile as a per-cell loop: its bytes must not change."""
+    scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
+    cells = []
+    for name, col in table.columns:
+        if name in table.entropy_columns and scale != 1.0:
+            col = col.astype(float) * scale
+        if col.dtype == np.float16:
+            # a memoryview cannot iterate half floats, so this writer raised
+            # NotImplementedError on them; float32 holds each one exactly
+            col = col.astype(np.float32)
+        fmt = str if col.dtype.kind in "iu" else "{:.12g}".format
+        cells.append(map(fmt, memoryview(col)))
+    header = "\t".join(name for name, _ in table.columns)
+    return "\n".join([header, *map("\t".join, zip(*cells))]) + "\n"
+
+
+def first_difference(got, want):
+    """None if the texts are equal, else the first line where they differ
+    (a short message where a diff of the whole texts would take minutes)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return i, a, b
+    return "line counts", len(got_lines), len(want_lines)
+
+
+PROFILE_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                  np.uint32, np.uint64, np.bool_, np.float16, np.float32,
+                  np.float64)
+# nan, infinities, signed zeros, the smallest subnormal and the largest
+# double, and 13-digit values halfway between two 12-digit ones
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                  1.7976931348623157e308, 1234567890125.0, -1234567890125.0,
+                  9999999999995.0, 0.5, 1e-5, 1e16)
+B = PROFILE_BLOCK_ROWS
+PROFILE_ROW_COUNTS = (0, 1, 2, B - 1, B, B + 1, 3 * B + 17)
+
+
+def profile_column(rng, dtype, rows):
+    """Values of every magnitude of the dtype, with its extremes (and, for
+    floats, the special values) at random rows."""
+    if dtype == np.bool_:
+        col = rng.random(rows) < 0.5
+    elif np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        col = rng.integers(info.min, info.max, size=rows, dtype=dtype,
+                           endpoint=True)
+        specials = np.array([info.min, info.max, 0], dtype=dtype)
+    else:
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        col = rng.integers(0, np.iinfo(bits).max, size=rows, dtype=bits,
+                           endpoint=True).view(dtype)
+        info = np.finfo(dtype)
+        specials = [info.smallest_subnormal, info.max, -info.max]
+        if dtype == np.float64:
+            ties = rng.integers(10 ** 11, 10 ** 12, size=8) * 10 + 5
+            specials += [*SPECIAL_FLOATS, *ties.astype(float)]
+        else:
+            specials += SPECIAL_FLOATS[:5]
+        specials = np.array(specials, dtype=dtype)
+    if dtype != np.bool_ and rows:
+        at = rng.random(rows) < 0.2
+        col[at] = rng.choice(specials, size=int(at.sum()))
+    return col
+
+
+@st.composite
+def profile_tables(draw):
+    rows = draw(st.sampled_from(PROFILE_ROW_COUNTS) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = ProfileTable()
+    for c in range(draw(st.integers(1, 6))):
+        dtype = draw(st.sampled_from(PROFILE_DTYPES))
+        # the CLI's smoothed columns are strided views of a 2-D table
+        strided = draw(st.booleans())
+        col = profile_column(rng, dtype, 2 * rows if strided else rows)
+        name = draw(st.sampled_from(["index", "h", "100%", "%d", "%s%%",
+                                     "%(x)s", f"c{c}"]))
+        table.add(name, col[::2] if strided else col, entropy=draw(st.booleans()))
+    return table
+
+
+class TestWriteProfileBytes:
+    @given(table=profile_tables(), log_base=st.sampled_from(["e", "2"]))
+    @settings(deadline=None)
+    def test_same_bytes_as_the_per_cell_writer(self, table, log_base):
+        # both writers scale alike: the largest double times 1 / ln 2
+        # overflows to inf, and a signalling NaN of the random bit patterns
+        # raises the invalid flag
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert first_difference(write_profile(table, log_base),
+                                    reference_write_profile(table, log_base)) is None
+
+    @pytest.mark.parametrize("rows", PROFILE_ROW_COUNTS)
+    def test_every_row_count(self, rows):
+        rng = np.random.default_rng(rows)
+        table = ProfileTable()
+        table.add("%d", np.arange(rows))
+        table.add("h", profile_column(rng, np.float64, rows), entropy=True)
+        table.add("m", profile_column(rng, np.int64, rows))
+        for log_base in ("e", "2"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                text = write_profile(table, log_base)
+                assert first_difference(
+                    text, reference_write_profile(table, log_base)) is None
+            assert text.count("\n") == rows + 1
+
+    def test_no_columns(self):
+        assert write_profile(ProfileTable()) == reference_write_profile(
+            ProfileTable()) == "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -338,3 +338,23 @@ class TestObservedData:
     def test_integer_beyond_int64(self, build):
         with pytest.raises(ValidationError, match="64-bit"):
             build(10 ** 20)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0, -1, 2], "observed values must be non-negative integers"),
+        ([[3, 0], [1, -5]], "observed values must be non-negative integers"),
+        ([-2 ** 63], "observed values must be non-negative integers"),
+        ([], "observed values must be a non-empty matrix"),
+        (np.zeros((2, 2, 1), dtype=np.int64),
+         "observed values must be a non-empty matrix"),
+    ])
+    def test_sequence_rejections(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            ObservedSequence(values)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    def test_zero_width_sequence(self):
+        """A matrix with rows and no variables has no minimum; it is
+        accepted, as it always was."""
+        seq = ObservedSequence(np.zeros((3, 0), dtype=np.int64))
+        assert (seq.length, seq.num_variables) == (3, 0)

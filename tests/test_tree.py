@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import hmmentropy.tree as tree_passes
 from hmmentropy import (Categorical, HmmModel, ImpossibleObservationError,
                         ObservedSequence, ObservedTree, TreeTopology,
-                        enumerate_tree, smooth_chain, smooth_tree, upward_pass,
-                        viterbi_chain, viterbi_profiles, viterbi_tree)
+                        enumerate_tree, simulate_tree, smooth_chain,
+                        smooth_tree, upward_pass, viterbi_chain,
+                        viterbi_profiles, viterbi_tree)
+from hmmentropy.tree_entropy import (parent_conditional_profile,
+                                     subtree_entropies_approach1)
 
-from conftest import (oracle_tree_instances, random_chain_instance,
+from conftest import (TOPOLOGY_KINDS, oracle_tree_instances,
+                      random_chain_instance, random_model,
                       random_tree_instance, random_topology,
                       state_revealing_model, uniform_model)
 
@@ -195,3 +200,47 @@ class TestViterbiProfiles:
                 for j in range(model.num_states):
                     assert prof[u, j] == pytest.approx(
                         res.viterbi_profile(u, j), abs=1e-10)
+
+
+def scatter_instances():
+    """A tree of every topology kind with structural zeros, so that some
+    scattered rows hold -inf, and a star of 10^4 leaves."""
+    for i, kind in enumerate(TOPOLOGY_KINDS):
+        rng = np.random.default_rng([31, i])
+        model = random_model(rng, 4, zeros=True)
+        topo = random_topology(rng, 300, kind=kind)
+        yield kind, model, simulate_tree(model, topo,
+                                         int(rng.integers(2 ** 31)))[1]
+    rng = np.random.default_rng(32)
+    model = random_model(rng, 3)
+    yield "star of 10^4 leaves", model, simulate_tree(
+        model, random_topology(rng, 10_001, kind="star"), 5)[1]
+
+
+def level_pass_tables(model, tree):
+    """Every table the level passes scatter into, and what is built on them."""
+    post = smooth_tree(model, tree)
+    states, m, best = tree_passes._max_product(model, tree)
+    parent_cond = parent_conditional_profile(model, tree, post)
+    sums = subtree_entropies_approach1(model, tree, post, parent_cond)
+    return [post.ratio, post.beta_edge, post.log_normalizers,
+            np.array(post.log_likelihood), post.smoothed, states, m, best,
+            viterbi_profiles(model, tree), *sums[:3], np.array(sums[3])]
+
+
+class TestLevelScatter:
+    def test_flat_scatter_is_the_2d_scatter(self, monkeypatch):
+        """np.add.at on the flattened table adds the same terms in the same
+        order as on the 2-D table, so every table is bit for bit the same."""
+        neg_inf_rows = 0
+        for kind, model, tree in scatter_instances():
+            flat = level_pass_tables(model, tree)
+            with monkeypatch.context() as patch:
+                patch.setattr(tree_passes, "_add_rows_at", np.add.at)
+                two_d = level_pass_tables(model, tree)
+            for got, want in zip(flat, two_d):
+                assert got.dtype == want.dtype and got.shape == want.shape, kind
+                assert got.tobytes() == want.tobytes(), kind
+            best = flat[7]
+            neg_inf_rows += int(np.isneginf(best[1:]).any(axis=1).sum())
+        assert neg_inf_rows > 0
