@@ -25,8 +25,8 @@ from .fileio import (ProfileTable, detect_data_kind, parse_model,
 from .model import simulate_chain, simulate_tree, validate_model
 from .numutil import entr, fsum
 from .oracle import DEFAULT_CONFIG_BUDGET, enumerate_chain, enumerate_tree
-from .tree import _constrained_maxima, _max_product, smooth_tree, viterbi_tree
-from .tree_entropy import (DEFAULT_OP_BUDGET, _summary_of_sums,
+from .tree import smooth_tree, viterbi_profiles, viterbi_tree
+from .tree_entropy import (DEFAULT_OP_BUDGET, EntropySummary,
                            children_conditional_profile,
                            parent_conditional_profile,
                            subtree_entropies_approach1)
@@ -45,6 +45,10 @@ _base_opt = click.option("--log-base", type=click.Choice(["e", "2"]),
 _budget_opt = click.option("--budget", type=int, default=None,
                            help="Operation/configuration budget override.")
 
+# characters encoded and written at a time by _emit, so that the encoded
+# output never exists as a second full-size copy of the text
+_WRITE_CHARS = 1 << 16
+
 
 @click.group()
 def cli():
@@ -53,7 +57,9 @@ def cli():
 
 def _emit(text: str, out_file):
     if out_file:
-        Path(out_file).write_text(text, encoding="utf-8")
+        with open(out_file, "w", encoding="utf-8") as out:
+            for start in range(0, len(text), _WRITE_CHARS):
+                out.write(text[start:start + _WRITE_CHARS])
     else:
         click.echo(text, nl=False)
 
@@ -107,11 +113,13 @@ def _sums(model, kind, data):
     if kind == "tree":
         post = smooth_tree(model, data)
         g = fsum(parent_conditional_profile(model, data, post))
+        marginal = entr(post.smoothed).sum(axis=1)
     else:
         post = smooth_dataset(model, data)
-        g = entropy_past_hernando(model, data, post).global_entropy
+        prof = entropy_past_hernando(model, data, post)
+        g, marginal = prof.global_entropy, prof.marginal
     # sums of non-negative terms, which go negative only by rounding
-    return post, max(0.0, g), max(0.0, fsum(entr(post.smoothed).sum(axis=1)))
+    return post, max(0.0, g), max(0.0, fsum(marginal))
 
 
 @cli.command()
@@ -178,8 +186,7 @@ def viterbi_profiles_cmd(model_file, data_file, out_file):
     kind, data = _load_data(data_file)
     if kind != "tree":
         raise DataFormatError("viterbi-profiles requires tree input")
-    states, m, best = _max_product(model, data)
-    prof = _constrained_maxima(model, data, m, best)
+    states, prof = viterbi_profiles(model, data)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)
     for j in range(model.num_states):
@@ -337,7 +344,7 @@ def summary(model_file, data_file, out_file, log_base, budget):
         # on a chain the children-conditional profile is the future
         # profile, which sums to H(S | X): C = G
         c = g
-    s = _summary_of_sums(g, c, m)
+    s = EntropySummary(g, c, m)
     pairs = [("global_entropy", s.g), ("g_parent_conditional_sum", s.g),
              ("c_children_conditional_sum", s.c), ("m_marginal_sum", s.m),
              ("ratio_cg", s.ratio_cg), ("ratio_mg", s.ratio_mg)]

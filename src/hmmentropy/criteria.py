@@ -33,6 +33,10 @@ class CriterionInput:
     def __post_init__(self):
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        for name in ("log_likelihood", "global_entropy", "log_likelihood_1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.global_entropy < 0:
             raise ValueError("global_entropy must be >= 0")
         if self.free_params < 0:

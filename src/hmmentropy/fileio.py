@@ -322,19 +322,22 @@ def serialize_tree(tree: ObservedTree) -> str:
 
 def detect_data_kind(text: str) -> str:
     """'tree' when the second field of some line is a negative integer, as a
-    root's parent id -1 is and no sequence value can be, and every non-blank
-    line before it has the three fields of a tree line; else 'chain'.  A
-    sequence file with a negative value below a line of another width is
-    thus left to the sequence parser, which reports that value."""
+    root's parent id -1 is and no sequence value can be, and either the
+    first field reads as vertex 0, as on every tree's root line, or every
+    non-blank line before it has the three fields of a tree line; else
+    'chain'.  A sequence file with a negative value below a line of another
+    width is thus left to the sequence parser, which reports that value,
+    unless that value follows a 0 and so reads as a root line."""
+    three_fields = True
     for raw in text.splitlines():
         fields = raw.split(None, 3)
         try:
-            if len(fields) > 1 and int(fields[1]) < 0:
+            if (len(fields) > 1 and int(fields[1]) < 0
+                    and (three_fields or int(fields[0]) == 0)):
                 return "tree"
         except ValueError:
             pass
-        if fields and len(fields) != 3:
-            return "chain"
+        three_fields = three_fields and len(fields) in (0, 3)
     return "chain"
 
 

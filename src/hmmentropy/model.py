@@ -53,15 +53,22 @@ class Categorical:
             issues.append(f"{prefix}: entries outside [0, 1]")
         return issues
 
-    def log_pmf(self, x):
+    @staticmethod
+    def add_log_pmfs(per_state, x, out):
+        """Add to column j of out the log pmfs of the values x under the
+        categorical of state j in per_state, gathered from the states'
+        stacked log probability table."""
         x = np.asarray(x)
-        if np.any(x < 0) or np.any(x >= self.alphabet_size):
-            bad = x[(x < 0) | (x >= self.alphabet_size)].flat[0]
+        size = per_state[0].alphabet_size
+        if np.any(x < 0) or np.any(x >= size):
+            bad = x[(x < 0) | (x >= size)].flat[0]
             raise ValidationError(
-                f"value {int(bad)} outside categorical alphabet of size {self.alphabet_size}"
+                f"value {int(bad)} outside categorical alphabet of size {size}"
             )
         with np.errstate(divide="ignore"):
-            return np.log(self.probs[x])
+            log_table = np.log(np.stack([var.probs for var in per_state]))
+        for j, log_probs in enumerate(log_table):
+            out[:, j] += log_probs[x]
 
     def sample(self, rng: np.random.Generator, size: int):
         cum = np.cumsum(self.probs)
@@ -93,12 +100,17 @@ class Poisson:
             return [f"{prefix}: rate {self.rate!r} must be finite and >= 0"]
         return []
 
-    def log_pmf(self, x):
+    @staticmethod
+    def add_log_pmfs(per_state, x, out):
+        """Add to column j of out the log pmfs of the values x under the
+        Poisson of state j in per_state; log x! is evaluated once."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValidationError("Poisson values must be non-negative integers")
-        # xlogy keeps rate == 0 well defined: pmf(0) = 1, pmf(x > 0) = 0
-        return xlogy(x, self.rate) - self.rate - gammaln(x + 1.0)
+        log_factorial = gammaln(x + 1.0)
+        for j, var in enumerate(per_state):
+            # xlogy keeps rate == 0 well defined: pmf(0) = 1, pmf(x > 0) = 0
+            out[:, j] += xlogy(x, var.rate) - var.rate - log_factorial
 
     def sample(self, rng: np.random.Generator, size: int):
         return rng.poisson(self.rate, size=size)
@@ -177,6 +189,17 @@ class ValidationReport:
         return self.ok
 
 
+def _signature_mismatches(model: HmmModel):
+    """The states whose variable signature differs from state 0's."""
+    sig = model.variable_signature()
+    return [j for j, state_vars in enumerate(model.emissions)
+            if tuple(var.signature() for var in state_vars) != sig]
+
+
+def _signature_message(j: int) -> str:
+    return f"emissions: state {j} variable signature differs from state 0"
+
+
 def validate_model(model: HmmModel) -> ValidationReport:
     """Check every model invariant; violations are data, not exceptions."""
     v = []
@@ -192,10 +215,10 @@ def validate_model(model: HmmModel) -> ValidationReport:
             v.append(f"transition: row {i} sums to {rs!r}")
         if not np.all((row >= 0) & (row <= 1)):
             v.append(f"transition: row {i} has entries outside [0, 1]")
-    sig = model.variable_signature()
+    mismatched = _signature_mismatches(model)
     for j, state_vars in enumerate(model.emissions):
-        if tuple(var.signature() for var in state_vars) != sig:
-            v.append(f"emissions: state {j} variable signature differs from state 0")
+        if j in mismatched:
+            v.append(_signature_message(j))
             continue
         for k, var in enumerate(state_vars):
             v.extend(var.check(f"emissions: state {j}, variable {k}"))
@@ -411,19 +434,23 @@ class ObservedTree:
 def log_emission_matrix(model: HmmModel, values: np.ndarray) -> np.ndarray:
     """N x J matrix of log b_j(x_row), evaluated per variable then summed.
 
-    The one emission evaluator: it checks the variable count here and each
-    value's range in the per-variable ``log_pmf``."""
+    The one emission evaluator: it checks the variable count and signatures
+    here, and each value's range in the per-variable ``add_log_pmfs``,
+    which evaluates one variable for all J states and adds it into the
+    table's columns, so that no second N x J table is held."""
     if values.shape[1] != model.num_variables:
         raise ValidationError(
             f"data has {values.shape[1]} variables, model has {model.num_variables}"
         )
+    mismatched = _signature_mismatches(model)
+    if mismatched:
+        raise ValidationError(_signature_message(mismatched[0]))
     out = np.zeros((values.shape[0], model.num_states))
-    for j in range(model.num_states):
-        for k, var in enumerate(model.emissions[j]):
-            try:
-                out[:, j] += var.log_pmf(values[:, k])
-            except ValidationError as exc:
-                raise ValidationError(f"variable {k}: {exc}") from None
+    for k, per_state in enumerate(zip(*model.emissions)):
+        try:
+            per_state[0].add_log_pmfs(per_state, values[:, k], out)
+        except ValidationError as exc:
+            raise ValidationError(f"variable {k}: {exc}") from None
     return out
 
 

@@ -92,6 +92,14 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     state prior below the smallest normal double) and
     ImpossibleObservationError when the joint law of a vertex vanishes.
     """
+    log_b = log_emission_matrix(model, tree.values)
+    return _upward(model, tree, log_b[tree.topology.downward_order])
+
+
+def _upward(model: HmmModel, tree: ObservedTree,
+            ratio: np.ndarray) -> TreePosterior:
+    """upward_pass on the tree's log emission matrix in plan positions,
+    which it overwrites with the ratio table."""
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
     level_prior = _level_priors(model, topo)
@@ -100,7 +108,6 @@ def upward_pass(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log emissions plus log child messages, -inf where the prior is 0,
         # turned level by level into the ratio table
-        ratio = log_emission_matrix(model, tree.values)[topo.downward_order]
         ratio[(level_prior == 0.0)[topo.depth[topo.downward_order]]] = -np.inf
         for d in range(topo.num_levels - 1, -1, -1):
             start, stop = topo.level(d)
@@ -155,8 +162,10 @@ def smooth_tree(model: HmmModel, tree: ObservedTree) -> TreePosterior:
     return downward_pass(model, tree, upward_pass(model, tree))
 
 
-def _max_product(model: HmmModel, tree: ObservedTree):
-    """Upward max-product messages in log space and the Viterbi backtrack.
+def _max_product(model: HmmModel, tree: ObservedTree, m: np.ndarray):
+    """Upward max-product messages in log space and the Viterbi backtrack,
+    on the tree's log emission matrix in plan positions, which it
+    overwrites with the messages m.
 
     Returns (states, m, best); the message tables are in plan
     positions.  m[p, i] is the log probability of the observed subtree at
@@ -167,12 +176,12 @@ def _max_product(model: HmmModel, tree: ObservedTree):
     """
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
-    m = log_emission_matrix(model, tree.values)[topo.downward_order]
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)
         log_initial = np.log(model.initial)
     best = np.zeros((n, j))
-    back = np.zeros((n, j), dtype=np.int64)
+    # the smallest integer type that holds a state index
+    back = np.zeros((n, j), dtype=np.min_scalar_type(j - 1))
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
         back[start:stop], best[start:stop] = tie_argmax(
@@ -192,11 +201,34 @@ def _max_product(model: HmmModel, tree: ObservedTree):
     return states[topo.position], m, best
 
 
-def _constrained_maxima(model: HmmModel, tree: ObservedTree, m, best):
-    """Downward max-product completion of _max_product's messages: the
-    table that viterbi_profiles returns."""
+def viterbi_tree(model: HmmModel, tree: ObservedTree):
+    """Most likely state tree and its log joint probability, the exactly
+    rounded sum (fsum) of the restored tree's terms, as for chains.
+
+    Ties, scores within numutil.tie_argmax's rounding bound of the best, are
+    broken toward the smaller state index at the root and at every downward
+    backtracking step.
+    """
+    log_b = log_emission_matrix(model, tree.values)
+    states, _, _ = _max_product(model, tree, log_b[tree.topology.downward_order])
+    terms = log_joint_terms(model, log_b, tree.topology.parent, states)
+    return states, math.fsum(memoryview(terms.reshape(-1)))
+
+
+def viterbi_profiles(model: HmmModel, tree: ObservedTree):
+    """The Viterbi restoration and the n x J matrix of constrained maxima of
+    the state posterior, as (states, profiles).
+
+    Entry (u, j) of profiles is max over all other vertices' states of
+    P((S_v)_{v != u}, S_u = j | X = x): the posterior probability of the best
+    full configuration forced through state j at vertex u.  Row maxima equal
+    the posterior probability of the Viterbi restoration.  The profiles are
+    the downward max-product completion of the upward messages.
+    """
     topo = tree.topology
-    log_likelihood = upward_pass(model, tree).log_likelihood
+    log_b = log_emission_matrix(model, tree.values)[topo.downward_order]
+    states, m, best = _max_product(model, tree, log_b.copy())
+    log_likelihood = _upward(model, tree, log_b).log_likelihood
     impossible_below = best == -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(model.transition)
@@ -211,30 +243,4 @@ def _constrained_maxima(model: HmmModel, tree: ObservedTree, m, best):
             outside = down[parent] + m[parent] - best[start:stop]
             np.copyto(outside, -np.inf, where=impossible_below[start:stop])
             down[start:stop] = (outside[:, :, None] + log_a).max(axis=1)
-    return np.exp(m + down - log_likelihood)[topo.position]
-
-
-def viterbi_tree(model: HmmModel, tree: ObservedTree):
-    """Most likely state tree and its log joint probability, the exactly
-    rounded sum (fsum) of the restored tree's terms, as for chains.
-
-    Ties, scores within numutil.tie_argmax's rounding bound of the best, are
-    broken toward the smaller state index at the root and at every downward
-    backtracking step.
-    """
-    states, _, _ = _max_product(model, tree)
-    terms = log_joint_terms(model, log_emission_matrix(model, tree.values),
-                            tree.topology.parent, states)
-    return states, math.fsum(memoryview(terms.reshape(-1)))
-
-
-def viterbi_profiles(model: HmmModel, tree: ObservedTree) -> np.ndarray:
-    """n x J matrix of constrained maxima of the state posterior.
-
-    Entry (u, j) is max over all other vertices' states of
-    P((S_v)_{v != u}, S_u = j | X = x): the posterior probability of the best
-    full configuration forced through state j at vertex u.  Row maxima equal
-    the posterior probability of the Viterbi restoration.
-    """
-    _, m, best = _max_product(model, tree)
-    return _constrained_maxima(model, tree, m, best)
+    return states, np.exp(m + down - log_likelihood)[topo.position]

@@ -72,7 +72,8 @@ class TreeEntropyProfile:
 
 @dataclass
 class EntropySummary:
-    """Sums of the three per-vertex profiles and their relative gaps.
+    """Sums of the three per-vertex profiles; their relative gaps
+    ratio_cg = (c - g) / g and ratio_mg = (m - g) / g are derived from them.
 
     g equals the global state entropy; g <= c <= m always.  Ratios are NaN
     when g == 0.
@@ -81,8 +82,14 @@ class EntropySummary:
     g: float
     c: float
     m: float
-    ratio_cg: float
-    ratio_mg: float
+
+    @property
+    def ratio_cg(self) -> float:
+        return (self.c - self.g) / self.g if self.g > 0.0 else float("nan")
+
+    @property
+    def ratio_mg(self) -> float:
+        return (self.m - self.g) / self.g if self.g > 0.0 else float("nan")
 
 
 def _require_smoothed(posterior):
@@ -263,14 +270,8 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
     )
 
 
-def _summary_of_sums(g: float, c: float, m: float) -> EntropySummary:
-    """The summary of given G/C/M sums; ratios are NaN when G == 0."""
-    ratios = ((c - g) / g, (m - g) / g) if g > 0.0 else (float("nan"),) * 2
-    return EntropySummary(g, c, m, *ratios)
-
-
 def entropy_summary(profile: TreeEntropyProfile) -> EntropySummary:
     """G/C/M sums and their relative gaps; ratios are NaN when G == 0."""
-    return _summary_of_sums(fsum(profile.parent_conditional),
-                            fsum(profile.children_conditional),
-                            fsum(profile.marginal))
+    return EntropySummary(fsum(profile.parent_conditional),
+                          fsum(profile.children_conditional),
+                          fsum(profile.marginal))

@@ -110,7 +110,8 @@ def tree_batch():
         prof = tree_entropy_profile(model, tree, post)
         h2, ps2, g2, comp2 = subtree_entropies_approach2(model, tree, post)
         states, log_joint = viterbi_tree(model, tree)
-        vprof = viterbi_profiles(model, tree)
+        vstates, vprof = viterbi_profiles(model, tree)
+        assert np.array_equal(vstates, states)
         res = enumerate_tree(model, tree)
         for u in range(n):
             worst_prob = max(worst_prob, float(np.max(np.abs(

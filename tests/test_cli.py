@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from hmmentropy import Categorical, HmmModel, fileio, serialize_model
+from hmmentropy import Categorical, HmmModel, Poisson, fileio, serialize_model
+from hmmentropy import cli
 from hmmentropy.cli import main
+from hmmentropy.numutil import entr
 
 from conftest import (M1, log_space_tree, random_chain_instance,
                       random_tree_instance, uniform_model)
@@ -142,6 +144,18 @@ class TestSmooth:
         assert code == 0 and out == ""
         assert out_path.read_text().startswith("sequence\t")
 
+    def test_out_file_over_many_slices_is_stdout(self, capsys, tmp_path,
+                                                 model_file):
+        """A table written in several slices is the table printed whole."""
+        data_path = tmp_path / "star.txt"
+        data_path.write_text(star_text(6_000, period=2))
+        argv = ("smooth", "--model", model_file, "--data", str(data_path))
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and len(expected) > 3 * cli._WRITE_CHARS
+        out_path = tmp_path / "out.tsv"
+        assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode()
+
 
 class TestViterbi:
     def test_chain(self, capsys, model_file, chain_file):
@@ -271,6 +285,15 @@ class TestCriteriaCommand:
         assert float(table["icl_bic"]) == pytest.approx(
             float(table["bic"]) - 2 * h, abs=1e-9)
         assert float(table["nec"]) == pytest.approx(h / (ll + 2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("baseline", ["nan", "inf", "-inf"])
+    def test_non_finite_baseline_exit_2(self, capsys, model_file, chain_file,
+                                        baseline):
+        code, out, err = run(capsys, "criteria", "--model", model_file,
+                             "--data", chain_file,
+                             f"--baseline-loglik={baseline}")
+        assert code == 2 and out == ""
+        assert err == f"error: log_likelihood_1 must be finite, got {float(baseline)!r}\n"
 
     def test_tree_without_baseline(self, capsys, model_file, tree_file):
         code, out, _ = run(capsys, "criteria", "--model", model_file,
@@ -457,6 +480,30 @@ class TestExitCodes:
         assert code == 0 and "entropy" in out
 
 
+# (data kind, command) of every command that reads data
+COMMANDS = [
+    ("tree", ("smooth",)), ("tree", ("viterbi",)),
+    ("tree", ("viterbi-profiles",)),
+    ("tree", ("entropy", "--cond", "parent")),
+    ("tree", ("entropy", "--cond", "children")),
+    ("tree", ("entropy", "--cond", "both")), ("tree", ("criteria",)),
+    ("tree", ("oracle",)), ("tree", ("summary",)),
+    ("chain", ("summary",)), ("chain", ("entropy", "--cond", "future")),
+    ("chain", ("entropy", "--cond", "past")), ("chain", ("criteria",)),
+    ("chain", ("smooth",)), ("chain", ("viterbi",)), ("chain", ("oracle",)),
+]
+
+# three states; one categorical and two Poisson variables
+COUNT_MODEL = HmmModel(
+    [0.5, 0.3, 0.2], [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]],
+    [[Categorical([0.6, 0.4]), Poisson(1.0), Poisson(0.5)],
+     [Categorical([0.3, 0.7]), Poisson(4.0), Poisson(2.0)],
+     [Categorical([0.5, 0.5]), Poisson(0.0), Poisson(6.0)]])
+COUNT_CHAINS = "0,1,0;1,3,2;0,0,1\n1,5,4;1,2,0;0,0,3;1,4,6\n"
+COUNT_TREE = ("0 -1 0,1,0\n1 0 1,3,2\n2 0 0,0,1\n3 1 1,5,4\n"
+              "4 1 1,2,0\n5 2 0,0,3\n")
+
+
 class TestOneRoutePerQuantity:
     """Commands compute each quantity by one route and parse data once; the
     second routes are references for the tests only, and the full tree
@@ -467,17 +514,7 @@ class TestOneRoutePerQuantity:
                   "tree_entropy_profile")
     PARSERS = ("parse_tree", "parse_sequence")
 
-    @pytest.mark.parametrize("data, argv", [
-        ("tree", ("smooth",)), ("tree", ("viterbi",)),
-        ("tree", ("viterbi-profiles",)),
-        ("tree", ("entropy", "--cond", "parent")),
-        ("tree", ("entropy", "--cond", "children")),
-        ("tree", ("entropy", "--cond", "both")), ("tree", ("criteria",)),
-        ("tree", ("oracle",)), ("tree", ("summary",)),
-        ("chain", ("summary",)), ("chain", ("entropy", "--cond", "future")),
-        ("chain", ("entropy", "--cond", "past")), ("chain", ("criteria",)),
-        ("chain", ("smooth",)), ("chain", ("viterbi",)), ("chain", ("oracle",)),
-    ])
+    @pytest.mark.parametrize("data, argv", COMMANDS)
     def test_references_unused_and_data_parsed_once(
             self, capsys, monkeypatch, model_file, tree_file, chain_file,
             data, argv):
@@ -534,6 +571,50 @@ class TestOneRoutePerQuantity:
             patch_everywhere(monkeypatch, name, forbidden)
         assert run(capsys, *argv)[:2] == (0, expected[1])
 
+    @pytest.mark.parametrize("data, argv",
+                             [case for case in COMMANDS if case[1] != ("oracle",)])
+    def test_each_quantity_evaluated_once(self, capsys, monkeypatch, tmp_path,
+                                          data, argv):
+        """One emission matrix per command, log x! once per Poisson variable
+        of it, the max-product recursion only through the public Viterbi
+        routes, and on chains one marginal-entropy table at most."""
+        from hmmentropy import model as model_module, tree
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(COUNT_MODEL))
+        data_path = tmp_path / "data.txt"
+        data_path.write_text(COUNT_TREE if data == "tree" else COUNT_CHAINS)
+        rows = 6 if data == "tree" else 7
+        argv = argv + ("--model", str(model_path), "--data", str(data_path))
+        calls = {"emission": 0, "gammaln": 0, "max_product": 0, "marginal": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counting_entr(x, *args, **kwargs):
+            if np.shape(x) == (rows, COUNT_MODEL.num_states):
+                calls["marginal"] += 1
+            return entr(x, *args, **kwargs)
+
+        patch_everywhere(monkeypatch, "log_emission_matrix",
+                         counting("emission", model_module.log_emission_matrix))
+        patch_everywhere(monkeypatch, "gammaln",
+                         counting("gammaln", model_module.gammaln))
+        patch_everywhere(monkeypatch, "entr", counting_entr)
+        # in the tree module alone: commands reach it through its public routes
+        monkeypatch.setattr(tree, "_max_product",
+                            counting("max_product", tree._max_product))
+        assert run(capsys, *argv)[0] == 0
+        viterbi = argv[0] in ("viterbi", "viterbi-profiles") and data == "tree"
+        expected = {"emission": 1, "gammaln": 2,
+                    "max_product": 1 if viterbi else 0,
+                    "marginal": 0 if argv[0] in ("smooth", "viterbi") else 1}
+        if data == "tree":  # the tree profiles take their own marginal terms
+            del calls["marginal"], expected["marginal"]
+        assert calls == expected
+
     def test_viterbi_profiles_runs_max_product_once(self, capsys, monkeypatch,
                                                     model_file, tree_file):
         from hmmentropy import tree
@@ -548,3 +629,16 @@ class TestOneRoutePerQuantity:
         code, _, _ = run(capsys, "viterbi-profiles", "--model", model_file,
                          "--data", tree_file)
         assert code == 0 and len(calls) == 1
+
+
+def test_cli_imports_no_private_name():
+    """The command line uses the package's public interface only."""
+    import ast
+    from hmmentropy import cli
+    with open(cli.__file__, encoding="utf-8") as source:
+        module = ast.parse(source.read())
+    private = [alias.name for node in ast.walk(module)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("hmmentropy"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

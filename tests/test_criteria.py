@@ -63,6 +63,14 @@ class TestNec:
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["ll", "h", "ll1"])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_input(**{field: value})
+
+
 class TestBicIclBic:
     def test_zero_parameters_zero_loglik(self):
         assert bic(make_input(ll=0.0, d=0, n=1, h=0.0)) == 0.0

@@ -499,6 +499,9 @@ MALFORMED = [
      "line 2: observed values must be non-negative integers"),
     (parse_detected, f"0 1\n2 {-2 ** 63 - 1} 3\n",
      f"line 2: error at token 2: '{-2 ** 63 - 1}' is outside the int64 range"),
+    # a tree whose first line lacks its values: line 2 is a root line
+    (parse_detected, "1 0\n0 -1 0\n",
+     "line 1: expected 'vertex parent values', got 2 fields"),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, xlogy
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, ValidationError, emission_prob,
@@ -186,6 +187,66 @@ class TestEmissionProb:
         model = HmmModel([1.0], [[1.0]], [[Poisson(3.0), Categorical([0.4, 0.6])]])
         lp = log_emission_matrix(model, np.array([[2, 1]]))[0, 0]
         assert math.exp(lp) == pytest.approx(emission_prob(model, 0, [2, 1]), rel=1e-12)
+
+
+def reference_log_emissions(model, values):
+    """Per state, per variable sums of the log pmfs, in that order."""
+    out = np.zeros((values.shape[0], model.num_states))
+    for j, state_vars in enumerate(model.emissions):
+        for k, var in enumerate(state_vars):
+            x = values[:, k]
+            if isinstance(var, Categorical):
+                with np.errstate(divide="ignore"):
+                    out[:, j] += np.log(var.probs[x])
+            else:
+                x = x.astype(float)
+                out[:, j] += xlogy(x, var.rate) - var.rate - gammaln(x + 1.0)
+    return out
+
+
+@st.composite
+def emission_instances(draw):
+    """A model of random per-variable kinds, with zero categorical entries
+    and zero Poisson rates, and values valid for it."""
+    j = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    prob = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    variables, columns = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            variables.append([Categorical(draw(st.lists(prob, min_size=size,
+                                                        max_size=size)))
+                              for _ in range(j)])
+            top = size - 1
+        else:
+            variables.append([Poisson(draw(rate)) for _ in range(j)])
+            top = 60
+        columns.append(draw(st.lists(st.integers(0, top), min_size=n,
+                                     max_size=n)))
+    model = HmmModel(np.full(j, 1.0 / j), np.full((j, j), 1.0 / j),
+                     [list(state_vars) for state_vars in zip(*variables)])
+    return model, np.array(columns, dtype=np.int64).T
+
+
+class TestLogEmissionMatrix:
+    @given(emission_instances())
+    @settings(max_examples=200)
+    def test_bit_identical_to_per_state_sum(self, instance):
+        model, values = instance
+        got = log_emission_matrix(model, values)
+        want = reference_log_emissions(model, values)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("other", [Poisson(1.0), Categorical([0.2, 0.3, 0.5])])
+    def test_differing_signatures_raise(self, other):
+        model = HmmModel([0.5, 0.5], np.full((2, 2), 0.5),
+                         [[Categorical([0.5, 0.5])], [other]])
+        with pytest.raises(ValidationError,
+                           match="state 1 variable signature differs"):
+            log_emission_matrix(model, np.array([[0], [1]]))
 
 
 # two states, one categorical and one Poisson variable: the seeded draws

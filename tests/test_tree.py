@@ -12,6 +12,7 @@ from hmmentropy import (Categorical, HmmModel, ImpossibleObservationError,
                         enumerate_tree, simulate_tree, smooth_chain,
                         smooth_tree, upward_pass, viterbi_chain,
                         viterbi_profiles, viterbi_tree)
+from hmmentropy.model import log_emission_matrix
 from hmmentropy.tree_entropy import (parent_conditional_profile,
                                      subtree_entropies_approach1)
 
@@ -168,33 +169,34 @@ class TestViterbiTree:
 class TestViterbiProfiles:
     def test_single_vertex_equals_smoothed(self, m1):
         tree = ObservedTree(TreeTopology([-1]), [[0]])
-        prof = viterbi_profiles(m1, tree)
+        _, prof = viterbi_profiles(m1, tree)
         post = smooth_tree(m1, tree)
         np.testing.assert_allclose(prof[0], post.smoothed[0], atol=1e-12)
 
     def test_star_constrained_value(self, m1):
-        prof = viterbi_profiles(m1, star_tree())
+        _, prof = viterbi_profiles(m1, star_tree())
         assert prof[0, 1] == pytest.approx(0.1 * 0.18 ** 2 / 0.2258, rel=1e-10)
 
     def test_deterministic_rows_are_indicators(self):
         model = state_revealing_model(2)
         topo = random_topology(np.random.default_rng(7), 8)
         values = np.random.default_rng(8).integers(0, 2, size=8)
-        prof = viterbi_profiles(model, ObservedTree(topo, values))
+        _, prof = viterbi_profiles(model, ObservedTree(topo, values))
         np.testing.assert_allclose(prof, np.eye(2)[values], atol=1e-12)
 
     def test_row_maxima_equal_viterbi_posterior(self):
         for seed in range(30):
             model, tree = random_tree_instance(seed)
-            prof = viterbi_profiles(model, tree)
-            _, log_joint = viterbi_tree(model, tree)
+            vstates, prof = viterbi_profiles(model, tree)
+            states, log_joint = viterbi_tree(model, tree)
+            assert np.array_equal(vstates, states)
             ll = upward_pass(model, tree).log_likelihood
             np.testing.assert_allclose(prof.max(axis=1),
                                        math.exp(log_joint - ll), rtol=1e-9)
 
     def test_matches_oracle(self):
         for model, tree in oracle_tree_instances(60):
-            prof = viterbi_profiles(model, tree)
+            _, prof = viterbi_profiles(model, tree)
             res = enumerate_tree(model, tree)
             for u in range(tree.num_vertices):
                 for j in range(model.num_states):
@@ -220,12 +222,14 @@ def scatter_instances():
 def level_pass_tables(model, tree):
     """Every table the level passes scatter into, and what is built on them."""
     post = smooth_tree(model, tree)
-    states, m, best = tree_passes._max_product(model, tree)
+    states, m, best = tree_passes._max_product(
+        model, tree,
+        log_emission_matrix(model, tree.values)[tree.topology.downward_order])
     parent_cond = parent_conditional_profile(model, tree, post)
     sums = subtree_entropies_approach1(model, tree, post, parent_cond)
     return [post.ratio, post.beta_edge, post.log_normalizers,
             np.array(post.log_likelihood), post.smoothed, states, m, best,
-            viterbi_profiles(model, tree), *sums[:3], np.array(sums[3])]
+            *viterbi_profiles(model, tree), *sums[:3], np.array(sums[3])]
 
 
 class TestLevelScatter:
