@@ -7,12 +7,11 @@ with an exact enumeration oracle for verification on small instances and
 entropy-aware model selection criteria.
 """
 
-from .chain import (ChainPosterior, backward_smooth, forward_pass, smooth_chain,
-                    smooth_dataset, viterbi_chain, viterbi_dataset)
+from .chain import (ChainPosterior, smooth_chain, smooth_dataset, viterbi_chain,
+                    viterbi_dataset)
 from .chain_entropy import (ChainEntropyProfile, entropy_future,
                             entropy_future_direct, entropy_past_direct,
-                            entropy_past_hernando, hernando_table,
-                            marginal_entropy_profile)
+                            entropy_past_hernando, hernando_table)
 from .criteria import CriterionInput, bic, free_parameter_count, icl_bic, nec
 from .errors import (BudgetExceededError, DataFormatError, HmmError,
                      ImpossibleObservationError, ValidationError)
@@ -37,11 +36,10 @@ __all__ = [
     "HmmModel", "Categorical", "Poisson", "ObservedSequence", "ObservedTree",
     "TreeTopology", "validate_model", "emission_prob", "simulate_chain",
     "simulate_tree",
-    "ChainPosterior", "forward_pass", "backward_smooth", "smooth_chain",
-    "smooth_dataset", "viterbi_chain", "viterbi_dataset",
-    "ChainEntropyProfile", "marginal_entropy_profile", "entropy_past_hernando",
-    "entropy_past_direct", "entropy_future", "entropy_future_direct",
-    "hernando_table",
+    "ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
+    "viterbi_dataset",
+    "ChainEntropyProfile", "entropy_past_hernando", "entropy_past_direct",
+    "entropy_future", "entropy_future_direct", "hernando_table",
     "TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
     "viterbi_tree", "viterbi_profiles",
     "TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",

@@ -44,17 +44,17 @@ fsum of the restored path's terms.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpossibleObservationError
+from .errors import ImpossibleObservationError, ValidationError
 from .model import (HmmModel, ObservedSequence, log_emission_matrix,
                     log_joint_terms)
-from .numutil import fsum, safe_div, tie_argmax
+from .numutil import entr, fsum, safe_div, tie_argmax
 
-__all__ = ["ChainPosterior", "forward_pass", "backward_smooth", "smooth_chain",
-           "smooth_dataset", "viterbi_chain", "viterbi_dataset"]
+__all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
+           "viterbi_dataset"]
 
 
 @dataclass
@@ -66,7 +66,8 @@ class ChainPosterior:
     forward[t]       P(S_t = . | X_0^t = x_0^t)
     log_normalizers  log N_t = log P(X_t = x_t | X_0^{t-1} = x_0^{t-1})
     predicted[t]     P(S_t = . | X_0^{t-1} = x_0^{t-1}), predicted[0] = initial
-    smoothed[t]      P(S_t = . | X = x)  (None until backward_smooth has run)
+    smoothed[t]      P(S_t = . | X = x)
+    marginal_entropy[t]  H(S_t | X = x), built on first read; read-only
     """
 
     forward: np.ndarray
@@ -74,7 +75,13 @@ class ChainPosterior:
     predicted: np.ndarray
     log_likelihood: float
     offsets: np.ndarray
-    smoothed: Optional[np.ndarray] = None
+    smoothed: np.ndarray
+
+    @cached_property
+    def marginal_entropy(self) -> np.ndarray:
+        marginal = entr(self.smoothed).sum(axis=1)
+        marginal.flags.writeable = False
+        return marginal
 
 
 def _segment_length(t_max: int) -> int:
@@ -287,40 +294,23 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
     return smoothed
 
 
-def _prepare(model: HmmModel, seqs: list):
-    """(segments, log-emission matrix, transfer, log_scale) of a dataset."""
-    seg = _Segments([seq.length for seq in seqs])
-    log_b = log_emission_matrix(model, np.concatenate([seq.values
-                                                       for seq in seqs]))
-    return (seg, log_b) + _transfers(model, seg, log_b)
-
-
-def forward_pass(model: HmmModel, seq: ObservedSequence) -> ChainPosterior:
-    """Scaled forward recursion; returns a posterior without smoothed table."""
-    forward, predicted, log_norm = _forward(model, *_prepare(model, [seq]))
-    return ChainPosterior(forward, log_norm, predicted, fsum(log_norm),
-                          np.array([0, seq.length]))
-
-
-def backward_smooth(model: HmmModel, seq: ObservedSequence,
-                    fwd: ChainPosterior) -> ChainPosterior:
-    """Backward recursion filling the smoothed table L_t.
-
-    The L_{t+1}(k)/G_{t+1}(k) weights use the 0/0 = 0 convention, which is
-    the only way a zero predicted probability can be reached.
-    """
-    seg, _, transfer, log_scale = _prepare(model, [seq])
-    smoothed = _backward(model, seg, fwd.forward, fwd.predicted, transfer,
-                         log_scale)
-    return ChainPosterior(fwd.forward, fwd.log_normalizers, fwd.predicted,
-                          fwd.log_likelihood, fwd.offsets, smoothed)
+def _emissions(model: HmmModel, seqs):
+    """(lengths, stacked log-emission matrix) of a dataset of sequences."""
+    seqs = list(seqs)
+    if not seqs:
+        raise ValidationError("the dataset is empty: it holds no sequence")
+    return ([seq.length for seq in seqs],
+            log_emission_matrix(model, np.concatenate([seq.values
+                                                       for seq in seqs])))
 
 
 def smooth_dataset(model: HmmModel, seqs) -> ChainPosterior:
     """Forward pass and backward smoothing of every sequence of a dataset
     in one batch.  An impossible observation is reported at the lowest
     sequence index that has one, and at that sequence's first."""
-    seg, log_b, transfer, log_scale = _prepare(model, list(seqs))
+    lengths, log_b = _emissions(model, seqs)
+    seg = _Segments(lengths)
+    transfer, log_scale = _transfers(model, seg, log_b)
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
                                             log_scale)
     del log_b
@@ -400,10 +390,7 @@ def viterbi_dataset(model: HmmModel, seqs):
     recursion grouped its sums.  A sequence whose every path is impossible
     is reported at the lowest sequence index that has one.
     """
-    seqs = list(seqs)
-    lengths = [seq.length for seq in seqs]
-    log_b = log_emission_matrix(model, np.concatenate([seq.values
-                                                       for seq in seqs]))
+    lengths, log_b = _emissions(model, seqs)
     n, j = log_b.shape
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)

@@ -21,9 +21,9 @@ from .chain import ChainPosterior
 from .model import HmmModel, ObservedSequence
 from .numutil import _blocks, compensated_cumsum, entr, fsum, safe_div
 
-__all__ = ["ChainEntropyProfile", "marginal_entropy_profile",
-           "entropy_past_hernando", "entropy_past_direct", "entropy_future",
-           "entropy_future_direct", "hernando_table"]
+__all__ = ["ChainEntropyProfile", "entropy_past_hernando",
+           "entropy_past_direct", "entropy_future", "entropy_future_direct",
+           "hernando_table"]
 
 
 @dataclass
@@ -32,7 +32,7 @@ class ChainEntropyProfile:
     their posterior; the formulas below hold within each sequence.
 
     direction   'past' or 'future'
-    marginal    H(S_t | X = x)
+    marginal    H(S_t | X = x), the posterior's read-only marginal_entropy
     conditional past:   [H(S_0|X), H(S_1|S_0,X), ..., H(S_{T-1}|S_{T-2},X)]
                 future: [H(S_0|S_1,X), ..., H(S_{T-2}|S_{T-1},X), H(S_{T-1}|X)]
     partial     past: H(S_0^t | X); future: H(S_t^{T-1} | X), the
@@ -47,16 +47,9 @@ class ChainEntropyProfile:
     global_entropy: float
 
 
-def marginal_entropy_profile(posterior: ChainPosterior) -> np.ndarray:
-    """Pointwise entropy of the smoothed state distributions."""
-    return entr(posterior.smoothed).sum(axis=1)
-
-
 def _neighbours(model, posterior, direction):
     """Walk-order blocks of about BLOCK_CELLS / J^2 rows t whose neighbour n,
     t - 1 ('past') or t + 1 ('future'), is in their sequence, as (t, n)."""
-    if posterior.smoothed is None:
-        raise ValueError("posterior lacks the smoothed table; run backward_smooth")
     if direction not in ("past", "future"):
         raise ValueError(f"direction must be 'past' or 'future', not {direction!r}")
     step = -1 if direction == "past" else 1
@@ -83,7 +76,7 @@ def _route(model, posterior, direction, term):
     partials are their compensated running sums along the walk, and H(S | X)
     is the fsum of each sequence's last one."""
     blocks = _neighbours(model, posterior, direction)
-    marginal = entr(posterior.smoothed).sum(axis=1)
+    marginal = posterior.marginal_entropy
     conditional = marginal.copy()
     for t, n in blocks:
         conditional[t] = term(model, posterior, direction, t, n, marginal)
@@ -142,6 +135,8 @@ def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
     H(S_{t-1} | X), the middle term from the predecessor law
     p_ij F_{t-1}(i) / G_t(j); the partial entropies H(S_0^t | X) are their
     (compensated) running sums.
+
+    seq is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "past", _from_law)
 
@@ -153,6 +148,8 @@ def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
     Each H(S_t | S_{t-1}, X) is H(S_{t-1}, S_t | X) - H(S_{t-1} | X), the
     first term from the pairwise posterior; partial entropies follow by
     (compensated) cumulative summation.
+
+    seq is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "past", _from_pairwise)
 
@@ -165,6 +162,8 @@ def entropy_future(model: HmmModel, seq: ObservedSequence,
     H(S_{t+1} | X), the middle term from the successor law
     p_jk L_{t+1}(k) / G_{t+1}(k), normalized over k; the suffix partials
     H(S_t^{T-1} | X) are their (compensated) reverse running sums.
+
+    seq is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "future", _from_law)
 
@@ -176,5 +175,7 @@ def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
     Each H(S_t | S_{t+1}, X) is H(S_t, S_{t+1} | X) - H(S_{t+1} | X), the
     first term from the pairwise posterior; suffix partial entropies follow
     by (compensated) reverse cumulative summation.
+
+    seq is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "future", _from_pairwise)

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure (impossible observation), 4 budget exceeded.
 """
 
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .fileio import (ProfileTable, detect_data_kind, parse_model,
                      parse_sequence, parse_tree, serialize_sequence,
                      serialize_tree, write_profile)
 from .model import simulate_chain, simulate_tree, validate_model
-from .numutil import entr, fsum
+from .numutil import fsum
 from .oracle import DEFAULT_CONFIG_BUDGET, enumerate_chain, enumerate_tree
 from .tree import smooth_tree, viterbi_profiles, viterbi_tree
 from .tree_entropy import (DEFAULT_OP_BUDGET, EntropySummary,
@@ -56,12 +57,12 @@ def cli():
 
 
 def _emit(text: str, out_file):
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as out:
-            for start in range(0, len(text), _WRITE_CHARS):
-                out.write(text[start:start + _WRITE_CHARS])
-    else:
-        click.echo(text, nl=False)
+    """Write text to out_file, or to stdout, _WRITE_CHARS at a time."""
+    with (open(out_file, "w", encoding="utf-8") if out_file
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for start in range(0, len(text), _WRITE_CHARS):
+            out.write(text[start:start + _WRITE_CHARS])
+        out.flush()
 
 
 def _load_model(model_file):
@@ -109,17 +110,15 @@ def _id_table(kind, data):
 
 
 def _sums(model, kind, data):
-    """Posterior, H(S | X) and marginal entropy sum of a tree or a dataset."""
+    """Posterior and H(S | X) of a tree or a dataset."""
     if kind == "tree":
         post = smooth_tree(model, data)
         g = fsum(parent_conditional_profile(model, data, post))
-        marginal = entr(post.smoothed).sum(axis=1)
     else:
         post = smooth_dataset(model, data)
-        prof = entropy_past_hernando(model, data, post)
-        g, marginal = prof.global_entropy, prof.marginal
-    # sums of non-negative terms, which go negative only by rounding
-    return post, max(0.0, g), max(0.0, fsum(marginal))
+        g = entropy_past_hernando(model, data, post).global_entropy
+    # a sum of non-negative terms, which goes negative only by rounding
+    return post, max(0.0, g)
 
 
 @cli.command()
@@ -214,8 +213,6 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
             raise click.UsageError("tree input takes --cond parent|children|both")
         post = smooth_tree(model, data)
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
-        smoothed = post.smoothed
-        marginal = entr(smoothed).sum(axis=1)
         columns = []
         if cond != "children":
             pc = parent_conditional_profile(model, data, post)
@@ -234,13 +231,12 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
             raise click.UsageError("chain input takes --cond past|future")
         route = entropy_past_hernando if cond == "past" else entropy_future
         post = smooth_dataset(model, data)
-        smoothed = post.smoothed
         prof = route(model, data, post)
-        marginal = prof.marginal
         columns = [(f"cond_entropy_{cond}", prof.conditional),
                    (f"partial_entropy_{cond}", prof.partial)]
-        # only these columns are written: free the other tables first
-        del post, prof
+    smoothed, marginal = post.smoothed, post.marginal_entropy
+    # only these columns are written: free the other tables first
+    del post
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
@@ -282,7 +278,7 @@ def criteria(model_file, data_file, out_file, baseline_loglik):
     """BIC / ICL-BIC (and NEC given a baseline) over the whole dataset."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    post, h, _ = _sums(model, kind, data)
+    post, h = _sums(model, kind, data)
     log_likelihood = post.log_likelihood
     sample_size = len(post.smoothed)
     inp = CriterionInput(log_likelihood=log_likelihood, global_entropy=h,
@@ -336,7 +332,9 @@ def summary(model_file, data_file, out_file, log_base, budget):
     """G/C/M entropy sums and their relative gaps."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
-    post, g, m = _sums(model, kind, data)
+    post, g = _sums(model, kind, data)
+    # a sum of non-negative terms, which goes negative only by rounding
+    m = max(0.0, fsum(post.marginal_entropy))
     if kind == "tree":
         op_budget = budget if budget is not None else DEFAULT_OP_BUDGET
         c = fsum(children_conditional_profile(model, data, post, op_budget))

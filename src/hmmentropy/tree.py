@@ -26,6 +26,7 @@ likelihood is below 1e-308 of the largest at its vertex.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ImpossibleObservationError
 from .model import (HmmModel, ObservedTree, log_emission_matrix,
                     log_joint_terms)
-from .numutil import fsum, safe_div, tie_argmax
+from .numutil import entr, fsum, safe_div, tie_argmax
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
            "viterbi_tree", "viterbi_profiles"]
@@ -50,6 +51,7 @@ class TreePosterior:
                        state; the root row is unused and filled with ones
     log_normalizers[u] log N_u, with sum_u log N_u = log P(X = x)
     smoothed[u]        xi_u = P(S_u = . | X = x)  (None until downward_pass)
+    marginal_entropy[u]  H(S_u | X = x), built on first read; read-only
     """
 
     prior: np.ndarray
@@ -62,6 +64,14 @@ class TreePosterior:
     @property
     def beta(self) -> np.ndarray:
         return self.prior * self.ratio
+
+    @cached_property
+    def marginal_entropy(self) -> np.ndarray:
+        if self.smoothed is None:
+            raise ValueError("posterior lacks the smoothed table; run downward_pass")
+        marginal = entr(self.smoothed).sum(axis=1)
+        marginal.flags.writeable = False
+        return marginal
 
 
 def _add_rows_at(table: np.ndarray, rows: np.ndarray, values: np.ndarray):

@@ -48,7 +48,8 @@ DEFAULT_OP_BUDGET = 10 ** 8
 class TreeEntropyProfile:
     """Per-vertex entropy profile of a smoothed tree.
 
-    marginal[u]                H(S_u | X)
+    marginal[u]                H(S_u | X), the posterior's read-only
+                               marginal_entropy
     parent_conditional[u]      H(S_u | S_parent(u), X); root: H(S_0 | X)
     children_conditional[u]    H(S_u | S_children(u), X); leaf: H(S_u | X)
     subtree_given_parent[u]    H(subtree states at u | S_parent(u), X);
@@ -145,8 +146,7 @@ def subtree_entropies_approach1(model: HmmModel, tree: ObservedTree,
         # whole target on every call
         np.add.at(sgp, topo.parent_position[start:stop], sgp[start:stop].copy())
     sgp = sgp[topo.position]
-    marginal = entr(posterior.smoothed).sum(axis=1)
-    partial_subtree = sgp - parent_cond + marginal
+    partial_subtree = sgp - parent_cond + posterior.marginal_entropy
     partial_subtree[0] = sgp[0]
     complement = sgp[0] - sgp
     complement[0] = 0.0
@@ -181,7 +181,7 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     beta0 = posterior.beta[0]
     global_entropy = float(beta0 @ h[0]) + float(entr(beta0).sum())
     partial_subtree = np.einsum("uj,uj->u", posterior.smoothed, h) \
-        + entr(posterior.smoothed).sum(axis=1)
+        + posterior.marginal_entropy
     parent_cond = parent_conditional_profile(model, tree, posterior)
     complement = global_entropy \
         - np.einsum("uj,uj->u", posterior.smoothed, h) - parent_cond
@@ -232,7 +232,7 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
     j = model.num_states
     _children_budget_check(j, topo.child_count, op_budget)
     order, first = topo.by_parent
-    out = entr(posterior.smoothed).sum(axis=1)  # leaf convention
+    out = posterior.marginal_entropy.copy()  # leaf convention
     for c in np.unique(topo.child_count[topo.child_count > 0]).tolist():
         group = np.flatnonzero(topo.child_count == c)
         for lo, hi in _blocks(0, group.size, j ** (c + 1)):
@@ -254,13 +254,12 @@ def tree_entropy_profile(model: HmmModel, tree: ObservedTree,
                          op_budget: int = DEFAULT_OP_BUDGET) -> TreeEntropyProfile:
     """Assemble the full per-vertex entropy profile of a smoothed tree."""
     _require_smoothed(posterior)
-    marginal = entr(posterior.smoothed).sum(axis=1)
     parent_cond = parent_conditional_profile(model, tree, posterior)
     sgp, partial_subtree, complement, global_entropy = subtree_entropies_approach1(
         model, tree, posterior, parent_cond)
     children_cond = children_conditional_profile(model, tree, posterior, op_budget)
     return TreeEntropyProfile(
-        marginal=marginal,
+        marginal=posterior.marginal_entropy,
         parent_conditional=parent_cond,
         children_conditional=children_cond,
         subtree_given_parent=sgp,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hmmentropy import (Categorical, HmmModel, ImpossibleObservationError,
-                        ObservedSequence, backward_smooth, enumerate_chain,
-                        forward_pass, smooth_chain, viterbi_chain)
+                        ObservedSequence, enumerate_chain, smooth_chain,
+                        viterbi_chain)
 from hmmentropy.model import emission_prob
 
 from conftest import (M1, random_chain_instance, state_revealing_model,
@@ -79,12 +79,12 @@ def brute_force_filter(model, seq):
 
 class TestForward:
     def test_m1_single_step(self, m1):
-        post = forward_pass(m1, ObservedSequence([0]))
+        post = smooth_chain(m1, ObservedSequence([0]))
         np.testing.assert_allclose(post.forward[0], [0.8, 0.2], rtol=1e-12)
         assert np.exp(post.log_normalizers[0]) == pytest.approx(0.5, rel=1e-12)
 
     def test_m1_two_steps(self, m1):
-        post = forward_pass(m1, ObservedSequence([0, 0]))
+        post = smooth_chain(m1, ObservedSequence([0, 0]))
         np.testing.assert_allclose(post.predicted[1], [0.74, 0.26], rtol=1e-12)
         assert np.exp(post.log_normalizers[1]) == pytest.approx(0.644, rel=1e-12)
         np.testing.assert_allclose(
@@ -93,7 +93,7 @@ class TestForward:
     def test_state_revealing(self):
         model = state_revealing_model(3)
         seq = ObservedSequence([2, 0, 1, 1])
-        post = forward_pass(model, seq)
+        post = smooth_chain(model, seq)
         expected = np.eye(3)[seq.values[:, 0]]
         np.testing.assert_allclose(post.forward, expected, atol=1e-12)
         # N_t is the visible-chain transition probability
@@ -105,7 +105,7 @@ class TestForward:
     def test_matches_brute_force_filter(self):
         for seed in range(15):
             model, seq = random_chain_instance(seed, max_states=3, max_length=6)
-            post = forward_pass(model, seq)
+            post = smooth_chain(model, seq)
             fwd, pred, norm = brute_force_filter(model, seq)
             np.testing.assert_allclose(post.forward, fwd, atol=1e-12)
             np.testing.assert_allclose(post.predicted[1:], pred[1:], atol=1e-12)
@@ -115,7 +115,7 @@ class TestForward:
         for seed in range(25):
             model, seq = random_chain_instance(seed + 100, max_states=4,
                                                max_length=10, poisson=True)
-            post = forward_pass(model, seq)
+            post = smooth_chain(model, seq)
             fwd, pred, norm = enumerated_filter(model, seq)
             np.testing.assert_allclose(post.forward, fwd, atol=1e-10)
             np.testing.assert_allclose(post.predicted[1:], pred[1:], atol=1e-10)
@@ -126,7 +126,7 @@ class TestForward:
         model = HmmModel([0.5, 0.5], np.full((2, 2), 0.5),
                          [[Categorical([1.0, 0.0])], [Categorical([1.0, 0.0])]])
         with pytest.raises(ImpossibleObservationError, match="position 2"):
-            forward_pass(model, ObservedSequence([0, 0, 1, 0]))
+            smooth_chain(model, ObservedSequence([0, 0, 1, 0]))
 
 
 class TestBackward:
@@ -206,9 +206,3 @@ class TestViterbi:
         with pytest.raises(ImpossibleObservationError):
             viterbi_chain(model, ObservedSequence([0, 1]))
 
-
-def test_backward_requires_matching_forward(m1):
-    seq = ObservedSequence([0, 1, 0])
-    fwd = forward_pass(m1, seq)
-    post = backward_smooth(m1, seq, fwd)
-    assert post.smoothed is not None and post.smoothed.shape == (3, 2)

@@ -23,11 +23,12 @@ from scipy.special import logsumexp
 import hmmentropy.chain as chain_module
 from hmmentropy import (Categorical, ChainPosterior, HmmModel,
                         ImpossibleObservationError, ObservedSequence,
-                        ObservedTree, Poisson, TreeTopology, entropy_future,
-                        entropy_future_direct, entropy_past_direct,
-                        entropy_past_hernando, enumerate_chain, hernando_table,
-                        simulate_chain, smooth_chain, smooth_dataset,
-                        viterbi_chain, viterbi_dataset, viterbi_tree)
+                        ObservedTree, Poisson, TreeTopology, ValidationError,
+                        entropy_future, entropy_future_direct,
+                        entropy_past_direct, entropy_past_hernando,
+                        enumerate_chain, hernando_table, simulate_chain,
+                        smooth_chain, smooth_dataset, viterbi_chain,
+                        viterbi_dataset, viterbi_tree)
 from hmmentropy.chain import _segment_length, _viterbi_segment_length
 from hmmentropy.model import log_emission_matrix
 from hmmentropy.numutil import tie_argmax
@@ -238,6 +239,13 @@ def test_smoothing_out_of_double_range_is_an_error(initial, transition,
     model = HmmModel(initial, transition, emissions)
     with pytest.raises(FloatingPointError, match="sequence 0, position 0"):
         smooth_chain(model, ObservedSequence(values))
+
+
+@pytest.mark.parametrize("run", [smooth_dataset, viterbi_dataset])
+def test_empty_dataset_is_a_validation_error(run):
+    model = HmmModel([1.0], [[1.0]], [[Poisson(2.0)]])
+    with pytest.raises(ValidationError, match="^the dataset is empty"):
+        run(model, [])
 
 
 @st.composite

@@ -8,8 +8,7 @@ import pytest
 from hmmentropy import (Categorical, HmmModel, ObservedSequence,
                         enumerate_chain, entropy_future, entropy_future_direct,
                         entropy_past_direct, entropy_past_hernando,
-                        forward_pass, hernando_table, marginal_entropy_profile,
-                        simulate_chain, smooth_chain)
+                        hernando_table, simulate_chain, smooth_chain)
 from hmmentropy.numutil import BLOCK_CELLS, compensated_cumsum, entr, safe_div
 
 from conftest import random_chain_instance, state_revealing_model, uniform_model
@@ -83,7 +82,7 @@ class TestFrozenCases:
 
     def test_marginal_entropy_profile_values(self, m1):
         post = smooth_chain(m1, ObservedSequence([0, 0]))
-        np.testing.assert_allclose(marginal_entropy_profile(post),
+        np.testing.assert_allclose(post.marginal_entropy,
                                    [M1_MARGINAL] * 2, atol=1e-12)
 
 
@@ -170,17 +169,11 @@ class TestStructuralProperties:
                     a.partial, (post.smoothed * h).sum(axis=1) + a.marginal,
                     rtol=0, atol=1e-9)
 
-    def test_invalid_direction_and_unsmoothed_posterior_raise(self, m1):
+    def test_invalid_direction_raises(self, m1):
         seq = ObservedSequence([0, 1])
         with pytest.raises(ValueError, match="^direction must be 'past' or "
                                              "'future', not 'sideways'$"):
             hernando_table(m1, smooth_chain(m1, seq), "sideways")
-        forward = forward_pass(m1, seq)
-        for call in (lambda: hernando_table(m1, forward, "past"),
-                     lambda: entropy_past_hernando(m1, seq, forward),
-                     lambda: entropy_future_direct(m1, seq, forward)):
-            with pytest.raises(ValueError, match="lacks the smoothed table"):
-                call()
 
     def test_blocked_walk_rounds_as_one_step_per_position(self):
         # the same float operations in the same order as a per-position

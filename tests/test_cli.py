@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, auto-detection, exit codes."""
 
+import io
 import json
 import math
 import sys
@@ -155,6 +156,29 @@ class TestSmooth:
         out_path = tmp_path / "out.tsv"
         assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
         assert out_path.read_bytes() == expected.encode()
+
+    def test_stdout_is_written_in_slices(self, monkeypatch, tmp_path,
+                                         model_file):
+        """stdout, like --out, never receives more than one slice at a time,
+        and the slices make up the file's bytes."""
+        data_path = tmp_path / "star.txt"
+        data_path.write_text(star_text(6_000, period=2))
+        argv = ["smooth", "--model", model_file, "--data", str(data_path)]
+        out_path = tmp_path / "out.tsv"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        writes = []
+
+        class RecordingStdout(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.getvalue().encode() == out_path.read_bytes()
+        assert len(stdout.getvalue()) > 3 * cli._WRITE_CHARS
+        assert max(writes) <= cli._WRITE_CHARS
 
 
 class TestViterbi:
@@ -577,7 +601,8 @@ class TestOneRoutePerQuantity:
                                           data, argv):
         """One emission matrix per command, log x! once per Poisson variable
         of it, the max-product recursion only through the public Viterbi
-        routes, and on chains one marginal-entropy table at most."""
+        routes, and one marginal-entropy table at most: none where no
+        printed quantity needs it."""
         from hmmentropy import model as model_module, tree
         model_path = tmp_path / "model.json"
         model_path.write_text(serialize_model(COUNT_MODEL))
@@ -608,11 +633,12 @@ class TestOneRoutePerQuantity:
                             counting("max_product", tree._max_product))
         assert run(capsys, *argv)[0] == 0
         viterbi = argv[0] in ("viterbi", "viterbi-profiles") and data == "tree"
+        # tree criteria needs only the parent-conditional profile
+        no_marginal = (argv[0] in ("smooth", "viterbi", "viterbi-profiles")
+                       or (argv[0], data) == ("criteria", "tree"))
         expected = {"emission": 1, "gammaln": 2,
                     "max_product": 1 if viterbi else 0,
-                    "marginal": 0 if argv[0] in ("smooth", "viterbi") else 1}
-        if data == "tree":  # the tree profiles take their own marginal terms
-            del calls["marginal"], expected["marginal"]
+                    "marginal": 0 if no_marginal else 1}
         assert calls == expected
 
     def test_viterbi_profiles_runs_max_product_once(self, capsys, monkeypatch,

@@ -9,8 +9,8 @@ import pytest
 
 from hmmentropy import (BudgetExceededError, Categorical, HmmModel,
                         ObservedSequence, ObservedTree, TreeTopology,
-                        enumerate_chain, enumerate_tree, forward_pass,
-                        oracle_entropy, simulate_chain, upward_pass)
+                        enumerate_chain, enumerate_tree, oracle_entropy,
+                        simulate_chain, smooth_chain, upward_pass)
 from hmmentropy.numutil import entropy
 
 from conftest import M1, random_chain_instance, random_model, random_tree_instance
@@ -64,7 +64,7 @@ class TestChainEnumeration:
         for seed in range(25):
             model, seq = random_chain_instance(seed, poisson=True)
             res = enumerate_chain(model, seq)
-            ll = forward_pass(model, seq).log_likelihood
+            ll = smooth_chain(model, seq).log_likelihood
             assert res.evidence == pytest.approx(math.exp(ll), rel=1e-9)
 
 

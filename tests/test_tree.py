@@ -248,3 +248,18 @@ class TestLevelScatter:
             best = flat[7]
             neg_inf_rows += int(np.isneginf(best[1:]).any(axis=1).sum())
         assert neg_inf_rows > 0
+
+
+def test_marginal_entropy_is_built_once_and_read_only(m1):
+    """Both posteriors carry H(S_u | X) as one shared, read-only column."""
+    from hmmentropy.numutil import entr
+    for post in (smooth_chain(m1, ObservedSequence([0, 1, 0])),
+                 smooth_tree(m1, star_tree())):
+        marginal = post.marginal_entropy
+        assert marginal is post.marginal_entropy
+        np.testing.assert_array_equal(marginal,
+                                      entr(post.smoothed).sum(axis=1))
+        with pytest.raises(ValueError, match="read-only"):
+            marginal[0] = 0.0
+    with pytest.raises(ValueError, match="lacks the smoothed table"):
+        upward_pass(m1, star_tree()).marginal_entropy
