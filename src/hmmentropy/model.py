@@ -13,9 +13,9 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
+from .numutil import log_factorial, xlogy
 
 PROB_TOL = 1e-9  # tolerance on probability-vector sums
 
@@ -104,13 +104,14 @@ class Poisson:
     def add_log_pmfs(per_state, x, out):
         """Add to column j of out the log pmfs of the values x under the
         Poisson of state j in per_state; log x! is evaluated once."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         if np.any(x < 0):
             raise ValidationError("Poisson values must be non-negative integers")
-        log_factorial = gammaln(x + 1.0)
+        log_x_factorial = log_factorial(x)
+        x = x.astype(float)
         for j, var in enumerate(per_state):
             # xlogy keeps rate == 0 well defined: pmf(0) = 1, pmf(x > 0) = 0
-            out[:, j] += xlogy(x, var.rate) - var.rate - log_factorial
+            out[:, j] += xlogy(x, var.rate) - var.rate - log_x_factorial
 
     def sample(self, rng: np.random.Generator, size: int):
         return rng.poisson(self.rate, size=size)

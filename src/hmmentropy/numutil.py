@@ -8,10 +8,9 @@ always comes with a vanishing denominator in the recursions here).
 import math
 
 import numpy as np
-from scipy.special import entr, xlogy
 
-__all__ = ["entr", "xlogy", "safe_div", "entropy", "fsum", "compensated_cumsum",
-           "tie_argmax", "TIE_RTOL"]
+__all__ = ["entr", "xlogy", "log_factorial", "safe_div", "entropy", "fsum",
+           "compensated_cumsum", "tie_argmax", "TIE_RTOL"]
 
 # numbers per block of the blocked array expressions: 128 KiB per temporary
 BLOCK_CELLS = 2 ** 14
@@ -28,6 +27,46 @@ def _blocks(start, stop, cells_per_row):
     block holding about BLOCK_CELLS numbers (at least one row)."""
     rows = max(1, BLOCK_CELLS // cells_per_row)
     return ((lo, min(stop, lo + rows)) for lo in range(start, stop, rows))
+
+
+def entr(x):
+    """-x log x elementwise in float64: +0.0 at 0, -inf below 0, NaN at NaN,
+    the values of scipy.special.entr, in x's memory order as a ufunc gives."""
+    x = np.asarray(x, dtype=float)
+    # floating-point flags are silenced as in scipy: -inf and NaN are values
+    with np.errstate(all="ignore"):
+        out = np.asarray(np.log(x))
+        np.multiply(out, x, out=out)
+        np.negative(out, out=out)
+    np.copyto(out, 0.0, where=x == 0)
+    np.copyto(out, -np.inf, where=x < 0)
+    return out[()]
+
+
+def xlogy(x, y):
+    """x log y elementwise in float64 (broadcasting), +0.0 where x == 0 unless
+    y is NaN, the values of scipy.special.xlogy: x = 0, y = 0 gives 0 and
+    x > 0, y = 0 gives -inf."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.asarray(x * np.log(y))
+    np.copyto(out, 0.0, where=(x == 0) & ~np.isnan(y))
+    return out[()]
+
+
+def log_factorial(x):
+    """log x! of an array of non-negative integers, evaluated once per
+    distinct value.  Up to 170, where x! is a finite double, it is the log
+    of the exact x!; above, math.lgamma(x + 1).  Against an fsum of log k
+    the error is at most 1 ulp up to 170 and 2 ulps up to 10^4, where
+    math.lgamma alone is 3 ulps off at x = 2, 3 and 4."""
+    x = np.asarray(x)
+    values, inverse = np.unique(x, return_inverse=True)
+    table = np.array([math.log(math.factorial(int(v))) if v <= 170
+                      else math.lgamma(v + 1.0) for v in values.tolist()])
+    # the inverse is flat before numpy 2 and has x's shape after
+    return table[inverse].reshape(x.shape)
 
 
 def safe_div(num, den):

@@ -610,7 +610,7 @@ class TestOneRoutePerQuantity:
         data_path.write_text(COUNT_TREE if data == "tree" else COUNT_CHAINS)
         rows = 6 if data == "tree" else 7
         argv = argv + ("--model", str(model_path), "--data", str(data_path))
-        calls = {"emission": 0, "gammaln": 0, "max_product": 0, "marginal": 0}
+        calls = {"emission": 0, "log_factorial": 0, "max_product": 0, "marginal": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -625,8 +625,8 @@ class TestOneRoutePerQuantity:
 
         patch_everywhere(monkeypatch, "log_emission_matrix",
                          counting("emission", model_module.log_emission_matrix))
-        patch_everywhere(monkeypatch, "gammaln",
-                         counting("gammaln", model_module.gammaln))
+        patch_everywhere(monkeypatch, "log_factorial",
+                         counting("log_factorial", model_module.log_factorial))
         patch_everywhere(monkeypatch, "entr", counting_entr)
         # in the tree module alone: commands reach it through its public routes
         monkeypatch.setattr(tree, "_max_product",
@@ -636,7 +636,7 @@ class TestOneRoutePerQuantity:
         # tree criteria needs only the parent-conditional profile
         no_marginal = (argv[0] in ("smooth", "viterbi", "viterbi-profiles")
                        or (argv[0], data) == ("criteria", "tree"))
-        expected = {"emission": 1, "gammaln": 2,
+        expected = {"emission": 1, "log_factorial": 2,
                     "max_product": 1 if viterbi else 0,
                     "marginal": 0 if no_marginal else 1}
         assert calls == expected
@@ -655,6 +655,23 @@ class TestOneRoutePerQuantity:
         code, _, _ = run(capsys, "viterbi-profiles", "--model", model_file,
                          "--data", tree_file)
         assert code == 0 and len(calls) == 1
+
+
+def test_fresh_import_loads_no_scipy():
+    """scipy is a test dependency only: its import alone took most of a
+    command's start-up."""
+    import os
+    import subprocess
+    from pathlib import Path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, hmmentropy.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_imports_no_private_name():

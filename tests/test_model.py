@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, xlogy
+from scipy import special
 
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, ValidationError, emission_prob,
                         simulate_chain, simulate_tree, validate_model)
 from hmmentropy.model import log_emission_matrix
+from hmmentropy.numutil import log_factorial, xlogy
 
 from conftest import (M1, TOPOLOGY_KINDS, random_model, random_topology,
                       state_revealing_model)
@@ -189,19 +190,27 @@ class TestEmissionProb:
         assert math.exp(lp) == pytest.approx(emission_prob(model, 0, [2, 1]), rel=1e-12)
 
 
-def reference_log_emissions(model, values):
-    """Per state, per variable sums of the log pmfs, in that order."""
+def reference_log_emissions(model, values, log_factorial=log_factorial,
+                            xlogy=xlogy):
+    """Per state, per variable sums of the log pmfs, in that order, with
+    the given log x! and x log y kernels; and per cell the summed magnitudes
+    of the finite terms, the scale of the sum's rounding."""
     out = np.zeros((values.shape[0], model.num_states))
+    scale = np.zeros_like(out)
     for j, state_vars in enumerate(model.emissions):
         for k, var in enumerate(state_vars):
             x = values[:, k]
             if isinstance(var, Categorical):
                 with np.errstate(divide="ignore"):
-                    out[:, j] += np.log(var.probs[x])
+                    log_p = np.log(var.probs[x])
+                out[:, j] += log_p
+                scale[:, j] -= np.nan_to_num(log_p, neginf=0.0)
             else:
-                x = x.astype(float)
-                out[:, j] += xlogy(x, var.rate) - var.rate - gammaln(x + 1.0)
-    return out
+                x_log_rate = xlogy(x.astype(float), var.rate)
+                out[:, j] += x_log_rate - var.rate - log_factorial(x)
+                scale[:, j] += (np.abs(np.nan_to_num(x_log_rate, neginf=0.0))
+                                + var.rate + log_factorial(x))
+    return out, scale
 
 
 @st.composite
@@ -236,9 +245,26 @@ class TestLogEmissionMatrix:
     def test_bit_identical_to_per_state_sum(self, instance):
         model, values = instance
         got = log_emission_matrix(model, values)
-        want = reference_log_emissions(model, values)
+        want, _ = reference_log_emissions(model, values)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @given(emission_instances())
+    @settings(max_examples=200)
+    def test_poisson_terms_agree_with_scipy(self, instance):
+        """The numpy x log y and the exact-or-lgamma log x! against scipy's
+        xlogy and gammaln: within 16 eps of the terms' summed magnitudes,
+        room for the few ulps by which each of log y and log x! may differ
+        between the two libraries, and -inf in the same cells."""
+        model, values = instance
+        got = log_emission_matrix(model, values)
+        want, scale = reference_log_emissions(
+            model, values, lambda x: special.gammaln(x + 1.0), special.xlogy)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[~finite], want[~finite])
+        error = np.abs(got[finite] - want[finite])
+        assert np.all(error <= 16 * np.finfo(float).eps * scale[finite])
 
     @pytest.mark.parametrize("other", [Poisson(1.0), Categorical([0.2, 0.3, 0.5])])
     def test_differing_signatures_raise(self, other):
