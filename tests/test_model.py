@@ -207,9 +207,10 @@ def reference_log_emissions(model, values, log_factorial=log_factorial,
                 scale[:, j] -= np.nan_to_num(log_p, neginf=0.0)
             else:
                 x_log_rate = xlogy(x.astype(float), var.rate)
-                out[:, j] += x_log_rate - var.rate - log_factorial(x)
+                log_x_factorial = log_factorial(x)
+                out[:, j] += x_log_rate - var.rate - log_x_factorial
                 scale[:, j] += (np.abs(np.nan_to_num(x_log_rate, neginf=0.0))
-                                + var.rate + log_factorial(x))
+                                + var.rate + log_x_factorial)
     return out, scale
 
 
