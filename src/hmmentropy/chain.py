@@ -10,7 +10,8 @@ shifts it by its maximum before exponentiating, and the shift is added back
 into log N_t.  A zero normalizer means the observation is impossible under
 the model and is a hard error, never a silent renormalization.
 
-One kernel smooths a whole dataset.  Every sequence is cut into segments of
+One kernel smooths a whole dataset, read as the stacked rows and sequence
+offsets of one ObservedSequence.  Every sequence is cut into segments of
 L = ceil(sqrt(T_max)) positions, T_max the length of the longest sequence
 (only a sequence's last segment is shorter), and the segments of all
 sequences are the rows of one batch.  The forward filter is a two-level
@@ -60,8 +61,8 @@ __all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
 @dataclass
 class ChainPosterior:
     """Smoothing tables of a dataset of chains, stacked in dataset order:
-    rows offsets[s]:offsets[s + 1] belong to sequence s, and log_likelihood
-    is the dataset's.  Within each sequence:
+    rows offsets[s]:offsets[s + 1] belong to sequence s (the dataset's own
+    offsets), and log_likelihood is the dataset's.  Within each sequence:
 
     forward[t]       P(S_t = . | X_0^t = x_0^t)
     log_normalizers  log N_t = log P(X_t = x_t | X_0^{t-1} = x_0^{t-1})
@@ -112,12 +113,12 @@ class _Segments:
     block k are the predecessors of the rows of block k + 1, in order.  The
     rows from B = count[0] on are those with a predecessor, and seq[r] is the
     sequence of row r.  Segments are `size` positions long, by default
-    ceil(sqrt(T_max)).
+    ceil(sqrt(T_max)).  offsets are the dataset's sequence offsets.
     """
 
-    def __init__(self, lengths, size=None):
-        lengths = np.asarray(lengths, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
+    def __init__(self, offsets, size=None):
+        self.offsets = offsets
+        lengths = np.diff(offsets)
         self.size = size = size or _segment_length(int(lengths.max()))
         per_seq = -(-lengths // size)
         rank = np.empty(lengths.size, dtype=np.int64)
@@ -294,22 +295,12 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
     return smoothed
 
 
-def _emissions(model: HmmModel, seqs):
-    """(lengths, stacked log-emission matrix) of a dataset of sequences."""
-    seqs = list(seqs)
-    if not seqs:
-        raise ValidationError("the dataset is empty: it holds no sequence")
-    return ([seq.length for seq in seqs],
-            log_emission_matrix(model, np.concatenate([seq.values
-                                                       for seq in seqs])))
-
-
-def smooth_dataset(model: HmmModel, seqs) -> ChainPosterior:
+def smooth_dataset(model: HmmModel, data: ObservedSequence) -> ChainPosterior:
     """Forward pass and backward smoothing of every sequence of a dataset
     in one batch.  An impossible observation is reported at the lowest
     sequence index that has one, and at that sequence's first."""
-    lengths, log_b = _emissions(model, seqs)
-    seg = _Segments(lengths)
+    log_b = log_emission_matrix(model, data.values)
+    seg = _Segments(data.offsets)
     transfer, log_scale = _transfers(model, seg, log_b)
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
                                             log_scale)
@@ -320,15 +311,15 @@ def smooth_dataset(model: HmmModel, seqs) -> ChainPosterior:
 
 
 def smooth_chain(model: HmmModel, seq: ObservedSequence) -> ChainPosterior:
-    """Forward pass followed by backward smoothing of one sequence."""
-    return smooth_dataset(model, [seq])
+    """Forward pass followed by backward smoothing; see smooth_dataset."""
+    return smooth_dataset(model, seq)
 
 
 # numbers of viterbi_dataset's pass 1 that cost about one step of its pass 3
 VITERBI_CELLS_PER_STEP = 8000
 
 
-def _viterbi_segment_length(lengths, j: int) -> int:
+def _viterbi_segment_length(offsets, j: int) -> int:
     """Segment length of viterbi_dataset: L = ceil(sqrt(T_max)) when
     segmenting pays, else T_max, which leaves every sequence one segment.
 
@@ -342,9 +333,10 @@ def _viterbi_segment_length(lengths, j: int) -> int:
     20-180 positions stay one segment each at J = 8 (15 ms against 19 ms
     segmented) but not at J = 4 (8 ms against 11 ms).
     """
-    t_max = max(lengths)
+    lengths = np.diff(offsets)
+    t_max = int(lengths.max())
     size = _segment_length(t_max)
-    covered = sum(max(0, t_len - size) for t_len in lengths)
+    covered = int(np.maximum(lengths - size, 0).sum())
     if j ** 3 * covered <= VITERBI_CELLS_PER_STEP * (t_max - 3 * size):
         return size
     return t_max
@@ -377,7 +369,7 @@ def _max_transfers(log_a, log_b, seg: _Segments):
     return transfer
 
 
-def viterbi_dataset(model: HmmModel, seqs):
+def viterbi_dataset(model: HmmModel, data: ObservedSequence):
     """Most likely state sequence of every sequence of a dataset: the
     stacked paths and the log joint probability of each.
 
@@ -390,12 +382,12 @@ def viterbi_dataset(model: HmmModel, seqs):
     recursion grouped its sums.  A sequence whose every path is impossible
     is reported at the lowest sequence index that has one.
     """
-    lengths, log_b = _emissions(model, seqs)
+    log_b = log_emission_matrix(model, data.values)
     n, j = log_b.shape
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)
         log_pi = np.log(model.initial)
-    seg = _Segments(lengths, _viterbi_segment_length(lengths, j))
+    seg = _Segments(data.offsets, _viterbi_segment_length(data.offsets, j))
     rows, first = seg.start.size, seg.count[0]
     # pass 2: u at the last position of every row, stitched backward from
     # each sequence's end
@@ -459,6 +451,9 @@ def viterbi_dataset(model: HmmModel, seqs):
 
 def viterbi_chain(model: HmmModel, seq: ObservedSequence):
     """Most likely state sequence of one sequence and its log joint
-    probability; see viterbi_dataset."""
-    path, log_joint = viterbi_dataset(model, [seq])
+    probability; see viterbi_dataset, which takes datasets of more."""
+    if seq.num_sequences != 1:
+        raise ValidationError(
+            f"viterbi_chain takes one sequence, not {seq.num_sequences}")
+    path, log_joint = viterbi_dataset(model, seq)
     return path, float(log_joint[0])

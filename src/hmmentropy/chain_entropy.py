@@ -7,8 +7,8 @@ runs the recursive routes, which take each conditional from the law of the
 neighbouring state given the current one; the direct routes (conditionals
 from the pairwise posteriors) and `hernando_table` (the state-conditioned
 entropy recursion) are references that the tests compare against them.  All
-work in blocks of about BLOCK_CELLS numbers on a ChainPosterior of any
-number of sequences, restart at each one and sum H(S | X) over them.
+work in blocks of about BLOCK_CELLS numbers on the ChainPosterior of a
+dataset of any number of sequences, restart at each and sum H(S | X).
 
 All entropies are in nats.
 """
@@ -127,7 +127,7 @@ def hernando_table(model: HmmModel, posterior: ChainPosterior,
     return h
 
 
-def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
+def entropy_past_hernando(model: HmmModel, data: ObservedSequence,
                           posterior: ChainPosterior) -> ChainEntropyProfile:
     """Past-conditioned profile from the predecessor laws.
 
@@ -136,12 +136,12 @@ def entropy_past_hernando(model: HmmModel, seq: ObservedSequence,
     p_ij F_{t-1}(i) / G_t(j); the partial entropies H(S_0^t | X) are their
     (compensated) running sums.
 
-    seq is unused; the argument stays for callers that pass it positionally.
+    data is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "past", _from_law)
 
 
-def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
+def entropy_past_direct(model: HmmModel, data: ObservedSequence,
                         posterior: ChainPosterior) -> ChainEntropyProfile:
     """Past-conditioned profile computed directly from pairwise posteriors.
 
@@ -149,12 +149,12 @@ def entropy_past_direct(model: HmmModel, seq: ObservedSequence,
     first term from the pairwise posterior; partial entropies follow by
     (compensated) cumulative summation.
 
-    seq is unused; the argument stays for callers that pass it positionally.
+    data is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "past", _from_pairwise)
 
 
-def entropy_future(model: HmmModel, seq: ObservedSequence,
+def entropy_future(model: HmmModel, data: ObservedSequence,
                    posterior: ChainPosterior) -> ChainEntropyProfile:
     """Future-conditioned profile from the successor laws.
 
@@ -163,12 +163,12 @@ def entropy_future(model: HmmModel, seq: ObservedSequence,
     p_jk L_{t+1}(k) / G_{t+1}(k), normalized over k; the suffix partials
     H(S_t^{T-1} | X) are their (compensated) reverse running sums.
 
-    seq is unused; the argument stays for callers that pass it positionally.
+    data is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "future", _from_law)
 
 
-def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
+def entropy_future_direct(model: HmmModel, data: ObservedSequence,
                           posterior: ChainPosterior) -> ChainEntropyProfile:
     """Future-conditioned profile computed directly from pairwise posteriors.
 
@@ -176,6 +176,6 @@ def entropy_future_direct(model: HmmModel, seq: ObservedSequence,
     first term from the pairwise posterior; suffix partial entropies follow
     by (compensated) reverse cumulative summation.
 
-    seq is unused; the argument stays for callers that pass it positionally.
+    data is unused; the argument stays for callers that pass it positionally.
     """
     return _route(model, posterior, "future", _from_pairwise)

@@ -70,7 +70,7 @@ def _load_model(model_file):
 
 
 def _load_data(data_file):
-    """Returns ('tree', ObservedTree) or ('chain', [ObservedSequence, ...])."""
+    """Returns ('tree', ObservedTree) or ('chain', ObservedSequence)."""
     text = Path(data_file).read_text(encoding="utf-8")
     if detect_data_kind(text) == "tree":
         return "tree", parse_tree(text)
@@ -97,15 +97,12 @@ def _id_table(kind, data):
     if kind == "tree":
         table.add("vertex", np.arange(data.num_vertices))
         table.add("parent", data.topology.parent)
-        values = data.values
     else:
-        lengths = np.array([seq.length for seq in data])
+        starts, lengths = data.offsets[:-1], np.diff(data.offsets)
         table.add("sequence", np.repeat(np.arange(lengths.size), lengths))
-        table.add("index", np.arange(lengths.sum())
-                  - np.repeat(np.cumsum(lengths) - lengths, lengths))
-        values = np.concatenate([seq.values for seq in data])
-    for k in range(values.shape[1]):
-        table.add(f"obs_{k}", values[:, k])
+        table.add("index", np.arange(data.length) - np.repeat(starts, lengths))
+    for k in range(data.num_variables):
+        table.add(f"obs_{k}", data.values[:, k])
     return table
 
 
@@ -261,7 +258,7 @@ def simulate(model_file, out_file, length, topology_file, seed):
         raise click.UsageError("exactly one of --length and --topology is required")
     if length is not None:
         _, seq = simulate_chain(model, length, seed)
-        _emit(serialize_sequence([seq]), out_file)
+        _emit(serialize_sequence(seq), out_file)
     else:
         tree = parse_tree(Path(topology_file).read_text(encoding="utf-8"))
         _, sim = simulate_tree(model, tree.topology, seed)
@@ -310,7 +307,8 @@ def oracle(model_file, data_file, out_file, log_base, budget):
     if kind == "tree":
         results = [enumerate_tree(model, data, config_budget)]
     else:
-        results = [enumerate_chain(model, seq, config_budget) for seq in data]
+        results = [enumerate_chain(model, seq, config_budget)
+                   for seq in data.sequences()]
     pairs = []
     for s, res in enumerate(results):
         tag = f"[{s}]" if len(results) > 1 else ""

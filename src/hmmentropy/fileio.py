@@ -2,8 +2,9 @@
 
 Models are JSON documents.  Sequences come one per line (integers separated
 by whitespace when univariate; time steps separated by ';' with ','-separated
-variables when multivariate).  Trees come one vertex per line as
-``vertex_id  parent_id  v1[,v2,...]`` with ``-1`` marking the root's parent.
+variables when multivariate); a file is one ObservedSequence dataset.
+Trees come one vertex per line as ``vertex_id  parent_id  v1[,v2,...]`` with
+``-1`` marking the root's parent.
 Profile tables serialize as TSV with a header row and floats rendered with
 12 significant digits, so outputs are byte-stable across runs and platforms.
 """
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError
 from .model import (Categorical, HmmModel, ObservedSequence, ObservedTree,
-                    Poisson, TreeTopology, validate_model)
+                    Poisson, TreeTopology, _observation_matrix,
+                    validate_model)
 
 __all__ = ["parse_model", "serialize_model", "parse_sequence",
            "serialize_sequence", "parse_tree", "serialize_tree",
@@ -131,17 +133,17 @@ def _parse_int(token: str, where: str) -> int:
     return value
 
 
-def parse_sequence(text: str) -> List[ObservedSequence]:
-    """One sequence per line; ';' separates multivariate time steps."""
-    sequences = _sequences_from_tokens(text)
-    if sequences is None:
+def parse_sequence(text: str) -> ObservedSequence:
+    """A dataset of one sequence per line; ';' separates multivariate steps."""
+    data = _sequences_from_tokens(text)
+    if data is None:
         _walk_sequences(text)  # raises at the first fault
         raise AssertionError("a sequence file the walk accepts was rejected")
-    return sequences
+    return data
 
 
 def _sequences_from_tokens(text):
-    """The sequences of a valid file, else None."""
+    """The dataset of a valid file, else None."""
     tokens, lengths, widths = [], [], set()
     for line in text.splitlines():
         if ";" in line or "," in line:
@@ -163,15 +165,14 @@ def _sequences_from_tokens(text):
     values = _int64_tokens(tokens)
     if values is None or values.min() < 0:
         return None
-    cuts = np.cumsum(lengths)[:-1]
-    return [ObservedSequence(rows)
-            for rows in np.split(values.reshape(-1, widths.pop()), cuts)]
+    return ObservedSequence(values.reshape(-1, widths.pop()),
+                            np.cumsum([0] + lengths))
 
 
-def _walk_sequences(text: str) -> List[ObservedSequence]:
+def _walk_sequences(text: str) -> ObservedSequence:
     """The per-token parse, which raises at the first faulty line; valid
     files give what the token path gives."""
-    sequences = []
+    values, offsets = [], [0]
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -202,12 +203,14 @@ def _walk_sequences(text: str) -> List[ObservedSequence]:
                 f"line {lineno}: {lengths.pop()} variables, earlier lines had {width}"
             )
         try:
-            sequences.append(ObservedSequence(rows))
+            _observation_matrix(rows)
         except ValidationError as exc:
             raise DataFormatError(f"line {lineno}: {exc}") from None
-    if not sequences:
+        values += rows
+        offsets.append(len(values))
+    if not values:
         raise DataFormatError("no sequences found")
-    return sequences
+    return ObservedSequence(values, offsets)
 
 
 def _columns(values):
@@ -215,14 +218,13 @@ def _columns(values):
     return [map(str, col) for col in values.T.tolist()]
 
 
-def serialize_sequence(sequences) -> str:
-    lines = []
-    for seq in sequences:
-        if seq.num_variables == 1:
-            lines.append(" ".join(*_columns(seq.values)))
-        else:
-            lines.append(";".join(map(",".join, zip(*_columns(seq.values)))))
-    return "\n".join(lines) + "\n"
+def serialize_sequence(data: ObservedSequence) -> str:
+    """One line per sequence of the dataset, as parse_sequence reads it."""
+    steps = list(map(",".join, zip(*_columns(data.values))))
+    sep = " " if data.num_variables == 1 else ";"
+    bounds = data.offsets.tolist()
+    return "".join(sep.join(steps[lo:hi]) + "\n"
+                   for lo, hi in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A model couples an initial state law, a row-stochastic transition matrix and
 one emission model per state.  Emission models are products of independent
 per-variable distributions (categorical over a finite alphabet, or Poisson).
-Observed data is either a sequence of time-indexed rows or a rooted tree of
-vertex-indexed rows; both carry non-negative integer values.
+Observed data is either a dataset of sequences of time-indexed rows, stacked
+with their offsets, or a rooted tree of vertex-indexed rows; both carry
+non-negative integer values.
 """
 
 from array import array
@@ -237,21 +238,37 @@ def _int64_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must fit in 64-bit integers") from None
 
 
-class ObservedSequence:
-    """T x V matrix of non-negative integer observations, T >= 1."""
+def _observation_matrix(values) -> np.ndarray:
+    """values as a read-only T x V int64 matrix, T >= 1; a vector is V = 1."""
+    values = _int64_array(values, "observed values")
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2 or values.shape[0] < 1:
+        raise ValidationError("observed values must be a non-empty matrix")
+    # one reduction, no boolean temporary; a zero-width matrix has no minimum
+    if values.size and values.min() < 0:
+        raise ValidationError("observed values must be non-negative integers")
+    values.setflags(write=False)
+    return values
 
-    def __init__(self, values):
-        values = _int64_array(values, "observed values")
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValidationError("observed values must be a non-empty matrix")
-        # one reduction, no boolean temporary (a file of short lines builds
-        # many small sequences); a zero-width matrix has no minimum
-        if values.size and values.min() < 0:
-            raise ValidationError("observed values must be non-negative integers")
-        self.values = values
-        self.values.setflags(write=False)
+
+class ObservedSequence:
+    """One or more sequences: their T x V matrix of non-negative integer
+    observations, stacked in order, whose rows offsets[s]:offsets[s + 1] are
+    sequence s.  The offsets, by default [0, T] (one sequence), rise strictly
+    from 0 to T.  Both arrays are read-only."""
+
+    def __init__(self, values, offsets=None):
+        self.values = _observation_matrix(values)
+        t = self.length
+        # a copy, so that the caller's array is neither frozen nor an alias
+        self.offsets = _int64_array([0, t] if offsets is None else offsets,
+                                    "sequence offsets").copy()
+        if not (self.offsets.ndim == 1 and self.offsets[:1].tolist() == [0]
+                and self.offsets[-1] == t and np.all(np.diff(self.offsets) > 0)):
+            raise ValidationError("sequence offsets must rise strictly from 0 "
+                                  f"to {t}, the number of observed rows")
+        self.offsets.setflags(write=False)
 
     @property
     def length(self) -> int:
@@ -261,13 +278,19 @@ class ObservedSequence:
     def num_variables(self) -> int:
         return self.values.shape[1]
 
-    def __len__(self):
-        return self.length
+    @property
+    def num_sequences(self) -> int:
+        return self.offsets.size - 1
+
+    def sequences(self):
+        """One ObservedSequence per sequence, each a view of its rows."""
+        return [ObservedSequence(rows)
+                for rows in np.split(self.values, self.offsets[1:-1])]
 
     def __eq__(self, other):
-        return isinstance(other, ObservedSequence) and np.array_equal(
-            self.values, other.values
-        )
+        return (isinstance(other, ObservedSequence)
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return f"ObservedSequence(T={self.length}, V={self.num_variables})"
@@ -374,10 +397,6 @@ class TreeTopology:
         """(start, stop): the plan positions of the vertices at depth d."""
         return self._level_bounds[d], self._level_bounds[d + 1]
 
-    def upward_order(self):
-        """Children-before-parents vertex order."""
-        return self.downward_order[::-1]
-
     def subtree_vertices(self, u: int):
         """Vertices of the complete subtree rooted at u, in downward order."""
         out = [u]
@@ -401,7 +420,7 @@ class ObservedTree:
     """Observations aligned with the vertices of a rooted tree."""
 
     def __init__(self, topology: TreeTopology, values):
-        values = ObservedSequence(values).values  # one row per vertex
+        values = _observation_matrix(values)  # one row per vertex
         if values.shape[0] != topology.num_vertices:
             raise ValidationError(
                 f"{values.shape[0]} observation rows for {topology.num_vertices} vertices"

@@ -22,7 +22,8 @@ import re
 
 import numpy as np
 
-from .errors import BudgetExceededError, ImpossibleObservationError
+from .errors import (BudgetExceededError, ImpossibleObservationError,
+                     ValidationError)
 from .model import (HmmModel, ObservedSequence, ObservedTree, TreeTopology,
                     log_emission_matrix)
 from .numutil import entr, entropy
@@ -243,6 +244,9 @@ def enumerate_chain(model: HmmModel, seq: ObservedSequence,
                     config_budget: int = DEFAULT_CONFIG_BUDGET) -> OracleResult:
     """Exact posterior over all J^T state sequences of a chain instance,
     enumerated as the path tree 0 -> 1 -> ... -> T-1."""
+    if seq.num_sequences != 1:
+        raise ValidationError(
+            f"enumerate_chain takes one sequence, not {seq.num_sequences}")
     parent = np.arange(-1, seq.length - 1)
     configs, b, joint, evidence = _enumerate(model, seq.values, parent,
                                              config_budget)

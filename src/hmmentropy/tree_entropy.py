@@ -11,8 +11,8 @@ compare it with:
   into its parent's with ``np.add.at``, and takes the complement profile
   from the result; it consumes the downward (smoothed) recursion results;
 * approach 2 runs an upward recursion on state-conditioned entropies of
-  children subtrees and never needs the downward pass for its table.  It
-  stays a scalar loop over vertices, as the reference implementation.
+  children subtrees and never needs the downward pass for its table, one
+  numpy step per level from the deepest up.
 
 The parent-conditional profile is one vectorized expression over all
 vertices, and the children-conditional profile one per group of vertices
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .model import HmmModel, ObservedTree
 from .numutil import _blocks, entr, fsum, safe_div, xlogy
-from .tree import TreePosterior
+from .tree import TreePosterior, _add_rows_at
 
 __all__ = ["TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",
            "subtree_entropies_approach1", "subtree_entropies_approach2",
@@ -172,19 +172,22 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     """
     _require_smoothed(posterior)
     topo = tree.topology
-    n, j = topo.num_vertices, model.num_states
-    h = np.zeros((n, j))
-    for u in topo.upward_order():
-        for v in topo.children[u]:
-            w = _child_given_parent(model, posterior, v)
-            h[u] += w @ h[v] + entr(w).sum(axis=1)
+    h = np.zeros((topo.num_vertices, model.num_states))  # in plan positions
+    for d in range(topo.num_levels - 1, 0, -1):
+        start, stop = topo.level(d)
+        w = _child_given_parent(model, posterior,
+                                topo.downward_order[start:stop])
+        # W h[v] + entr(W) 1, added into the parents' rows by ascending id
+        _add_rows_at(h, topo.parent_position[start:stop],
+                     (w @ h[start:stop, :, None])[:, :, 0]
+                     + entr(w).sum(axis=2))
+    h = h[topo.position]
     beta0 = posterior.beta[0]
     global_entropy = float(beta0 @ h[0]) + float(entr(beta0).sum())
-    partial_subtree = np.einsum("uj,uj->u", posterior.smoothed, h) \
-        + posterior.marginal_entropy
+    expected = np.einsum("uj,uj->u", posterior.smoothed, h)
+    partial_subtree = expected + posterior.marginal_entropy
     parent_cond = parent_conditional_profile(model, tree, posterior)
-    complement = global_entropy \
-        - np.einsum("uj,uj->u", posterior.smoothed, h) - parent_cond
+    complement = global_entropy - expected - parent_cond
     complement[0] = 0.0
     return h, partial_subtree, global_entropy, complement
 

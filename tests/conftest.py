@@ -152,6 +152,13 @@ def random_topology(rng, n, kind=None):
     return TreeTopology(parent)
 
 
+def stack(seqs):
+    """The dataset of the given sequences, in order: their rows stacked
+    into one ObservedSequence with their offsets."""
+    return ObservedSequence(np.concatenate([seq.values for seq in seqs]),
+                            np.cumsum([0] + [seq.length for seq in seqs]))
+
+
 def random_chain_instance(seed, max_states=3, max_length=8, zeros_prob=0.3,
                           poisson=False):
     rng = np.random.default_rng(seed)

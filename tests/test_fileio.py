@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hmmentropy import (Categorical, DataFormatError, HmmModel, ObservedTree,
-                        Poisson, ProfileTable, TreeTopology, ValidationError,
+from hmmentropy import (Categorical, DataFormatError, HmmModel,
+                        ObservedSequence, ObservedTree, Poisson, ProfileTable,
+                        TreeTopology, ValidationError,
                         fileio, parse_model, parse_sequence, parse_tree,
                         read_profile, serialize_model, serialize_sequence,
                         serialize_tree, simulate_chain, simulate_tree,
                         write_profile)
 from hmmentropy.fileio import PROFILE_BLOCK_ROWS, detect_data_kind
 
-from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology
+from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology, stack
 
 EARTHQUAKE_MODEL = {
     "num_states": 3,
@@ -71,14 +73,14 @@ class TestModelFormat:
 
 class TestSequenceFormat:
     def test_univariate(self):
-        seqs = parse_sequence("0 1 1 0\n")
-        assert len(seqs) == 1
-        assert seqs[0].length == 4 and seqs[0].num_variables == 1
+        data = parse_sequence("0 1 1 0\n")
+        assert data.num_sequences == 1
+        assert data.length == 4 and data.num_variables == 1
 
     def test_bivariate(self):
-        seqs = parse_sequence("0,1;1,0\n")
-        assert seqs[0].length == 2 and seqs[0].num_variables == 2
-        np.testing.assert_array_equal(seqs[0].values, [[0, 1], [1, 0]])
+        data = parse_sequence("0,1;1,0\n")
+        assert data.length == 2 and data.num_variables == 2
+        np.testing.assert_array_equal(data.values, [[0, 1], [1, 0]])
 
     def test_bad_token_position(self):
         with pytest.raises(DataFormatError, match="token 2"):
@@ -93,8 +95,25 @@ class TestSequenceFormat:
             parse_sequence("0 1\n ; \n")
 
     def test_multiple_sequences(self):
-        seqs = parse_sequence("0 1\n1 0 1\n\n")
-        assert [s.length for s in seqs] == [2, 3]
+        data = parse_sequence("0 1\n1 0 1\n\n")
+        assert data.offsets.tolist() == [0, 2, 5]
+        assert [s.length for s in data.sequences()] == [2, 3]
+        np.testing.assert_array_equal(data.values[:, 0], [0, 1, 1, 0, 1])
+
+    def test_one_dataset_per_file(self, monkeypatch):
+        """A file of 10^4 lines is one validated object, not one per line."""
+        built = []
+        init = ObservedSequence.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ObservedSequence, "__init__", counted)
+        data = parse_sequence("".join(f"{v % 7}\n" for v in range(10 ** 4)))
+        assert len(built) == 1
+        assert data.num_sequences == 10 ** 4
+        np.testing.assert_array_equal(data.offsets, np.arange(10 ** 4 + 1))
 
     def test_round_trip(self):
         text = "0 1 1 0\n1 1\n"
@@ -343,10 +362,10 @@ def reference_serialize_tree(tree):
     return "\n".join(lines) + "\n"
 
 
-def reference_serialize_sequence(sequences):
+def reference_serialize_sequence(data):
     """serialize_sequence as a per-value loop: its bytes must not change."""
     lines = []
-    for seq in sequences:
+    for seq in data.sequences():
         if seq.num_variables == 1:
             lines.append(" ".join(str(int(v)) for v in seq.values[:, 0]))
         else:
@@ -373,8 +392,18 @@ def sample_datasets():
         rng = np.random.default_rng(num_variables)
         model = random_model(rng, 3, num_variables=num_variables,
                              poisson=True)
-        yield rng, [simulate_chain(model, int(t), seed=int(s))[1]
-                    for t, s in zip(rng.integers(1, 30, 12), range(12))]
+        yield rng, stack([simulate_chain(model, int(t), seed=int(s))[1]
+                          for t, s in zip(rng.integers(1, 30, 12), range(12))])
+
+
+@st.composite
+def stacked_datasets(draw):
+    """1-8 sequences of 1-6 rows of 1-3 variables, values anywhere in the
+    non-negative int64 range."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    values = draw(arrays(np.int64, (sum(lengths), draw(st.integers(1, 3))),
+                         elements=st.integers(0, 2 ** 63 - 1)))
+    return ObservedSequence(values, np.cumsum([0] + lengths))
 
 
 def tree_variants(rng, text):
@@ -408,7 +437,7 @@ class TestTokenPath:
         for rng, dataset in sample_datasets():
             text = serialize_sequence(dataset)
             lines = text.splitlines()
-            if dataset[0].num_variables == 2:
+            if dataset.num_variables == 2:
                 # blank steps and whitespace around the tokens
                 lines = [" ; " + line.replace(",", " ,\t").replace(";", " ;;") + ";"
                          for line in lines]
@@ -417,20 +446,19 @@ class TestTokenPath:
                 cases.append(brk + (brk + " \t" + brk).join(lines))
         # one value per step, mixed with whitespace-separated lines
         cases += ["1;2;3\n4 5\n", " 1 ; ;2\r\n\n3\x0b4 5 6\n", "7;\n"]
-        expected = [[fileio._walk_sequences(text)] for text in cases]
+        expected = [fileio._walk_sequences(text) for text in cases]
         without_walk(monkeypatch)
-        for text, (want,) in zip(cases, expected):
+        for text, want in zip(cases, expected):
             got = parse_sequence(text)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert_same_array(g.values, w.values)
+            assert_same_array(got.values, want.values)
+            assert_same_array(got.offsets, want.offsets)
 
     def test_tokens_that_int_accepts(self, monkeypatch):
         without_walk(monkeypatch)
-        seqs = parse_sequence("+5 1_000 ٣ 007\n")
-        assert seqs[0].values[:, 0].tolist() == [5, 1000, 3, 7]
-        seqs = parse_sequence("+5,1_000;٣,0\n")
-        assert seqs[0].values.tolist() == [[5, 1000], [3, 0]]
+        data = parse_sequence("+5 1_000 ٣ 007\n")
+        assert data.values[:, 0].tolist() == [5, 1000, 3, 7]
+        data = parse_sequence("+5,1_000;٣,0\n")
+        assert data.values.tolist() == [[5, 1000], [3, 0]]
         tree = parse_tree("+0 -1 1_000\n١ 0 +2\n")
         assert tree.topology.parent.tolist() == [-1, 0]
         assert tree.values[:, 0].tolist() == [1000, 2]
@@ -526,3 +554,15 @@ class TestSerializers:
             text = serialize_sequence(dataset)
             assert text == reference_serialize_sequence(dataset)
             assert parse_sequence(text) == dataset
+
+    @given(stacked_datasets())
+    @settings(deadline=None)
+    def test_stacked_dataset_round_trip(self, dataset):
+        """Any dataset is written one line per sequence with the reference
+        bytes and read back, by the token path and by the walk, as itself."""
+        text = serialize_sequence(dataset)
+        assert text == reference_serialize_sequence(dataset)
+        assert parse_sequence(text) == dataset
+        walked = fileio._walk_sequences(text)
+        assert_same_array(walked.values, dataset.values)
+        assert_same_array(walked.offsets, dataset.offsets)

@@ -441,6 +441,48 @@ class TestObservedData:
         assert type(info.value) is ValidationError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("offsets", [
+        [0, 2], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4], [0, 4, 5], [0], [4],
+        [[0, 4]], [0, 10 ** 20],
+    ], ids=["short of T", "not from 0", "empty sequence", "falling",
+            "beyond T", "one entry", "no start", "matrix", "beyond int64"])
+    def test_offsets_rejections(self, offsets):
+        with pytest.raises(ValidationError) as info:
+            ObservedSequence([0, 1, 2, 3], offsets)
+        assert type(info.value) is ValidationError
+        assert str(info.value) in (
+            "sequence offsets must rise strictly from 0 to 4, the number of "
+            "observed rows", "sequence offsets must fit in 64-bit integers")
+
+    def test_stacked_sequences(self):
+        """Rows offsets[s]:offsets[s + 1] are sequence s; the default
+        offsets make one sequence; both arrays are read-only int64."""
+        data = ObservedSequence([[0, 1], [2, 3], [4, 5], [6, 7]], [0, 1, 4])
+        assert (data.length, data.num_variables, data.num_sequences) == (4, 2, 2)
+        assert [seq.values.tolist() for seq in data.sequences()] == [
+            [[0, 1]], [[2, 3], [4, 5], [6, 7]]]
+        assert all(np.shares_memory(seq.values, data.values)
+                   for seq in data.sequences())
+        assert data.offsets.dtype == np.int64
+        for table in (data.values, data.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        offsets = np.array([0, 1, 4])
+        ObservedSequence(data.values, offsets)
+        offsets[1] = 2  # the caller's array stays its own
+        one = ObservedSequence([5, 6, 7])
+        assert one.offsets.tolist() == [0, 3] and one.num_sequences == 1
+        assert one.sequences() == [one]
+        assert one != ObservedSequence([5, 6, 7], [0, 1, 3])
+
+    def test_empty_dataset_cannot_be_built(self):
+        """A dataset holds a sequence: no rows, or offsets that leave a
+        sequence empty, are a ValidationError when the data is built."""
+        with pytest.raises(ValidationError, match="non-empty matrix"):
+            ObservedSequence(np.empty((0, 1), dtype=np.int64), [0])
+        with pytest.raises(ValidationError, match="offsets must rise strictly"):
+            ObservedSequence([1, 2], [0, 0, 2])
+
     def test_zero_width_sequence(self):
         """A matrix with rows and no variables has no minimum; it is
         accepted, as it always was."""

@@ -9,8 +9,9 @@ import pytest
 
 from hmmentropy import (BudgetExceededError, Categorical, HmmModel,
                         ObservedSequence, ObservedTree, TreeTopology,
-                        enumerate_chain, enumerate_tree, oracle_entropy,
-                        simulate_chain, smooth_chain, upward_pass)
+                        ValidationError, enumerate_chain, enumerate_tree,
+                        oracle_entropy, simulate_chain, smooth_chain,
+                        upward_pass)
 from hmmentropy.numutil import entropy
 
 from conftest import M1, random_chain_instance, random_model, random_tree_instance
@@ -24,6 +25,11 @@ class TestChainEnumeration:
         np.testing.assert_allclose(res.posterior, joints / joints.sum(), rtol=1e-12)
         np.testing.assert_array_equal(
             res.configurations, [[0, 0], [0, 1], [1, 0], [1, 1]])
+
+    def test_one_sequence_only(self, m1):
+        """A dataset of two sequences is not one chain instance."""
+        with pytest.raises(ValidationError, match="takes one sequence, not 2$"):
+            enumerate_chain(m1, ObservedSequence([0, 1, 0], [0, 1, 3]))
 
     def test_single_state(self):
         model = HmmModel([1.0], [[1.0]], [[Categorical([0.5, 0.5])]])

@@ -204,7 +204,7 @@ class TestDualRoute:
         assert up.smoothed is None
         topo = tree.topology
         h = np.zeros((tree.num_vertices, model.num_states))
-        for u in topo.upward_order():
+        for u in topo.downward_order[::-1]:
             for v in topo.children[u]:
                 w = _child_given_parent(model, up, v)
                 h[u] += w @ h[v] + entr(w).sum(axis=1)
