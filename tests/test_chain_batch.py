@@ -244,6 +244,17 @@ def test_smoothing_out_of_double_range_is_an_error(initial, transition,
         smooth_chain(model, ObservedSequence(values))
 
 
+@pytest.mark.parametrize("run", [smooth_dataset, viterbi_dataset])
+def test_empty_dataset_is_a_validation_error(run):
+    """A dataset with no rows, or with an empty sequence among its
+    offsets, never reaches the batch: building it is a ValidationError."""
+    model = HmmModel([1.0], [[1.0]], [[Poisson(2.0)]])
+    with pytest.raises(ValidationError, match="non-empty matrix"):
+        run(model, ObservedSequence(np.empty((0, 1), dtype=np.int64), [0]))
+    with pytest.raises(ValidationError, match="offsets must rise strictly"):
+        run(model, ObservedSequence([1, 2], [0, 0, 2]))
+
+
 def test_viterbi_chain_takes_one_sequence():
     """viterbi_chain returns one log joint, so a dataset of more is refused
     rather than cut short; viterbi_dataset restores it."""
