@@ -13,7 +13,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import List, Tuple
 
 import numpy as np
@@ -105,23 +104,88 @@ def serialize_model(model: HmmModel) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the byte reader
+# ---------------------------------------------------------------------------
+#
+# A data file in ASCII is read as one numpy byte array.  Its numbers are
+# the runs of digits and '-', found from one boundary diff; their values
+# come from one Horner pass per digit column, and the gaps between them are
+# told apart by searchsorted on where the commas, semicolons and line
+# breaks lie.  The reader takes a number as '-?[0-9]+' of at most 19 digits
+# in the int64 range.  It declines, without a message, any other byte or
+# shape: '+', '_', non-ASCII digits or line breaks, longer numbers, and
+# every fault.  A declined text is walked token by token, and the walk
+# reads it or reports its first fault with its line number.
+
+# Byte classes, 0 for every byte the reader declines.  Whitespace and line
+# breaks are the ASCII bytes that str.split and str.splitlines split on;
+# "\r\n" reads as two breaks, which only adds a blank line.
+_DIGIT, _MINUS, _SPACE, _BREAK, _COMMA, _SEMICOLON = range(1, 7)
+_CLASS_MEMBERS = (b"0123456789", b"-", b"\t\x1f ", b"\n\r\x0b\x0c\x1c\x1d\x1e",
+                  b",", b";")
+_BYTE_CLASSES = bytes(
+    next((c for c, members in enumerate(_CLASS_MEMBERS, 1) if b in members), 0)
+    for b in range(256))
+
+
+def _scan(text):
+    """(numbers, starts, ends, classes) of a text whose bytes all have a
+    class and whose numbers all read as int64, else None: the int64
+    numbers in file order, the byte offsets where each starts and ends,
+    and the class of every byte.  Every array that has one entry per byte
+    is uint8 or bool."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    classes = raw.translate(_BYTE_CLASSES)
+    if 0 in classes:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = np.frombuffer(classes, dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(cls <= _MINUS, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    negative = buf[starts] == ord("-")
+    digits = ends - starts
+    digits -= negative
+    if (np.count_nonzero(cls == _MINUS) != np.count_nonzero(negative)
+            or digits.size and not 1 <= digits.min() <= digits.max() <= 19):
+        return None
+    # Horner over the digit columns, right-aligned: a number with fewer
+    # digits than the column count reads zeros there.  Nineteen digits stay
+    # below 2**64.
+    columns = digits.max(initial=0)
+    digits = digits.astype(np.uint8)
+    acc = np.zeros(starts.size, dtype=np.uint64)
+    at = ends - columns  # each number's byte in the current column
+    for k in range(columns, 0, -1):
+        column = buf.take(at, mode="clip") - ord("0")
+        column *= digits >= k
+        acc *= 10
+        acc += column
+        at += 1
+    big = acc >= 2 ** 63  # only -2**63 may reach it
+    if big.any() and not (negative[big].all() and np.all(acc[big] == 2 ** 63)):
+        return None
+    numbers = acc.view(np.int64)
+    np.negative(numbers, out=numbers, where=negative)
+    return numbers, starts, ends, cls
+
+
+def _gaps_holding(positions, starts):
+    """Whether each gap of the text holds one of the byte offsets, the
+    numbers starting at starts: gap g lies before number g, so gap 0 is
+    before the first number and the last gap after the last number."""
+    held = np.zeros(starts.size + 1, dtype=bool)
+    held[np.searchsorted(starts, positions)] = True
+    return held
+
+
+# ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
 #
-# A data file is read in one pass over its lines that collects its tokens,
-# and one conversion of all of them with Python's int (so acceptance cannot
-# depend on numpy's string casting).  That pass rejects without a message;
-# a rejected text is walked again token by token, and the walk reports the
-# first fault with its line number.
-
-def _int64_tokens(tokens):
-    """The tokens as one int64 array, or None when one of them is not an
-    integer or lies outside the int64 range."""
-    try:
-        return np.array(list(map(int, tokens)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-
+# A sequence file is read by the byte reader, or by the per-token walk when
+# the byte reader declines it.
 
 def _parse_int(token: str, where: str) -> int:
     try:
@@ -135,43 +199,59 @@ def _parse_int(token: str, where: str) -> int:
 
 def parse_sequence(text: str) -> ObservedSequence:
     """A dataset of one sequence per line; ';' separates multivariate steps."""
-    data = _sequences_from_tokens(text)
-    if data is None:
-        _walk_sequences(text)  # raises at the first fault
-        raise AssertionError("a sequence file the walk accepts was rejected")
-    return data
+    data = _sequences_from_bytes(text)
+    return _walk_sequences(text) if data is None else data
 
 
-def _sequences_from_tokens(text):
-    """The dataset of a valid file, else None."""
-    tokens, lengths, widths = [], [], set()
-    for line in text.splitlines():
-        if ";" in line or "," in line:
-            steps = [s for s in line.split(";") if s.strip()]
-            commas = set(map(str.count, steps, repeat(",")))
-            if len(commas) != 1:
-                return None
-            widths.add(commas.pop() + 1)
-            tokens += ",".join(steps).split(",")
-        else:
-            steps = line.split()
-            if not steps:
-                continue
-            widths.add(1)
-            tokens += steps
-        lengths.append(len(steps))
-    if len(widths) != 1:
+def _sequences_from_bytes(text):
+    """The dataset of a valid ASCII file, else None.  A line holding ','
+    or ';' is multivariate: in it, a lone comma joins the variables of a
+    step and one or more semicolons end it; any line is one sequence."""
+    scan = _scan(text)
+    if scan is None:
         return None
-    values = _int64_tokens(tokens)
-    if values is None or values.min() < 0:
+    numbers, starts, _, cls = scan
+    if numbers.size == 0 or numbers.min() < 0:
         return None
-    return ObservedSequence(values.reshape(-1, widths.pop()),
-                            np.cumsum([0] + lengths))
+    breaks = np.flatnonzero(cls == _BREAK)
+    same_line = ~_gaps_holding(breaks, starts)[1:-1]
+    heads = np.flatnonzero(np.concatenate(([True], ~same_line)))  # line starts
+    multivariate = _separated_lines(cls, breaks)
+    if multivariate is None:
+        return None  # a line with no time steps
+    no_semicolon = ~_gaps_holding(np.flatnonzero(cls == _SEMICOLON), starts)[1:-1]
+    commas = np.flatnonzero(cls == _COMMA)
+    joined = same_line & no_semicolon & _gaps_holding(commas, starts)[1:-1]
+    spaced = same_line & ~joined & no_semicolon
+    # every comma alone in a gap of its line without a semicolon, and no
+    # two numbers of a multivariate line with only whitespace between them
+    if (np.count_nonzero(joined) != commas.size or np.any(spaced & np.repeat(
+            multivariate, np.diff(heads, append=numbers.size))[:-1])):
+        return None
+    step = np.concatenate(([True], ~joined))  # where each step starts
+    width = numbers.size // np.count_nonzero(step)
+    if numbers.size % width or not step[::width].all():
+        return None  # steps of unequal widths
+    return ObservedSequence(numbers.reshape(-1, width),
+                            np.append(heads, numbers.size) // width)
+
+
+def _separated_lines(cls, breaks):
+    """Per line that holds numbers, in order, whether it holds a ',' or a
+    ';', from the byte classes and the line breaks' offsets; None when
+    one lies on a line without numbers."""
+    lines = np.concatenate(([0], breaks + 1))
+    lines = lines[lines < cls.size]  # where each line starts
+    numbered = np.logical_or.reduceat(cls <= _MINUS, lines)
+    separated = np.logical_or.reduceat(cls >= _COMMA, lines)
+    if np.any(separated & ~numbered):
+        return None
+    return separated[numbered]
 
 
 def _walk_sequences(text: str) -> ObservedSequence:
-    """The per-token parse, which raises at the first faulty line; valid
-    files give what the token path gives."""
+    """The per-token parse, which raises at the first faulty line; a file
+    that the byte reader reads gives the same dataset here."""
     values, offsets = [], [0]
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,36 +313,39 @@ def serialize_sequence(data: ObservedSequence) -> str:
 
 def parse_tree(text: str) -> ObservedTree:
     """One vertex per line: ``vertex_id parent_id v1[,v2,...]``."""
-    tree = _tree_from_tokens(text)
-    if tree is None:
-        _walk_tree(text)  # raises at the first fault
-        raise AssertionError("a tree file the walk accepts was rejected")
-    return tree
+    tree = _tree_from_bytes(text)
+    return _walk_tree(text) if tree is None else tree
 
 
-def _tree_from_tokens(text):
-    """The tree of a valid file, else None."""
-    # every line break is whitespace to str.split, so the tokens of the
-    # text are those of its lines in order
-    if set(map(len, map(str.split, text.splitlines()))) - {0} != {3}:
+def _tree_from_bytes(text):
+    """The tree of a valid ASCII file, else None."""
+    scan = _scan(text)
+    if scan is None:
         return None
-    tokens = text.split()
-    fields = tokens[2::3]
-    commas = set(map(str.count, fields, repeat(",")))
-    if len(commas) != 1:
+    numbers, starts, ends, cls = scan
+    commas = np.flatnonzero(cls == _COMMA)
+    joined = (starts[1:] - ends[:-1] == 1) & _gaps_holding(commas, starts)[1:-1]
+    if (numbers.size == 0 or np.count_nonzero(cls == _SEMICOLON)
+            or np.count_nonzero(joined) != commas.size):
+        return None  # no vertex, a ';', or a comma not alone between numbers
+    # the gap after each number: whitespace within its line (0), a lone
+    # comma (1), or whitespace holding a line break or the end of the text (2)
+    gap = np.full(numbers.size, 2, dtype=np.int8)
+    gap[:-1] = joined
+    gap[:-1][_gaps_holding(np.flatnonzero(cls == _BREAK), starts)[1:-1]] = 2
+    width = int(np.argmax(gap == 2)) + 1  # the numbers on each line
+    if width < 3 or numbers.size % width:
         return None
-    n = len(fields)
-    numbers = _int64_tokens(chain(tokens[0::3], tokens[1::3],
-                                  ",".join(fields).split(",")))
-    if numbers is None:
+    pattern = np.array([0, 0] + [1] * (width - 3) + [2], dtype=np.int8)
+    if not np.all(gap.reshape(-1, width) == pattern):
         return None
-    order = np.argsort(numbers[:n])
-    if not np.array_equal(numbers[:n][order], np.arange(n)):
-        return None
-    parent = numbers[n:2 * n][order]
-    if np.count_nonzero(parent == -1) != 1:
-        return None
-    values = numbers[2 * n:].reshape(n, commas.pop() + 1)[order]
+    table = numbers.reshape(-1, width)
+    ids, parent, values = table[:, 0], table[:, 1], table[:, 2:]
+    if not np.array_equal(ids, np.arange(ids.size)):
+        order = np.argsort(ids)
+        if not np.array_equal(ids[order], np.arange(ids.size)):
+            return None
+        parent, values = parent[order], values[order]
     try:
         return ObservedTree(TreeTopology(parent), values)
     except ValidationError:
@@ -271,8 +354,8 @@ def _tree_from_tokens(text):
 
 def _walk_tree(text: str) -> ObservedTree:
     """The per-token parse, which raises at the first fault: per line in
-    file order, then the checks on the whole vertex set; valid files give
-    what the token path gives."""
+    file order, then the checks on the whole vertex set; a file that the
+    byte reader reads gives the same tree here."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

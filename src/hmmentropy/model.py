@@ -21,6 +21,19 @@ from .numutil import log_factorial, xlogy
 PROB_TOL = 1e-9  # tolerance on probability-vector sums
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype.  When np.asarray hands back
+    the caller's writable array or a view, it is copied first, so that the
+    caller's array stays writable and later writes to it cannot reach the
+    object; a read-only one, such as a view of another object's data, is
+    shared."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable and (array is values or not array.flags.owndata):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 # ---------------------------------------------------------------------------
 # per-variable emission distributions
 # ---------------------------------------------------------------------------
@@ -29,10 +42,9 @@ class Categorical:
     """Distribution over a finite alphabet {0, ..., len(probs)-1}."""
 
     def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
+        self.probs = _read_only(probs, float)
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValidationError("categorical probabilities must be a non-empty vector")
-        self.probs.setflags(write=False)
 
     @property
     def alphabet_size(self) -> int:
@@ -140,8 +152,8 @@ class HmmModel:
     """
 
     def __init__(self, initial, transition, emissions: Sequence[Sequence[EmissionVar]]):
-        self.initial = np.asarray(initial, dtype=float)
-        self.transition = np.asarray(transition, dtype=float)
+        self.initial = _read_only(initial, float)
+        self.transition = _read_only(transition, float)
         self.emissions = tuple(tuple(state_vars) for state_vars in emissions)
         if self.initial.ndim != 1:
             raise ValidationError("initial must be a vector")
@@ -156,8 +168,6 @@ class HmmModel:
             )
         if j == 0:
             raise ValidationError("model needs at least one state")
-        self.initial.setflags(write=False)
-        self.transition.setflags(write=False)
 
     @property
     def num_states(self) -> int:
@@ -233,7 +243,7 @@ def validate_model(model: HmmModel) -> ValidationReport:
 
 def _int64_array(values, what: str) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=np.int64)
+        return _read_only(values, np.int64)
     except OverflowError:
         raise ValidationError(f"{what} must fit in 64-bit integers") from None
 
@@ -248,7 +258,6 @@ def _observation_matrix(values) -> np.ndarray:
     # one reduction, no boolean temporary; a zero-width matrix has no minimum
     if values.size and values.min() < 0:
         raise ValidationError("observed values must be non-negative integers")
-    values.setflags(write=False)
     return values
 
 
@@ -261,14 +270,12 @@ class ObservedSequence:
     def __init__(self, values, offsets=None):
         self.values = _observation_matrix(values)
         t = self.length
-        # a copy, so that the caller's array is neither frozen nor an alias
         self.offsets = _int64_array([0, t] if offsets is None else offsets,
-                                    "sequence offsets").copy()
+                                    "sequence offsets")
         if not (self.offsets.ndim == 1 and self.offsets[:1].tolist() == [0]
                 and self.offsets[-1] == t and np.all(np.diff(self.offsets) > 0)):
             raise ValidationError("sequence offsets must rise strictly from 0 "
                                   f"to {t}, the number of observed rows")
-        self.offsets.setflags(write=False)
 
     @property
     def length(self) -> int:
@@ -359,7 +366,7 @@ class TreeTopology:
         # the per-level bookkeeping of level() stays cheap
         bounds = np.concatenate(([0], np.cumsum(np.bincount(self.depth))))
         self._level_bounds = array("q", bounds.tobytes())
-        for table in (self.parent, self.depth, self.child_count,
+        for table in (self.depth, self.child_count,
                       self.downward_order, self.position, self.parent_position):
             table.setflags(write=False)
 

@@ -333,15 +333,15 @@ class TestWriteProfileBytes:
 
 
 # ---------------------------------------------------------------------------
-# the token path and the per-token walk that reports faults
+# the byte reader and the per-token walk that reports faults
 # ---------------------------------------------------------------------------
 
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 
 def without_walk(monkeypatch):
-    """Make every per-token conversion fail, so that only a text the token
-    path accepts on its own parses."""
+    """Make every per-token conversion fail, so that only a text the byte
+    reader accepts on its own parses."""
     def refuse(token, where):
         raise AssertionError(f"per-token walk ran: {where}")
     monkeypatch.setattr(fileio, "_parse_int", refuse)
@@ -419,18 +419,34 @@ def tree_variants(rng, text):
             "\t " + line.replace("\t", "  \t") + " " for line in spaced)
 
 
-class TestTokenPath:
+def assert_same_tree(got, want):
+    assert_same_array(got.topology.parent, want.topology.parent)
+    assert_same_array(got.values, want.values)
+
+
+def assert_same_dataset(got, want):
+    assert_same_array(got.values, want.values)
+    assert_same_array(got.offsets, want.offsets)
+
+
+class TestByteReader:
+    """ASCII files parse on the byte reader alone; the non-ASCII line
+    breaks and the tokens only int reads are left to the walk by design,
+    and parse to the walk's values."""
+
     def test_trees_of_every_kind(self, monkeypatch):
         cases = []
         for rng, tree in sample_trees():
             for text in tree_variants(rng, serialize_tree(tree)):
                 cases.append((text, fileio._walk_tree(text)))
                 assert cases[-1][1] == tree
+        for text, want in cases:
+            if not text.isascii():
+                assert_same_tree(parse_tree(text), want)
         without_walk(monkeypatch)
         for text, want in cases:
-            got = parse_tree(text)
-            assert_same_array(got.topology.parent, want.topology.parent)
-            assert_same_array(got.values, want.values)
+            if text.isascii():
+                assert_same_tree(parse_tree(text), want)
 
     def test_sequence_files(self, monkeypatch):
         cases = []
@@ -447,21 +463,106 @@ class TestTokenPath:
         # one value per step, mixed with whitespace-separated lines
         cases += ["1;2;3\n4 5\n", " 1 ; ;2\r\n\n3\x0b4 5 6\n", "7;\n"]
         expected = [fileio._walk_sequences(text) for text in cases]
+        for text, want in zip(cases, expected):
+            if not text.isascii():
+                assert_same_dataset(parse_sequence(text), want)
         without_walk(monkeypatch)
         for text, want in zip(cases, expected):
-            got = parse_sequence(text)
-            assert_same_array(got.values, want.values)
-            assert_same_array(got.offsets, want.offsets)
+            if text.isascii():
+                assert_same_dataset(parse_sequence(text), want)
 
-    def test_tokens_that_int_accepts(self, monkeypatch):
-        without_walk(monkeypatch)
+    def test_tokens_that_int_accepts(self):
         data = parse_sequence("+5 1_000 ٣ 007\n")
         assert data.values[:, 0].tolist() == [5, 1000, 3, 7]
+        assert_same_dataset(data, fileio._walk_sequences("+5 1_000 ٣ 007\n"))
         data = parse_sequence("+5,1_000;٣,0\n")
         assert data.values.tolist() == [[5, 1000], [3, 0]]
+        assert_same_dataset(data, fileio._walk_sequences("+5,1_000;٣,0\n"))
         tree = parse_tree("+0 -1 1_000\n١ 0 +2\n")
         assert tree.topology.parent.tolist() == [-1, 0]
         assert tree.values[:, 0].tolist() == [1000, 2]
+        assert_same_tree(tree, fileio._walk_tree("+0 -1 1_000\n١ 0 +2\n"))
+
+    # (token, value): numbers at the edges of the byte reader's grammar;
+    # the 20-digit one is left to the walk
+    EDGE_TOKENS = [("-0", 0), ("007", 7), (str(2 ** 63 - 1), 2 ** 63 - 1),
+                   ("1" + "0" * 18, 10 ** 18), ("0" * 19 + "7", 7)]
+
+    @pytest.mark.parametrize("token, value", EDGE_TOKENS)
+    def test_edge_tokens(self, monkeypatch, token, value):
+        if len(token) <= 19:
+            without_walk(monkeypatch)
+        data = parse_sequence(f"1 {token}\n")
+        assert data.values[:, 0].tolist() == [1, value]
+        data = parse_sequence(f"1,{token};{token},2\n")
+        assert data.values.tolist() == [[1, value], [value, 2]]
+        tree = parse_tree(f"0 -1 {token}\n1 0 1\n")
+        assert tree.values[:, 0].tolist() == [value, 1]
+
+
+# the bytes the fuzz inserts or substitutes: the format's own, the
+# whitespace and line breaks the walk splits on, and two it never takes
+FUZZ_BYTES = "0123456789-,; \t\n\r\x1f+x"
+
+
+@st.composite
+def tree_files(draw):
+    """A valid tree file of 1-6 vertices, its lines in any order."""
+    n = draw(st.integers(1, 6))
+    parent = [-1] + [draw(st.integers(0, u - 1)) for u in range(1, n)]
+    values = draw(arrays(np.int64, (n, draw(st.integers(1, 2))),
+                         elements=st.integers(0, 2 ** 63 - 1)
+                         | st.integers(0, 12)))
+    text = serialize_tree(ObservedTree(TreeTopology(parent), values))
+    return "".join(draw(st.permutations(text.splitlines(keepends=True))))
+
+
+@st.composite
+def edited(draw, files):
+    """A file with 1-3 bytes inserted, deleted or substituted."""
+    text = draw(files)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(FUZZ_BYTES))
+        edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        kept = text[at + 1:] if edit != "insert" else text[at:]
+        text = text[:at] + ("" if edit == "delete" else byte) + kept
+    return text
+
+
+def outcome(read, text):
+    """What read makes of text: its result, or its DataFormatError message."""
+    try:
+        return read(text)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+class TestByteReaderFuzz:
+    """Edited files: the parser returns what the walk returns or raises the
+    walk's message, so the byte reader accepts no file the walk rejects and
+    reads every file it accepts as the walk does."""
+
+    @given(edited(tree_files()))
+    @settings(deadline=None)
+    def test_tree_files(self, text):
+        got, want = outcome(parse_tree, text), outcome(fileio._walk_tree, text)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_tree(got, want)
+
+    @given(edited(stacked_datasets().map(serialize_sequence)))
+    @settings(deadline=None)
+    def test_sequence_files(self, text):
+        got = outcome(parse_sequence, text)
+        want = outcome(fileio._walk_sequences, text)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_dataset(got, want)
 
 
 def parse_detected(text):
@@ -484,6 +585,15 @@ MALFORMED = [
     (parse_sequence, f"{-2 ** 63}\n",
      "line 1: observed values must be non-negative integers"),
     (parse_sequence, "1 5.0\n", "line 1: error at token 2: '5.0' is not an integer"),
+    (parse_sequence, "0 --1\n", "line 1: error at token 2: '--1' is not an integer"),
+    (parse_sequence, "1- 0\n", "line 1: error at token 1: '1-' is not an integer"),
+    (parse_sequence, "0 -\n", "line 1: error at token 2: '-' is not an integer"),
+    (parse_sequence, f"{'9' * 19}\n",
+     f"line 1: error at token 1: '{'9' * 19}' is outside the int64 range"),
+    (parse_sequence, f"0,{10 ** 19}\n",
+     f"line 1, step 1, variable 2: '{10 ** 19}' is outside the int64 range"),
+    (parse_sequence, f"{'9' * 20}\n",
+     f"line 1: error at token 1: '{'9' * 20}' is outside the int64 range"),
     (parse_sequence, "0x10\n", "line 1: error at token 1: '0x10' is not an integer"),
     (parse_sequence, "1,2;3,\n",
      "line 1, step 2, variable 2: '' is not an integer"),
@@ -491,6 +601,15 @@ MALFORMED = [
     (parse_sequence, "0,1\n2\n", "line 2: 1 variables, earlier lines had 2"),
     (parse_sequence, "0 1\n ; ;\n", "line 2: no time steps"),
     (parse_sequence, "\n \n", "no sequences found"),
+    # each shape the byte reader declines, left to the walk
+    (parse_sequence, ",1;2\n", "line 1, step 1, variable 1: '' is not an integer"),
+    (parse_sequence, "1;2,\n", "line 1, step 2, variable 2: '' is not an integer"),
+    (parse_sequence, "1,,2\n", "line 1, step 1, variable 2: '' is not an integer"),
+    (parse_sequence, "1,;2\n", "line 1, step 1, variable 2: '' is not an integer"),
+    (parse_sequence, "1 2;3\n",
+     "line 1, step 1, variable 1: '1 2' is not an integer"),
+    (parse_sequence, "1\n;\n2\n", "line 2: no time steps"),
+    (parse_sequence, "1\n,\n", "line 2, step 1, variable 1: '' is not an integer"),
     # the first fault in file order wins
     (parse_sequence, "0 1\n1 -2\n0 x\n",
      "line 2: observed values must be non-negative integers"),
@@ -514,12 +633,30 @@ MALFORMED = [
     (parse_tree, f"0 {-2 ** 63 - 1} 0\n",
      f"line 1, parent id: '{-2 ** 63 - 1}' is outside the int64 range"),
     (parse_tree, "0 -1 5.0\n", "line 1, variable 1: '5.0' is not an integer"),
+    (parse_tree, "0 -1 0\n1 --1 0\n", "line 2, parent id: '--1' is not an integer"),
+    (parse_tree, "0 -1 1-\n", "line 1, variable 1: '1-' is not an integer"),
+    (parse_tree, f"0 -1 0\n1 {-2 ** 63} 0\n", "parent ids must lie in [0, n)"),
+    (parse_tree, f"0 -1 0\n{-2 ** 63} 0 0\n",
+     "vertex ids must cover 0..1; missing [1]"),
+    (parse_tree, f"0 -1 {10 ** 19}\n",
+     f"line 1, variable 1: '{10 ** 19}' is outside the int64 range"),
     (parse_tree, "0x10 -1 0\n", "line 1, vertex id: '0x10' is not an integer"),
     (parse_tree, "0 -1 1,\n", "line 1, variable 2: '' is not an integer"),
     (parse_tree, "1 -1 0\n0 1 0\n", "vertex 0 must be the root"),
     (parse_tree, "0 -1 0\n1 2 0\n2 1 0\n", "parent relation contains a cycle"),
     (parse_tree, "0 -1 0\n1 5 0\n", "parent ids must lie in [0, n)"),
     (parse_tree, "\n", "no vertices found"),
+    (parse_tree, "0 -1\n1 0\n",
+     "line 1: expected 'vertex parent values', got 2 fields"),
+    (parse_tree, "0\n", "line 1: expected 'vertex parent values', got 1 fields"),
+    (parse_tree, "0 -1 1 ,2\n",
+     "line 1: expected 'vertex parent values', got 4 fields"),
+    (parse_tree, "0 -1 1;2\n", "line 1, variable 1: '1;2' is not an integer"),
+    (parse_tree, ",0 -1 1\n", "line 1, vertex id: ',0' is not an integer"),
+    (parse_tree, "0,1 -1 1\n", "line 1, vertex id: '0,1' is not an integer"),
+    (parse_tree, "0 -1 0;\n1 0 1\n", "line 1, variable 1: '0;' is not an integer"),
+    (parse_tree, "0 -1 0\n;\n",
+     "line 2: expected 'vertex parent values', got 1 fields"),
     (parse_tree, "0 -1 0\n0 0 x\n3\n",
      "line 2, variable 1: 'x' is not an integer"),
     # a sequence file whose line 2 looks like a root line of a tree
@@ -559,7 +696,7 @@ class TestSerializers:
     @settings(deadline=None)
     def test_stacked_dataset_round_trip(self, dataset):
         """Any dataset is written one line per sequence with the reference
-        bytes and read back, by the token path and by the walk, as itself."""
+        bytes and read back, by the byte reader and by the walk, as itself."""
         text = serialize_sequence(dataset)
         assert text == reference_serialize_sequence(dataset)
         assert parse_sequence(text) == dataset

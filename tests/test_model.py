@@ -417,6 +417,39 @@ class TestTopology:
                 order[first[u]:first[u] + topo.child_count[u]], children)
 
 
+TWO_STATES = [[Poisson(1.0)], [Poisson(2.0)]]
+
+
+class TestCallerArrays:
+    """A constructor freezes an array of its own: the caller's array stays
+    writable, and writing to it leaves the object unchanged."""
+
+    @pytest.mark.parametrize("caller, build, attribute", [
+        ([0, 1, 2], ObservedSequence, "values"),
+        ([[0, 1], [2, 3]], ObservedSequence, "values"),
+        ([0, 1, 3], lambda a: ObservedSequence([4, 5, 6], a), "offsets"),
+        ([[0], [1], [2]], lambda a: ObservedTree(TreeTopology([-1, 0, 0]), a),
+         "values"),
+        ([-1, 0, 1], TreeTopology, "parent"),
+        ([0.25, 0.75], Categorical, "probs"),
+        ([0.5, 0.5], lambda a: HmmModel(a, np.eye(2), TWO_STATES), "initial"),
+        ([[0.5, 0.5], [0.1, 0.9]],
+         lambda a: HmmModel([0.5, 0.5], a, TWO_STATES), "transition"),
+    ], ids=["sequence vector", "sequence matrix", "offsets", "tree values",
+            "parent ids", "categorical", "initial", "transition"])
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_caller_array_stays_writable(self, caller, build, attribute, view):
+        caller = np.array(caller)
+        if view:
+            caller = caller[:]
+        held = getattr(build(caller), attribute)
+        want = held.copy()
+        caller.fill(0)
+        np.testing.assert_array_equal(held, want)
+        with pytest.raises(ValueError, match="read-only"):
+            held.fill(0)
+
+
 class TestObservedData:
     @pytest.mark.parametrize("build", [
         lambda big: ObservedSequence([0, big, 1]),
