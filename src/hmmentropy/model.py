@@ -534,23 +534,41 @@ def simulate_chain(model: HmmModel, length: int, seed: int):
     return states, ObservedSequence(tree.values)
 
 
+# Levels up to this wide draw vertex by vertex: one level as numpy arrays
+# costs about what three single draws do.
+_NARROW_LEVEL = 3
+
+
 def simulate_tree(model: HmmModel, topology: TreeTopology, seed: int):
     """Draw (state tree, ObservedTree): root from the initial law, children
-    from their parent's transition row."""
+    from their parent's transition row.
+
+    Vertex downward_order[i] draws with the uniform u[i]: the first state
+    whose cumulative row sum exceeds u[i] times the row total, a whole
+    level at a time."""
     rng = np.random.default_rng(seed)
     n = topology.num_vertices
     cum_pi = np.cumsum(model.initial)
     cum_a = np.cumsum(model.transition, axis=1)
     u = rng.random(n)
-    j = model.num_states
+    last = model.num_states - 1
     states = np.empty(n, dtype=np.int64)
-    for idx, vertex in enumerate(topology.downward_order):
-        if vertex == 0:
-            row = cum_pi
-        else:
-            row = cum_a[states[topology.parent[vertex]]]
-        states[vertex] = min(
-            np.searchsorted(row, u[idx] * row[-1], side="right"), j - 1
-        )
+    states[0] = min(np.searchsorted(cum_pi, u[0] * cum_pi[-1], side="right"), last)
+    order = topology.downward_order
+    parent = topology.parent
+    for d in range(1, topology.num_levels):
+        lo, hi = topology.level(d)
+        if hi - lo <= _NARROW_LEVEL:
+            # a vertex or a few, as on a path: cheaper one searchsorted each
+            for at in range(lo, hi):
+                row = cum_a[states[parent[order[at]]]]
+                states[order[at]] = min(
+                    np.searchsorted(row, u[at] * row[-1], side="right"), last)
+            continue
+        vertices = order[lo:hi]
+        rows = cum_a[states[parent[vertices]]]
+        # the count of row sums <= the threshold, as searchsorted(side="right")
+        drawn = np.count_nonzero(rows <= (u[lo:hi] * rows[:, -1])[:, None], axis=1)
+        states[vertices] = np.minimum(drawn, last)
     values = _draw_observations(model, states, rng)
     return states, ObservedTree(topology, values)

@@ -16,7 +16,7 @@ from hmmentropy import (Categorical, DataFormatError, HmmModel,
                         read_profile, serialize_model, serialize_sequence,
                         serialize_tree, simulate_chain, simulate_tree,
                         write_profile)
-from hmmentropy.fileio import PROFILE_BLOCK_ROWS, detect_data_kind
+from hmmentropy.fileio import PROFILE_BLOCK_CELLS, detect_data_kind
 
 from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology, stack
 
@@ -167,6 +167,56 @@ class TestTreeFormat:
             assert detect_data_kind(text) == "tree"
 
 
+def reference_detect_data_kind(text):
+    """detect_data_kind as one walk over every line of the text: the rule
+    it keeps."""
+    three_fields = True
+    for raw in text.splitlines():
+        fields = raw.split(None, 3)
+        try:
+            if (len(fields) > 1 and int(fields[1]) < 0
+                    and (three_fields or int(fields[0]) == 0)):
+                return "tree"
+        except ValueError:
+            pass
+        three_fields = three_fields and len(fields) in (0, 3)
+    return "chain"
+
+
+# tokens of tree and sequence lines, and every line break and whitespace
+# character that str.splitlines and str.split know
+KIND_TOKENS = ["0", "1", "7", "00", "-", "-1", "-0", "+3", "1_0", "x", ",", ";",
+               "0,1", " ", "\t", "\x1f", "\xa0", "\u2003", "\n", "\r", "\r\n",
+               "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def kind_texts(draw):
+    """Short texts of tokens, some below a run of tree or sequence lines
+    long enough that the first deciding line lies pieces away."""
+    tail = "".join(draw(st.lists(st.sampled_from(KIND_TOKENS), max_size=40)))
+    filler = draw(st.sampled_from(["", "0 1 2\n", "3 4\n", "5 -6 7\r\n"]))
+    return filler * draw(st.sampled_from([0, 1, 700, 3000])) + tail
+
+
+class TestDetectDataKind:
+    @given(text=kind_texts())
+    @settings(deadline=None)
+    def test_same_kind_as_the_line_walk(self, text):
+        assert detect_data_kind(text) == reference_detect_data_kind(text)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("1 0\n0 -1 0\n", "tree"),        # a root line below a line of two
+        ("1 2\n3 -4\n", "chain"),          # a negative value, not after a 0
+        ("0 1\n5 6 7 8\n0 -2\n", "tree"),  # "0 <negative>" reads as a root
+        ("0 1 2\x85" * 5000 + "1 -1 0\n", "tree"),  # pieces end at any break
+        ("0 1 2 3\n" * 5000 + "1 -1 0\n", "chain"),
+        ("1 2 3\n" * 5000, "chain"),
+    ])
+    def test_rule(self, text, kind):
+        assert detect_data_kind(text) == reference_detect_data_kind(text) == kind
+
+
 class TestWriteProfile:
     def test_single_row(self):
         table = ProfileTable()
@@ -254,8 +304,48 @@ PROFILE_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
                   1.7976931348623157e308, 1234567890125.0, -1234567890125.0,
                   9999999999995.0, 0.5, 1e-5, 1e16)
-B = PROFILE_BLOCK_ROWS
-PROFILE_ROW_COUNTS = (0, 1, 2, B - 1, B, B + 1, 3 * B + 17)
+
+
+def ulps_away(values, steps):
+    """Each positive double moved by each number of ulps."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.asarray(steps)).view(np.float64).ravel()
+
+
+# The float64 cells where a writer that rounds in numpy could go wrong:
+# exact powers of ten; the edges of the fixed form (1e-5, 1e-4, 1e11,
+# 1e12), 1e16 and the edges of the table of powers (1e-280, 1e281), each
+# +-1 ulp; values that round up into the next decade; subnormals and the
+# smallest normal; and 13-digit values next to a tie whose product with
+# the rounded power of ten rounds to the wrong 12th digit.
+EDGE_FLOATS = (
+    tuple(float(f"1e{i}") for i in range(-300, 301)),
+    tuple(ulps_away([1e-5, 1e-4, 1e11, 1e12, 1e16, 1e-281, 1e-280, 1e280, 1e281],
+                    [-1, 0, 1])),
+    (9.99999999999951e-05, 999999999999.5, 9.9999999999995, 99999999999.95,
+     9.9999999999995e-301, 9.9999999999995e280),
+    (5e-324, 1e-323, 2.5e-320, 1e-310, 2.2250738585072009e-308,
+     2.2250738585072014e-308),
+    (5.075660286985e-45, 5.337195130615e-45, 2.718823429815e-14,
+     5.249135055615e-45, 9.490133817725e-45, 5.186186060035e-45,
+     1.284737300845e-45, 2.716061946765e+45, 4.896740173815e-45,
+     5.422958504245e-14, 5.108546452525e-45, 2.672153766325e-14),
+)
+
+
+def near_ties(rng, size):
+    """Values 1-4 ulps either side of n + 0.5 times a power of ten, n a
+    12-digit integer: 13-digit values next to a tie of the 12th digit."""
+    n = rng.integers(10 ** 11, 10 ** 12, size=size) + 0.5
+    scale = np.array([float(f"1e{e}") for e in rng.integers(-30, 30, size=size)])
+    return ulps_away(n * scale, [-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+B = PROFILE_BLOCK_CELLS
+# a table with one float column is formatted B rows at a time, one with
+# four B // 4 rows at a time
+PROFILE_ROW_COUNTS = (0, 1, 2, B // 4 - 1, B // 4, B // 4 + 1, B - 1, B, B + 1,
+                      3 * B + 17)
 
 
 def profile_column(rng, dtype, rows):
@@ -277,6 +367,9 @@ def profile_column(rng, dtype, rows):
         if dtype == np.float64:
             ties = rng.integers(10 ** 11, 10 ** 12, size=8) * 10 + 5
             specials += [*SPECIAL_FLOATS, *ties.astype(float)]
+            edges = [rng.choice(group) for group in EDGE_FLOATS]
+            edges += list(near_ties(rng, 1))
+            specials += edges + [-e for e in edges]
         else:
             specials += SPECIAL_FLOATS[:5]
         specials = np.array(specials, dtype=dtype)
@@ -330,6 +423,85 @@ class TestWriteProfileBytes:
     def test_no_columns(self):
         assert write_profile(ProfileTable()) == reference_write_profile(
             ProfileTable()) == "\n"
+
+
+def same_bytes(table):
+    for log_base in ("e", "2"):
+        with np.errstate(over="ignore"):
+            assert first_difference(write_profile(table, log_base),
+                                    reference_write_profile(table, log_base)) is None
+
+
+class TestWriteProfileEdges:
+    """The float cells where rounding in numpy could go wrong, and the
+    cells the writer leaves to Python's '%.12g'."""
+
+    @pytest.fixture
+    def per_cell(self, monkeypatch):
+        """The values that write_profile formats with '%.12g', in a list."""
+        seen = []
+
+        def spy(values):
+            seen.extend(values.tolist())
+            return per_cell_slots(values)
+
+        per_cell_slots = fileio._per_cell_slots
+        monkeypatch.setattr(fileio, "_per_cell_slots", spy)
+        return seen
+
+    def test_edge_floats(self):
+        rng = np.random.default_rng(21)
+        values = np.concatenate([*map(np.array, EDGE_FLOATS), near_ties(rng, 500)])
+        table = ProfileTable()
+        table.add("h", np.concatenate([values, -values]), entropy=True)
+        same_bytes(table)
+
+    def test_every_cell_per_cell(self, per_cell):
+        # not finite, beyond 1e280 either way, or an exact tie of the 12th
+        # digit
+        values = np.array([math.nan, math.inf, -math.inf, 1e281, -1e300, 1e-281,
+                           5e-324, 1.7976931348623157e308, 1234567890125.0,
+                           123456789012.5, 12345678901.25, -1234567890.125])
+        table = ProfileTable()
+        table.add("x", np.tile(values, 40))
+        same_bytes(table)
+        assert len(per_cell) == 2 * values.size * 40
+
+    def test_no_cell_per_cell(self, per_cell):
+        # multiples of 2**-10 (at most ten decimals) and integers below 1e12
+        # round exactly, zeros and -0.0 included
+        rng = np.random.default_rng(22)
+        table = ProfileTable()
+        table.add("i", np.arange(3000))
+        table.add("p", rng.integers(0, 2 ** 10, 3000) / 2.0 ** 10)
+        table.add("n", -rng.integers(0, 10 ** 11, 3000).astype(float))
+        table.add("z", np.where(rng.random(3000) < 0.5, 0.0, -0.0))
+        same_bytes(table)
+        assert per_cell == []
+
+    def test_powers_of_ten_mostly_in_numpy(self, per_cell):
+        # next to a power of ten log10 lands a decade off on about a third
+        # of these cells; corrected once, 5 % of them (those whose scaled
+        # value rounds to exactly 1e12) are left to '%.12g'
+        powers = np.array([float(f"1e{i}") for i in range(-280, 281)])
+        table = ProfileTable()
+        table.add("x", ulps_away(powers, [-1, 0, 1]))
+        same_bytes(table)
+        assert len(per_cell) < 0.1 * 2 * table.num_rows
+
+    def test_mostly_zero_column(self):
+        # a viterbi-profiles column: exact zeros but for a few cells, which
+        # run from 1 down to the smallest normal double
+        rng = np.random.default_rng(23)
+        col = np.zeros(5000)
+        at = rng.random(5000) < 0.05
+        col[at] = 10.0 ** -rng.uniform(0, 307, int(at.sum()))
+        table = ProfileTable()
+        table.add("vertex", np.arange(5000))
+        table.add("parent", np.arange(-1, 4999))
+        table.add("vprofile_0", col)
+        table.add("vprofile_1", col[::-1].copy())
+        same_bytes(table)
 
 
 # ---------------------------------------------------------------------------

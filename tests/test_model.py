@@ -11,7 +11,7 @@ from scipy import special
 from hmmentropy import (Categorical, HmmModel, ObservedSequence, ObservedTree,
                         Poisson, TreeTopology, ValidationError, emission_prob,
                         simulate_chain, simulate_tree, validate_model)
-from hmmentropy.model import log_emission_matrix
+from hmmentropy.model import _draw_observations, log_emission_matrix
 from hmmentropy.numutil import log_factorial, xlogy
 
 from conftest import (M1, TOPOLOGY_KINDS, random_model, random_topology,
@@ -283,6 +283,21 @@ PIN_MODEL = HmmModel([0.3, 0.7], [[0.8, 0.2], [0.4, 0.6]],
                       [Categorical([0.1, 0.2, 0.7]), Poisson(6.0)]])
 
 
+def per_vertex_simulation(model, topology, seed):
+    """simulate_tree as a loop over the vertices in downward order: the
+    reference for the states and values it draws."""
+    rng = np.random.default_rng(seed)
+    cum_pi = np.cumsum(model.initial)
+    cum_a = np.cumsum(model.transition, axis=1)
+    u = rng.random(topology.num_vertices)
+    states = np.empty(topology.num_vertices, dtype=np.int64)
+    for idx, vertex in enumerate(topology.downward_order):
+        row = cum_pi if vertex == 0 else cum_a[states[topology.parent[vertex]]]
+        states[vertex] = min(np.searchsorted(row, u[idx] * row[-1], side="right"),
+                             model.num_states - 1)
+    return states, _draw_observations(model, states, rng)
+
+
 class TestSimulation:
     def test_pinned_chain(self):
         states, seq = simulate_chain(PIN_MODEL, 8, seed=2024)
@@ -350,6 +365,21 @@ class TestSimulation:
         root = states[0]
         freq = np.mean(states[1:] == root)
         assert abs(freq - 0.9) < 0.02
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_tree_levels_draw_as_vertices(self, kind):
+        # simulate_tree draws a level per step; the per-vertex loop it
+        # replaced gives the same states and values for every seed
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for n in (1, 2, 9, 300):
+            topo = random_topology(rng, n, kind=kind)
+            for j in (1, 2, 5):
+                model = random_model(rng, j, zeros=j == 5)
+                seed = int(rng.integers(0, 2 ** 31))
+                states, tree = simulate_tree(model, topo, seed)
+                ref_states, ref_values = per_vertex_simulation(model, topo, seed)
+                assert np.array_equal(states, ref_states)
+                assert np.array_equal(tree.values, ref_values)
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
