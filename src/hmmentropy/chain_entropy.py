@@ -10,6 +10,14 @@ entropy recursion) are references that the tests compare against them.  All
 work in blocks of about BLOCK_CELLS numbers on the ChainPosterior of a
 dataset of any number of sequences, restart at each and sum H(S | X).
 
+The recursive routes' blocked walk is bit-identical to a loop of one step
+per position on J x J arrays (the tests keep that loop).  A block holds its
+laws state-major, (J, J, rows), so every elementwise step runs along the
+rows, and each sum adds its terms in the order numpy gives it within one
+position: over the previous state (past) along a strided axis, in order;
+over the next state (future) and over the current state along a
+contiguous one, pairwise from 8 terms on.
+
 All entropies are in nats.
 """
 
@@ -59,27 +67,95 @@ def _neighbours(model, posterior, direction):
             for lo, hi in _blocks(0, rows.size, model.transition.size))
 
 
-def _law(model, posterior, direction, t, n):
-    """K[i, a, b] = P(S_n = b | S_t = a, X) at rows t[i], n[i]: p_ba F_n(b) /
-    G_t(a) for 'past', p_ab L_n(b) / G_n(b) normalized over b for 'future'."""
-    a, g = model.transition, posterior.predicted
+def _law(model, posterior, direction, t, n, out):
+    """K[a, b, i] = P(S_n = b | S_t = a, X) at rows t[i], n[i]: p_ba F_n(b) /
+    G_t(a) for 'past', p_ab L_n(b) / G_n(b) normalized over b for 'future'.
+
+    K is the first J^2 len(t) numbers of out[0], state-major, so that every
+    elementwise step runs along the rows; the future normalizer sums over b
+    in a transposed copy in out[2].
+    """
+    a = model.transition
+    k = out[0, :a.size * t.size].reshape(*a.shape, t.size)
     if direction == "past":
-        return safe_div(a * posterior.forward[n][:, :, None],
-                        g[t][:, None, :]).transpose(0, 2, 1)
-    u = a * safe_div(posterior.smoothed[n], g[n])[:, None, :]
-    return safe_div(u, u.sum(axis=2)[:, :, None])
+        np.multiply(a.T[:, :, None], _rows(posterior.forward, n).T, out=k)
+        _divide(k, _rows(posterior.predicted, t).T[:, None, :])
+        return k
+    ratio = safe_div(_rows(posterior.smoothed, n), _rows(posterior.predicted, n))
+    np.multiply(a[:, :, None], ratio.T, out=k)
+    _divide(k, _sum_over_b(k, out[2])[:, None, :])
+    return k
 
 
-def _route(model, posterior, direction, term):
-    """Profile whose conditionals are term(model, posterior, direction, t, n,
-    marginal) at the rows t with a neighbour n and H(S_t | X) at the others;
-    partials are their compensated running sums along the walk, and H(S | X)
-    is the fsum of each sequence's last one."""
-    blocks = _neighbours(model, posterior, direction)
+def _rows(table, index):
+    """table[index] for a vector of row indices; np.take gathers whole rows
+    several times faster than fancy indexing does."""
+    return np.take(table, index, axis=0)
+
+
+def _divide(k, den):
+    """k /= den in place, 0 where den == 0 (safe_div's convention); the
+    mask is built only when den holds a 0."""
+    if den.all():
+        np.divide(k, den, out=k)
+        return
+    zero = den == 0
+    np.divide(k, den, out=k, where=~zero)
+    np.copyto(k, 0.0, where=zero)
+
+
+def _sum_over_b(x, out):
+    """x[a, :, i] summed by numpy along a contiguous axis, pairwise from 8
+    terms on, in a transposed copy in out that has that axis."""
+    j, _, rows = x.shape
+    xt = out[:x.size].reshape(j, rows, j)
+    np.copyto(xt, x.transpose(0, 2, 1))
+    return xt.sum(axis=2)
+
+
+def _law_blocks(model, posterior, direction):
+    """(t, n, K, e) for each block of _neighbours: the laws K of _law and
+    e[a, i] = sum_b entr(K[a, b, i]).
+
+    entr's values go into out[1] (K is never negative, so entr's -inf branch
+    cannot apply, and its x == 0 fix-up runs only when K holds a 0).  The
+    past sums add one slice at a time from numpy's initial +0.0, the order
+    in which numpy reduces a strided axis; numpy's own reduction would sum
+    a one-row block along a contiguous axis, pairwise from 8 terms on.  The
+    future sums are that contiguous reduction.  The blocks reuse the
+    buffers of the first, which is the largest.
+    """
+    out = None
+    for t, n in _neighbours(model, posterior, direction):
+        if out is None:
+            out = np.empty((2 if direction == "past" else 3,
+                            model.transition.size * t.size))
+        k = _law(model, posterior, direction, t, n, out)
+        ent = out[1, :k.size].reshape(k.shape)
+        with np.errstate(all="ignore"):  # as entr: -inf and NaN are values
+            np.log(k, out=ent)
+            np.multiply(ent, k, out=ent)
+        np.negative(ent, out=ent)
+        if not k.all():
+            np.copyto(ent, 0.0, where=k == 0)
+        if direction == "future":
+            e = _sum_over_b(ent, out[2])
+        else:
+            e = ent[:, 0] + 0.0
+            for b in range(1, len(k)):
+                e += ent[:, b]
+        yield t, n, k, e
+
+
+def _route(posterior, direction, blocks):
+    """Profile whose conditionals are given at the rows t with a neighbour
+    by blocks, pairs (t, values), and are H(S_t | X) at the others; partials
+    are their compensated running sums along the walk, and H(S | X) is the
+    fsum of each sequence's last one."""
     marginal = posterior.marginal_entropy
     conditional = marginal.copy()
-    for t, n in blocks:
-        conditional[t] = term(model, posterior, direction, t, n, marginal)
+    for t, values in blocks:
+        conditional[t] = values
     offsets, order = posterior.offsets, slice(None)
     if direction == "future":  # the sums run from each sequence's last row
         offsets, order = offsets[-1] - offsets[::-1], slice(None, None, -1)
@@ -88,20 +164,26 @@ def _route(model, posterior, direction, term):
                                partial[order], fsum(partial[offsets[1:] - 1]))
 
 
-def _from_law(model, posterior, direction, t, n, marginal):
-    """H(S_t | X) + smoothed[t] . entr(K) 1 - H(S_n | X)."""
-    e = entr(_law(model, posterior, direction, t, n)).sum(axis=2)
-    return marginal[t] + ((posterior.smoothed[t] * e).sum(axis=1) - marginal[n])
+def _from_law(model, posterior, direction):
+    """Blocks of H(S_t | X) + smoothed[t] . entr(K) 1 - H(S_n | X)."""
+    marginal = posterior.marginal_entropy
+    for t, n, _, e in _law_blocks(model, posterior, direction):
+        # smoothed[t] . e summed along a contiguous axis, in numpy's order
+        weighted = _rows(posterior.smoothed, t)
+        weighted *= e.T
+        yield t, marginal[t] + (weighted.sum(axis=1) - marginal[n])
 
 
-def _from_pairwise(model, posterior, direction, t, n, marginal):
-    """H(S_{t-1}, S_t | X) - H(S_n | X), from the pairwise posterior
-    P(S_{t-1}=i, S_t=k | X) = F_{t-1}(i) p_ik L_t(k) / G_t(k)."""
-    late = np.maximum(t, n)
-    joint = safe_div(posterior.smoothed[late][:, None, :] * model.transition
-                     * posterior.forward[late - 1][:, :, None],
-                     posterior.predicted[late][:, None, :])
-    return entr(joint).sum(axis=(1, 2)) - marginal[n]
+def _from_pairwise(model, posterior, direction):
+    """Blocks of H(S_{t-1}, S_t | X) - H(S_n | X), from the pairwise
+    posterior P(S_{t-1}=i, S_t=k | X) = F_{t-1}(i) p_ik L_t(k) / G_t(k)."""
+    marginal = posterior.marginal_entropy
+    for t, n in _neighbours(model, posterior, direction):
+        late = np.maximum(t, n)
+        joint = safe_div(posterior.smoothed[late][:, None, :] * model.transition
+                         * posterior.forward[late - 1][:, :, None],
+                         posterior.predicted[late][:, None, :])
+        yield t, entr(joint).sum(axis=(1, 2)) - marginal[n]
 
 
 def hernando_table(model: HmmModel, posterior: ChainPosterior,
@@ -120,9 +202,15 @@ def hernando_table(model: HmmModel, posterior: ChainPosterior,
     to 0 there); every profile quantity weights such rows by zero.
     """
     h = np.zeros_like(posterior.forward)
-    for t, n in _neighbours(model, posterior, direction):
-        k = _law(model, posterior, direction, t, n)
-        for s, r, k_s, e_s in zip(t.tolist(), n.tolist(), k, entr(k).sum(axis=2)):
+    for t, n, k, e in _law_blocks(model, posterior, direction):
+        # each position's K in the memory order of one step's J x J law,
+        # Fortran for 'past' and C for 'future': BLAS rounds a
+        # matrix-vector product by the matrix's memory order
+        if direction == "past":
+            k = k.transpose(2, 1, 0).copy().transpose(0, 2, 1)
+        else:
+            k = k.transpose(2, 0, 1).copy()
+        for s, r, k_s, e_s in zip(t.tolist(), n.tolist(), k, e.T):
             h[s] = k_s @ h[r] + e_s
     return h
 
@@ -138,7 +226,7 @@ def entropy_past_hernando(model: HmmModel, data: ObservedSequence,
 
     data is unused; the argument stays for callers that pass it positionally.
     """
-    return _route(model, posterior, "past", _from_law)
+    return _route(posterior, "past", _from_law(model, posterior, "past"))
 
 
 def entropy_past_direct(model: HmmModel, data: ObservedSequence,
@@ -151,7 +239,7 @@ def entropy_past_direct(model: HmmModel, data: ObservedSequence,
 
     data is unused; the argument stays for callers that pass it positionally.
     """
-    return _route(model, posterior, "past", _from_pairwise)
+    return _route(posterior, "past", _from_pairwise(model, posterior, "past"))
 
 
 def entropy_future(model: HmmModel, data: ObservedSequence,
@@ -165,7 +253,7 @@ def entropy_future(model: HmmModel, data: ObservedSequence,
 
     data is unused; the argument stays for callers that pass it positionally.
     """
-    return _route(model, posterior, "future", _from_law)
+    return _route(posterior, "future", _from_law(model, posterior, "future"))
 
 
 def entropy_future_direct(model: HmmModel, data: ObservedSequence,
@@ -178,4 +266,4 @@ def entropy_future_direct(model: HmmModel, data: ObservedSequence,
 
     data is unused; the argument stays for callers that pass it positionally.
     """
-    return _route(model, posterior, "future", _from_pairwise)
+    return _route(posterior, "future", _from_pairwise(model, posterior, "future"))

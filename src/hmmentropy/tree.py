@@ -252,5 +252,12 @@ def viterbi_profiles(model: HmmModel, tree: ObservedTree):
             # subtraction is NaN and the whole term must be -inf.
             outside = down[parent] + m[parent] - best[start:stop]
             np.copyto(outside, -np.inf, where=impossible_below[start:stop])
-            down[start:stop] = (outside[:, :, None] + log_a).max(axis=1)
+            # max over the parent's state i, one (vertices, J) slice at a
+            # time rather than a strided reduction over a (vertices, J, J)
+            # array; maxima are exact, so the order cannot change a bit
+            completion = down[start:stop]
+            np.add(outside[:, :1], log_a[0], out=completion)
+            for i in range(1, len(log_a)):
+                np.maximum(completion, outside[:, i, None] + log_a[i],
+                           out=completion)
     return states, np.exp(m + down - log_likelihood)[topo.position]

@@ -148,6 +148,37 @@ def block_edge_instances():
             yield model, simulate_chain(model, t_len, seed=j)[1]
 
 
+def wide_state_instances():
+    """Chains one and two rows past a full block at J = 8, 9 and 16, where
+    numpy sums a contiguous axis pairwise rather than in order; the longer
+    one's walk ends in a block of one row."""
+    rng = np.random.default_rng(23)
+    for j in (8, 9, 16):
+        model = HmmModel(rng.dirichlet(np.ones(j)), rng.dirichlet(np.ones(j), j),
+                         [[Categorical(rng.dirichlet(np.ones(3)))]
+                          for _ in range(j)])
+        for t_len in (BLOCK_CELLS // (j * j) + 1, BLOCK_CELLS // (j * j) + 2):
+            yield model, simulate_chain(model, t_len, seed=j)[1]
+
+
+def predicted_zero_instance():
+    """A J = 3 chain with exact zeros in the transitions whose predicted laws
+    hold a 0 after each symbol 0 (emitted by state 0 alone, which never
+    moves to state 2).  The first 2,000 rows hold no 0 symbol and the rest
+    are mixed, so each direction walks blocks with a predicted 0 and blocks
+    without one."""
+    model = HmmModel([0.5, 0.5, 0.0],
+                     [[0.9, 0.1, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]],
+                     [[Categorical([0.5, 0.5, 0.0])],
+                      [Categorical([0.0, 0.5, 0.5])],
+                      [Categorical([0.0, 0.2, 0.8])]])
+    rng = np.random.default_rng(29)
+    values = np.concatenate([rng.integers(1, 3, 2000), rng.integers(0, 3, 2000)])
+    # the first past block and the last future block hold rows < 2,000 only
+    assert BLOCK_CELLS // 9 < 2000
+    return model, ObservedSequence(values)
+
+
 class TestStructuralProperties:
     def test_route_equivalence(self):
         instances = [random_chain_instance(seed, max_states=4, max_length=12,
@@ -182,6 +213,7 @@ class TestStructuralProperties:
         # and agree with the tables' partials to rounding
         instances = [random_chain_instance(seed, max_states=8, max_length=40)
                      for seed in range(20)]
+        instances += [*wide_state_instances(), predicted_zero_instance()]
         for model, seq in instances + list(block_edge_instances()):
             post = smooth_chain(model, seq)
             a, f, g = model.transition, post.forward, post.predicted

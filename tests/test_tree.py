@@ -203,6 +203,39 @@ class TestViterbiProfiles:
                     assert prof[u, j] == pytest.approx(
                         res.viterbi_profile(u, j), abs=1e-10)
 
+    def test_completion_is_the_3d_max(self):
+        """The completion's slice maxima are the (vertices, J, J) form's max
+        bit for bit, with -inf scores from exact-zero transitions."""
+        instances = [random_tree_instance(seed, max_states=5, max_vertices=40,
+                                          zeros_prob=1.0)
+                     for seed in range(40)]
+        instances += [(model, tree) for _, model, tree in scatter_instances()]
+        for model, tree in instances:
+            states, prof = viterbi_profiles(model, tree)
+            ref_states, ref = viterbi_profiles_3d(model, tree)
+            np.testing.assert_array_equal(states, ref_states)
+            np.testing.assert_array_equal(prof, ref)
+
+
+def viterbi_profiles_3d(model, tree):
+    """viterbi_profiles with the completion's max over the parent's state
+    taken along the middle axis of one (vertices, J, J) array."""
+    topo = tree.topology
+    log_b = log_emission_matrix(model, tree.values)[topo.downward_order]
+    states, m, best = tree_passes._max_product(model, tree, log_b.copy())
+    log_likelihood = tree_passes._upward(model, tree, log_b).log_likelihood
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(model.transition)
+        down = np.empty_like(m)
+        down[0] = np.log(model.initial)
+        for d in range(1, topo.num_levels):
+            start, stop = topo.level(d)
+            parent = topo.parent_position[start:stop]
+            outside = down[parent] + m[parent] - best[start:stop]
+            np.copyto(outside, -np.inf, where=best[start:stop] == -np.inf)
+            down[start:stop] = (outside[:, :, None] + log_a).max(axis=1)
+    return states, np.exp(m + down - log_likelihood)[topo.position]
+
 
 def scatter_instances():
     """A tree of every topology kind with structural zeros, so that some
