@@ -79,11 +79,11 @@ def _law(model, posterior, direction, t, n, out):
     k = out[0, :a.size * t.size].reshape(*a.shape, t.size)
     if direction == "past":
         np.multiply(a.T[:, :, None], _rows(posterior.forward, n).T, out=k)
-        _divide(k, _rows(posterior.predicted, t).T[:, None, :])
+        safe_div(k, _rows(posterior.predicted, t).T[:, None, :], out=k)
         return k
     ratio = safe_div(_rows(posterior.smoothed, n), _rows(posterior.predicted, n))
     np.multiply(a[:, :, None], ratio.T, out=k)
-    _divide(k, _sum_over_b(k, out[2])[:, None, :])
+    safe_div(k, _sum_over_b(k, out[2])[:, None, :], out=k)
     return k
 
 
@@ -91,17 +91,6 @@ def _rows(table, index):
     """table[index] for a vector of row indices; np.take gathers whole rows
     several times faster than fancy indexing does."""
     return np.take(table, index, axis=0)
-
-
-def _divide(k, den):
-    """k /= den in place, 0 where den == 0 (safe_div's convention); the
-    mask is built only when den holds a 0."""
-    if den.all():
-        np.divide(k, den, out=k)
-        return
-    zero = den == 0
-    np.divide(k, den, out=k, where=~zero)
-    np.copyto(k, 0.0, where=zero)
 
 
 def _sum_over_b(x, out):

@@ -165,8 +165,9 @@ def viterbi(model_file, data_file, out_file):
         click.echo(f"log_joint\t{format(log_joint, '.12g')}", err=True)
     else:
         states, log_joints = viterbi_dataset(model, data)
-        for s, log_joint in enumerate(log_joints.tolist()):
-            click.echo(f"log_joint[{s}]\t{format(log_joint, '.12g')}", err=True)
+        click.echo("".join(f"log_joint[{s}]\t{format(log_joint, '.12g')}\n"
+                           for s, log_joint in enumerate(log_joints.tolist())),
+                   err=True, nl=False)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)
     _emit(write_profile(table), out_file)

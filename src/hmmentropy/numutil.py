@@ -43,15 +43,18 @@ def entr(x):
     return out[()]
 
 
-def xlogy(x, y):
+def xlogy(x, y, out=None):
     """x log y elementwise in float64 (broadcasting), +0.0 where x == 0 unless
     y is NaN, the values of scipy.special.xlogy: x = 0, y = 0 gives 0 and
-    x > 0, y = 0 gives -inf."""
+    x > 0, y = 0 gives -inf.  Into out if given, which may be y (in place);
+    the x == 0 mask is built only when x holds a 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    fix = None if x.all() else (x == 0) & ~np.isnan(y)
     with np.errstate(all="ignore"):
-        out = np.asarray(x * np.log(y))
-    np.copyto(out, 0.0, where=(x == 0) & ~np.isnan(y))
+        out = np.asarray(np.multiply(x, np.log(y, out=out), out=out))
+    if fix is not None:
+        np.copyto(out, 0.0, where=fix)
     return out[()]
 
 
@@ -69,12 +72,19 @@ def log_factorial(x):
     return table[inverse].reshape(x.shape)
 
 
-def safe_div(num, den):
-    """Elementwise num/den with 0 wherever den == 0 (broadcasting)."""
+def safe_div(num, den, out=None):
+    """Elementwise num/den with +0.0 wherever den == 0 (broadcasting), into
+    out if given, which may be num (in place); the mask is built only when
+    den holds a 0."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    out = np.zeros(np.broadcast(num, den).shape)
-    np.divide(num, den, out=out, where=den != 0)
+    if out is None:
+        out = np.empty(np.broadcast(num, den).shape)
+    if den.all():
+        return np.divide(num, den, out=out)
+    zero = den == 0
+    np.divide(num, den, out=out, where=~zero)
+    np.copyto(out, 0.0, where=zero)
     return out
 
 
@@ -99,8 +109,10 @@ def entropy(p):
 
 
 def fsum(values):
-    """Exactly rounded sum of a 1-D array (deterministic across platforms)."""
-    return math.fsum(np.asarray(values, dtype=float))
+    """Exactly rounded sum of a 1-D array (deterministic across platforms).
+    A memoryview hands math.fsum Python floats; iterating the array would
+    box each element as a numpy scalar, at about 2.5 times the cost."""
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
 
 
 def compensated_cumsum(values, starts):

@@ -19,6 +19,9 @@ vertices, and the children-conditional profile one per group of vertices
 with the same number of children, reading the children of each vertex from
 the topology's by-parent order.  Both run in blocks of at most about
 BLOCK_CELLS numbers, which bounds their temporaries whatever the tree size.
+Blocks are state-major, (J, J^c, vertices), so every elementwise step runs
+along the vertices, and keep the bits of vertex-major blocks: each vertex's
+entropy is numpy's sum of its J x J^c cells in a vertex-major copy.
 
 Children-conditioned entropies require enumerating children state tuples,
 the one computation here whose cost is not O(J^2 n); it is guarded by an
@@ -98,11 +101,27 @@ def _require_smoothed(posterior):
         raise ValueError("posterior lacks the smoothed table; run downward_pass")
 
 
+def _rows(table, v):
+    return table[v] if isinstance(v, slice) else table.take(v, axis=0)
+
+
+def _last_first(x):  # np.moveaxis(x, -1, 0), at a fraction of its cost
+    return x.transpose(-1, *range(x.ndim - 1))
+
+
 def _child_given_parent(model, posterior, v):
-    """W[..., i, k] = P(S_v = k | S_parent(v) = i, X = x) for a vertex v, a
-    slice of vertices or an array of them (one J x J matrix each)."""
-    return safe_div(model.transition * posterior.ratio[v][..., None, :],
-                    posterior.beta_edge[v][..., :, None])
+    """W[i, k, ...] = P(S_v = k | S_parent(v) = i, X = x) for a vertex v, a
+    slice of vertices or an array of them, state-major (C order)."""
+    ratio = _last_first(_rows(posterior.ratio, v))
+    edge = _last_first(_rows(posterior.beta_edge, v))
+    a = model.transition.reshape(model.transition.shape + (1,) * (ratio.ndim - 1))
+    w = np.multiply(a, ratio, order="C")
+    return safe_div(w, edge[:, None], out=w)
+
+
+def _vertex_sums(terms):
+    """terms[i, k, u] summed over (i, k) per vertex u."""
+    return np.ascontiguousarray(_last_first(terms)).sum(axis=(1, 2))
 
 
 def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
@@ -118,8 +137,8 @@ def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
         block = slice(lo, hi)
         cond = _child_given_parent(model, posterior, block)
         # P(S_parent(u) = i, S_u = k | X)
-        joint = cond * posterior.smoothed[parent[block]][:, :, None]
-        out[block] = -xlogy(joint, cond).sum(axis=(1, 2))
+        joint = cond * posterior.smoothed.take(parent[block], axis=0).T[:, None, :]
+        out[block] = -_vertex_sums(xlogy(joint, cond, out=cond))
     return out
 
 
@@ -175,8 +194,8 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     h = np.zeros((topo.num_vertices, model.num_states))  # in plan positions
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
-        w = _child_given_parent(model, posterior,
-                                topo.downward_order[start:stop])
+        w = np.ascontiguousarray(_last_first(_child_given_parent(
+            model, posterior, topo.downward_order[start:stop])))
         # W h[v] + entr(W) 1, added into the parents' rows by ascending id
         _add_rows_at(h, topo.parent_position[start:stop],
                      (w @ h[start:stop, :, None])[:, :, 0]
@@ -240,15 +259,17 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
         group = np.flatnonzero(topo.child_count == c)
         for lo, hi in _blocks(0, group.size, j ** (c + 1)):
             us = group[lo:hi]
-            first_child = first[us]
+            w = _child_given_parent(  # (J, J, c, vertices)
+                model, posterior, order[first[us] + np.arange(c)[:, None]])
             # joint over (S_u, children tuple), one children position at a time
-            table = posterior.smoothed[us][:, :, None]
+            table = posterior.smoothed.take(us, axis=0).T[:, None, :]
             for t in range(c):
-                w = _child_given_parent(model, posterior, order[first_child + t])
-                table = (table[:, :, :, None] * w[:, :, None, :]).reshape(
-                    us.size, j, -1)
-            cond = safe_div(table, table.sum(axis=1)[:, None, :])
-            out[us] = -xlogy(table, cond).sum(axis=(1, 2))
+                table = np.multiply(table[:, :, None, :], w[:, None, :, t],
+                                    order="C").reshape(j, -1, us.size)
+            # summed over S_u from +0.0 slice by slice, as numpy sums the
+            # strided middle axis of a vertex-major block
+            cond = safe_div(table, table.sum(axis=0))
+            out[us] = -_vertex_sums(xlogy(table, cond, out=cond))
     return out
 
 

@@ -189,6 +189,18 @@ class TestViterbi:
         assert [r.split("\t")[-1] for r in out.splitlines()[1:]] == ["0", "0"]
         assert "log_joint" in err
 
+    def test_dataset_log_joints_on_stderr(self, capsysbinary, tmp_path,
+                                          model_file):
+        """One line per sequence, in order, written in one piece."""
+        path = tmp_path / "three.txt"
+        path.write_text("0 0\n1 1 0\n0 1 1 1\n")
+        assert main(["viterbi", "--model", model_file,
+                     "--data", str(path)]) == 0
+        assert capsysbinary.readouterr().err == (
+            b"log_joint[0]\t-1.24479479885\n"
+            b"log_joint[1]\t-2.95959322694\n"
+            b"log_joint[2]\t-3.28809729391\n")
+
     def test_tree_profiles(self, capsys, model_file, tree_file):
         code, out, _ = run(capsys, "viterbi-profiles", "--model", model_file,
                            "--data", tree_file)

@@ -2,7 +2,9 @@
 hold: exponent-form cells, exact zeros, a negative parent id, Viterbi
 profiles and base-2 entropies.  They were written by the per-block ``%``
 writer that the numpy formatter replaced, and every formatter must print
-them byte for byte."""
+them byte for byte.  The tree entropy table (both conditionings) and the
+tree summary were written before the level passes and profiles took
+slice maxima, guarded masks and state-major blocks."""
 
 from pathlib import Path
 
@@ -19,6 +21,9 @@ CASES = [
      "small_tree_viterbi_profiles.tsv"),
     (["entropy", "--data", "short_chains.txt", "--cond", "future",
       "--log-base", "2"], "short_chains_entropy_future_base2.tsv"),
+    (["entropy", "--data", "small_tree.txt", "--cond", "both"],
+     "small_tree_entropy_both.tsv"),
+    (["summary", "--data", "small_tree.txt"], "small_tree_summary.tsv"),
 ]
 
 

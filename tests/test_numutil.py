@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from hmmentropy.numutil import entr, log_factorial, xlogy
+from hmmentropy.numutil import entr, fsum, log_factorial, safe_div, xlogy
 
 EDGES = np.array([0.0, -0.0, -1.0, -5e-324, -np.inf, np.nan, np.inf,
                   5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
@@ -150,3 +150,91 @@ class TestLogFactorial:
         assert got[1, 0] == math.lgamma(172.0)
         assert got[0, 0] == math.log(6)
         assert log_factorial(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+def fsum_outcome(f, values):
+    """f(values), or the type of what it raises, with the sign of zero."""
+    try:
+        value = f(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return repr(value), math.copysign(1.0, value)
+
+
+class TestFsum:
+    """fsum reads a memoryview of a contiguous float64 vector, so it sums
+    the very floats of math.fsum on the values as a list."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([], dtype=float),
+        np.array([0.0]), np.array([-0.0]), np.array([-0.0, -0.0]),
+        np.array([-0.0, 0.0]),
+        np.array([1e308, 1e308, -1e308]), np.array([1e308, 1e308]),
+        np.array([np.inf, 1.0]), np.array([-np.inf, -1.0]),
+        np.array([np.inf, -np.inf]), np.array([np.nan, 1.0]),
+        np.array([np.inf, np.nan]),
+        np.array([1.0, 1e100, 1.0, -1e100]),
+        np.arange(10_000) * 0.1,
+    ], ids=lambda v: f"{v.size} values")
+    def test_same_as_the_sum_of_the_list(self, values):
+        assert fsum_outcome(fsum, values) == fsum_outcome(
+            math.fsum, values.tolist())
+
+    def test_layouts_and_dtypes(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
+        read_only = x.copy()
+        read_only.flags.writeable = False
+        for values in (read_only, x[::3], x[::-1], x.astype(">f8"),
+                       np.arange(-50, 60), np.array([2 ** 60 + 1, 3]),
+                       np.float32([0.1, 0.2]), [0.1, 0.2, 0.3]):
+            assert fsum_outcome(fsum, values) == fsum_outcome(
+                math.fsum, np.asarray(values, dtype=float).tolist())
+        assert read_only.tolist() == x.tolist()
+
+
+def safe_div_reference(num, den):
+    """num / den with +0.0 where den == 0, as np.where selects it."""
+    with np.errstate(all="ignore"):
+        return np.where(den != 0, num / den, 0.0)
+
+
+class TestSafeDiv:
+    """One 0/0 kernel: a plain divide when den holds no 0, the masked one
+    otherwise, into a new C-ordered array or in place."""
+
+    SPECIALS = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-310, 1e308,
+                         np.inf, -np.inf, np.nan])
+
+    def cases(self):
+        rng = np.random.default_rng(12)
+        grid_num, grid_den = np.meshgrid(self.SPECIALS, self.SPECIALS)
+        yield grid_num, grid_den
+        positive = rng.random((7, 5)) + 0.5
+        yield rng.standard_normal((7, 5)), positive          # no zero
+        with_zeros = positive.copy()
+        with_zeros[[0, 3, 6], [1, 4, 0]] = [0.0, -0.0, 0.0]
+        yield rng.standard_normal((7, 5)), with_zeros
+        yield rng.standard_normal((3, 4, 5)), with_zeros[:3, None, :]
+        yield rng.standard_normal(5), with_zeros               # broadcast num
+        yield np.asfortranarray(rng.standard_normal((7, 5))), positive.T.T
+        yield np.float64(3.0), np.float64(0.0)
+        yield np.float64(3.0), np.float64(-2.0)
+
+    def test_bit_for_bit_against_where(self):
+        for num, den in self.cases():
+            want = safe_div_reference(num, den)
+            with np.errstate(all="ignore"):
+                got = safe_div(num, den)
+                in_place = np.array(np.broadcast_to(num, want.shape))
+                into = safe_div(in_place, den, out=in_place)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and into is in_place
+            assert got.tobytes() == want.tobytes()
+            assert in_place.tobytes() == want.tobytes()
+
+    def test_zero_denominators_give_positive_zero(self):
+        got = safe_div(np.array([-1.0, 0.0, np.nan, np.inf]),
+                       np.array([0.0, -0.0, 0.0, -0.0]))
+        assert np.array_equal(got, np.zeros(4))
+        assert not np.signbit(got).any()
