@@ -23,9 +23,11 @@ messages, is exponentiated after subtracting its maximum (kept in log N_u)
 and weighted by the prior only then; a state is lost only where its subtree
 likelihood is below 1e-308 of the largest at its vertex.
 
-On levels of 16 J vertices or more, row maxima are J - 1 ``np.maximum``
-steps over columns: numpy reduces a short row in about 50 ns, and maxima
-are exact, so the bits are the same.  Rows are gathered with ``take``, and
+On levels of 8 J vertices or more, row maxima are J - 1 ``np.maximum``
+steps over columns: numpy reduces a short row in 30-60 ns, a step costs
+about 0.5 us, and the two cross at 8 J rows for J = 2, 3, 4, 8 and 16 (14 J
+at J = 9; BENCH_23.json, row_max_us).  Maxima are exact, so the bits are
+the same.  Rows are gathered with ``take``, and
 masks are built only where a 0 or -inf is.
 """
 
@@ -128,7 +130,7 @@ def _upward(model: HmmModel, tree: ObservedTree,
         for d in range(topo.num_levels - 1, -1, -1):
             start, stop = topo.level(d)
             level, level_top = ratio[start:stop], top[start:stop]
-            if stop - start < 16 * j:  # where numpy's row maximum is faster
+            if stop - start < 8 * j:  # where numpy's row maximum is faster
                 level.max(axis=1, out=level_top)
             else:
                 np.copyto(level_top, level[:, 0])

@@ -101,19 +101,14 @@ def _require_smoothed(posterior):
         raise ValueError("posterior lacks the smoothed table; run downward_pass")
 
 
-def _rows(table, v):
-    return table[v] if isinstance(v, slice) else table.take(v, axis=0)
-
-
 def _last_first(x):  # np.moveaxis(x, -1, 0), at a fraction of its cost
     return x.transpose(-1, *range(x.ndim - 1))
 
 
-def _child_given_parent(model, posterior, v):
-    """W[i, k, ...] = P(S_v = k | S_parent(v) = i, X = x) for a vertex v, a
-    slice of vertices or an array of them, state-major (C order)."""
-    ratio = _last_first(_rows(posterior.ratio, v))
-    edge = _last_first(_rows(posterior.beta_edge, v))
+def _child_given_parent(model, ratio, edge):
+    """W[i, k, ...] = P(S_v = k | S_parent(v) = i, X = x), state-major (C
+    order), from the rows ratio and beta_edge of a vertex v or of several."""
+    ratio, edge = _last_first(ratio), _last_first(edge)
     a = model.transition.reshape(model.transition.shape + (1,) * (ratio.ndim - 1))
     w = np.multiply(a, ratio, order="C")
     return safe_div(w, edge[:, None], out=w)
@@ -135,7 +130,8 @@ def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
     out[0] = float(entr(posterior.smoothed[0]).sum())
     for lo, hi in _blocks(1, n, j * j):
         block = slice(lo, hi)
-        cond = _child_given_parent(model, posterior, block)
+        cond = _child_given_parent(model, posterior.ratio[block],
+                                   posterior.beta_edge[block])
         # P(S_parent(u) = i, S_u = k | X)
         joint = cond * posterior.smoothed.take(parent[block], axis=0).T[:, None, :]
         out[block] = -_vertex_sums(xlogy(joint, cond, out=cond))
@@ -194,8 +190,10 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
     h = np.zeros((topo.num_vertices, model.num_states))  # in plan positions
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
+        v = topo.downward_order[start:stop]
         w = np.ascontiguousarray(_last_first(_child_given_parent(
-            model, posterior, topo.downward_order[start:stop])))
+            model, posterior.ratio.take(v, axis=0),
+            posterior.beta_edge.take(v, axis=0))))
         # W h[v] + entr(W) 1, added into the parents' rows by ascending id
         _add_rows_at(h, topo.parent_position[start:stop],
                      (w @ h[start:stop, :, None])[:, :, 0]
@@ -259,8 +257,10 @@ def children_conditional_profile(model: HmmModel, tree: ObservedTree,
         group = np.flatnonzero(topo.child_count == c)
         for lo, hi in _blocks(0, group.size, j ** (c + 1)):
             us = group[lo:hi]
+            v = order[first[us] + np.arange(c)[:, None]]
             w = _child_given_parent(  # (J, J, c, vertices)
-                model, posterior, order[first[us] + np.arange(c)[:, None]])
+                model, posterior.ratio.take(v, axis=0),
+                posterior.beta_edge.take(v, axis=0))
             # joint over (S_u, children tuple), one children position at a time
             table = posterior.smoothed.take(us, axis=0).T[:, None, :]
             for t in range(c):

@@ -7,9 +7,9 @@ max-product scores out as numpy's broadcast sum does and built the profile
 blocks vertex-major, (vertices, J, J^c), with numpy's sum over the parent's
 state.  None of that changes a rounding, so every table keeps its bits, the
 sign of zero included, on instances that reach every branch: J from 1 to 9,
-binary trees, stars, paths and caterpillars, a profile block of one vertex,
-exact zeros in the level priors and in beta_edge, and trees where only some
-blocks hold a 0."""
+binary trees (wide levels, where row maxima take column slices), stars,
+paths and caterpillars, a profile block of one vertex, exact zeros in the
+level priors and in beta_edge, and trees where only some blocks hold a 0."""
 
 import math
 
@@ -208,6 +208,11 @@ def level_instances(j):
         model = random_model(rng, j, zeros=i % 2 == 0)
         topo = topology(kind, STAR_SIZES[j] if kind == "star" else n)
         yield f"J={j}-{kind}", model, simulate_tree(model, topo, 100 + i)[1]
+    if j == 9:  # a level of 256 vertices, so that row maxima take slices
+        model = random_model(np.random.default_rng([23, j, len(KINDS)]), j,
+                             zeros=True)
+        yield "J=9-binary-wide", model, simulate_tree(
+            model, topology("binary", 600), 100 + len(KINDS))[1]
 
 
 def zero_block_instances():
@@ -298,10 +303,17 @@ class TestProfiles:
 
 def test_instances_reach_every_branch():
     """Zero level priors, zero beta_edge entries and impossible subtrees
-    (best = -inf) occur, and the zero-block trees hold their zeros in the
-    first parent-profile block only."""
+    (best = -inf) occur, every J has levels on both sides of the upward
+    pass's switch to column-slice row maxima (8 J vertices), and the
+    zero-block trees hold their zeros in the first parent-profile block
+    only."""
     zero_prior = zero_edge = impossible_below = 0
+    widths = {}
     for model, tree in INSTANCES.values():
+        topo = tree.topology
+        widths.setdefault(model.num_states, []).extend(
+            stop - start for start, stop in map(topo.level,
+                                                range(topo.num_levels)))
         up = upward_pass(model, tree)
         zero_prior += not up.prior.all()
         zero_edge += not up.beta_edge.all()
@@ -310,6 +322,8 @@ def test_instances_reach_every_branch():
             model, tree, log_b[tree.topology.downward_order])[2]
         impossible_below += bool(np.isneginf(best).any())
     assert zero_prior and zero_edge and impossible_below
+    for j, width in widths.items():
+        assert min(width) == 1 and max(width) >= 16 * j, j
     boundary = 1 + BLOCK_CELLS // 9
     for name in ("emission zero", "absorbing state"):
         model, tree = INSTANCES[name]

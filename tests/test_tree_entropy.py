@@ -206,7 +206,7 @@ class TestDualRoute:
         h = np.zeros((tree.num_vertices, model.num_states))
         for u in topo.downward_order[::-1]:
             for v in topo.children[u]:
-                w = _child_given_parent(model, up, v)
+                w = _child_given_parent(model, up.ratio[v], up.beta_edge[v])
                 h[u] += w @ h[v] + entr(w).sum(axis=1)
         np.testing.assert_allclose(h, h_ref, atol=1e-12)
 
