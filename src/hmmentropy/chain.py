@@ -4,11 +4,10 @@ hidden Markov chain models.
 Smoothing runs on scaled (normalized) probabilities: the filtered
 distribution F_t, the one-step-ahead predicted distribution G_t and the
 normalizing factors N_t = P(X_t = x_t | X_0^{t-1} = x_0^{t-1}), whose
-product is the evidence.  N_t is kept as log N_t, since it can underflow:
-each step forms the joint law of state and observation in log space and
-shifts it by its maximum before exponentiating, and the shift is added back
-into log N_t.  A zero normalizer means the observation is impossible under
-the model and is a hard error, never a silent renormalization.
+product is the evidence.  N_t is kept as log N_t, since it can underflow
+(numutil.scaled_step, the tree's upward step too).  A zero normalizer means
+the observation is impossible under the model and is a hard error, never a
+silent renormalization.
 
 One kernel smooths a whole dataset, read as the stacked rows and sequence
 offsets of one ObservedSequence.  Every sequence is cut into segments of
@@ -52,7 +51,8 @@ import numpy as np
 from .errors import ImpossibleObservationError, ValidationError
 from .model import (HmmModel, ObservedSequence, log_emission_matrix,
                     log_joint_terms)
-from .numutil import entr, fsum, safe_div, tie_argmax
+from .numutil import (entr, fsum, max_plus_step, safe_div, scaled_step,
+                      tie_argmax)
 
 __all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
            "viterbi_dataset"]
@@ -180,14 +180,9 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
 
 def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale):
     """Passes 2 and 3 of the forward filter: (forward, predicted,
-    log_normalizers) as stacked tables.
-
-    Each step of pass 3 forms the joint law of state and observation in log
-    space and exponentiates it after subtracting its maximum, which is added
-    back into log N_t.  Only states with less than 1e-308 of the largest
-    joint mass are then lost, even where every emission probability
-    underflows or the predicted law favours a state whose emission does.
-    """
+    log_normalizers) as stacked tables.  Pass 3 steps with
+    numutil.scaled_step, even where every emission probability underflows
+    or the predicted law favours a state whose emission does."""
     a = model.transition
     n, j = log_b.shape
     first = seg.count[0]
@@ -212,12 +207,8 @@ def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale):
         ones = np.ones(j)
         for t, k in enumerate(_active(seg.length[order])):
             pos = starts[:k] + t
-            joint = log_b.take(pos, axis=0) + np.log(g[:k])
-            top = joint.max(axis=1)
-            joint = np.exp((joint.T - top).T)
-            total = joint @ ones
-            log_norm[pos] = np.log(total) + top
-            g = (joint.T / total).T
+            g = log_b.take(pos, axis=0) + np.log(g[:k])
+            log_norm[pos] = scaled_step(g, ones)
             forward[pos] = g
             g = g @ a
         impossible = np.flatnonzero(~(log_norm > -np.inf))
@@ -401,18 +392,16 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
     # pass 3: score_t(i) = log b_i(x_t) + u_t(i) down every row, longest
     # first, with the pointer nxt[t, i] to the state at t + 1 and reach[r, i],
     # the state at the row's last position given state i at the current
-    # one.  score is stored as [k, row], so that the candidates
-    # log a_ik + score(k) come out indexed [k, row, i], contiguous.
+    # one.  score is stored state-major, as numutil.max_plus_step takes it.
     order = np.argsort(-seg.length, kind="stable")
     top = seg.start[order] + seg.length[order] - 1
     score = (log_b.take(top, axis=0) + u_end[order]).T.copy()
-    log_a_t = log_a.T[:, None, :]
     reach = np.tile(np.arange(j), rows)
     row_base = np.arange(0, rows * j, j)[:, None]
     nxt = np.empty((n, j), dtype=np.min_scalar_type(j - 1))  # 1 byte to J = 256
     for t, k in enumerate(_active(seg.length[order] - 1)):
         pos = top[:k] - t - 1
-        ptr, best = tie_argmax(log_a_t + score[:, :k, None])
+        ptr, best = max_plus_step(log_a, score[:, :k])
         nxt[pos] = ptr
         np.add(best.T, log_b.take(pos, axis=0).T, out=score[:, :k])
         if rows > first:
@@ -443,8 +432,7 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
     parent[seg.offsets[:-1]] = -1
     terms = log_joint_terms(model, log_b, parent, path).reshape(-1)
     bounds = (2 * seg.offsets).tolist()
-    # a memoryview hands fsum one Python float at a time, not a list of 2n
-    log_joint = np.array([math.fsum(memoryview(terms[lo:hi]))
+    log_joint = np.array([fsum(terms[lo:hi])
                           for lo, hi in zip(bounds, bounds[1:])])
     return path, log_joint
 

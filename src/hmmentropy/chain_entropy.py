@@ -78,19 +78,15 @@ def _law(model, posterior, direction, t, n, out):
     a = model.transition
     k = out[0, :a.size * t.size].reshape(*a.shape, t.size)
     if direction == "past":
-        np.multiply(a.T[:, :, None], _rows(posterior.forward, n).T, out=k)
-        safe_div(k, _rows(posterior.predicted, t).T[:, None, :], out=k)
+        np.multiply(a.T[:, :, None], posterior.forward.take(n, axis=0).T,
+                    out=k)
+        safe_div(k, posterior.predicted.take(t, axis=0).T[:, None, :], out=k)
         return k
-    ratio = safe_div(_rows(posterior.smoothed, n), _rows(posterior.predicted, n))
+    ratio = safe_div(posterior.smoothed.take(n, axis=0),
+                     posterior.predicted.take(n, axis=0))
     np.multiply(a[:, :, None], ratio.T, out=k)
     safe_div(k, _sum_over_b(k, out[2])[:, None, :], out=k)
     return k
-
-
-def _rows(table, index):
-    """table[index] for a vector of row indices; np.take gathers whole rows
-    several times faster than fancy indexing does."""
-    return np.take(table, index, axis=0)
 
 
 def _sum_over_b(x, out):
@@ -106,13 +102,11 @@ def _law_blocks(model, posterior, direction):
     """(t, n, K, e) for each block of _neighbours: the laws K of _law and
     e[a, i] = sum_b entr(K[a, b, i]).
 
-    entr's values go into out[1] (K is never negative, so entr's -inf branch
-    cannot apply, and its x == 0 fix-up runs only when K holds a 0).  The
-    past sums add one slice at a time from numpy's initial +0.0, the order
-    in which numpy reduces a strided axis; numpy's own reduction would sum
-    a one-row block along a contiguous axis, pairwise from 8 terms on.  The
-    future sums are that contiguous reduction.  The blocks reuse the
-    buffers of the first, which is the largest.
+    entr's values go into out[1].  The past sums add one slice at a time
+    from numpy's initial +0.0, the order in which numpy reduces a strided
+    axis; numpy's own reduction would sum a one-row block along a contiguous
+    axis, pairwise from 8 terms on.  The future sums are that contiguous
+    reduction.  The blocks reuse the buffers of the first, the largest.
     """
     out = None
     for t, n in _neighbours(model, posterior, direction):
@@ -120,13 +114,7 @@ def _law_blocks(model, posterior, direction):
             out = np.empty((2 if direction == "past" else 3,
                             model.transition.size * t.size))
         k = _law(model, posterior, direction, t, n, out)
-        ent = out[1, :k.size].reshape(k.shape)
-        with np.errstate(all="ignore"):  # as entr: -inf and NaN are values
-            np.log(k, out=ent)
-            np.multiply(ent, k, out=ent)
-        np.negative(ent, out=ent)
-        if not k.all():
-            np.copyto(ent, 0.0, where=k == 0)
+        ent = entr(k, out=out[1, :k.size].reshape(k.shape))
         if direction == "future":
             e = _sum_over_b(ent, out[2])
         else:
@@ -158,7 +146,7 @@ def _from_law(model, posterior, direction):
     marginal = posterior.marginal_entropy
     for t, n, _, e in _law_blocks(model, posterior, direction):
         # smoothed[t] . e summed along a contiguous axis, in numpy's order
-        weighted = _rows(posterior.smoothed, t)
+        weighted = posterior.smoothed.take(t, axis=0)
         weighted *= e.T
         yield t, marginal[t] + (weighted.sum(axis=1) - marginal[n])
 

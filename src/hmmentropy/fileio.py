@@ -46,6 +46,9 @@ def _emission_var_from_spec(spec, where):
     if kind == "poisson":
         if "rate" not in spec:
             raise DataFormatError(f"{where}: poisson spec needs 'rate'")
+        if type(spec["rate"]) not in (int, float):  # bool is no JSON number
+            raise DataFormatError(f"{where}: poisson rate "
+                                  f"{json.dumps(spec['rate'])} is not a number")
         return Poisson(spec["rate"])
     raise DataFormatError(f"{where}: unknown emission type {kind!r}")
 

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 __all__ = ["entr", "xlogy", "log_factorial", "safe_div", "entropy", "fsum",
-           "compensated_cumsum", "tie_argmax", "TIE_RTOL"]
+           "compensated_cumsum", "tie_argmax", "scaled_step", "max_plus_step",
+           "TIE_RTOL"]
 
 # numbers per block of the blocked array expressions: 128 KiB per temporary
 BLOCK_CELLS = 2 ** 14
@@ -29,17 +30,22 @@ def _blocks(start, stop, cells_per_row):
     return ((lo, min(stop, lo + rows)) for lo in range(start, stop, rows))
 
 
-def entr(x):
+def entr(x, out=None):
     """-x log x elementwise in float64: +0.0 at 0, -inf below 0, NaN at NaN,
-    the values of scipy.special.entr, in x's memory order as a ufunc gives."""
+    the values of scipy.special.entr, in x's memory order as a ufunc gives.
+    Into out if given, which may be x (in place); the masks of zeros and
+    negatives are built only when x holds a value that is not > 0."""
     x = np.asarray(x, dtype=float)
+    if out is not None and np.may_share_memory(x, out):
+        x = x.copy()  # the logs go into out first
     # floating-point flags are silenced as in scipy: -inf and NaN are values
     with np.errstate(all="ignore"):
-        out = np.asarray(np.log(x))
+        out = np.asarray(np.log(x, out=out))
         np.multiply(out, x, out=out)
         np.negative(out, out=out)
-    np.copyto(out, 0.0, where=x == 0)
-    np.copyto(out, -np.inf, where=x < 0)
+    if x.size and not x.min() > 0:
+        np.copyto(out, 0.0, where=x == 0)
+        np.copyto(out, -np.inf, where=x < 0)
     return out[()]
 
 
@@ -101,6 +107,39 @@ def tie_argmax(scores):
     top = scores.max(axis=0)
     floor = top - TIE_RTOL * np.maximum(1.0, np.abs(top))
     return (scores >= floor).argmax(axis=0), top
+
+
+def scaled_step(block, weight):
+    """One scaled sum-product step, in place on a C-ordered (rows, J) block
+    of log joints: each row less its maximum is exponentiated and divided by
+    N = row . weight (ones in the chain filter, the level prior in the tree's
+    upward pass), so only entries below 1e-308 of their row's largest are
+    lost.  Returns log N plus the maximum per row, NaN for a row that is
+    -inf throughout.  From 8 J rows on, J - 1 np.maximum steps over
+    the columns take the maxima faster than numpy's 30-60 ns per short row
+    (the crossover at J = 2, 3, 4, 8 and 16, 14 J at J = 9); below, as on a
+    path, the reduction is faster (BENCH_23.json, row_max_us and
+    deep_tree_rounds).  Maxima are exact, so the bits are the same."""
+    rows, j = block.shape
+    if rows < 8 * j:
+        top = block.max(axis=1)
+    else:
+        top = block[:, 0].copy()
+        for i in range(1, j):
+            np.maximum(top, block[:, i], out=top)
+    block -= top[:, None]
+    np.exp(block, out=block)
+    total = block @ weight
+    block /= total[:, None]
+    return np.log(total) + top
+
+
+def max_plus_step(log_a, score):
+    """(pointer, best) of one max-product step from state-major scores
+    (J, rows): best[r, i] = max over k of log a_ik + score[k, r], pointer
+    its tie_argmax.  The candidates are laid out C order, (J, rows, J);
+    numpy puts k innermost for a transposed table, 45 times as slow (J = 4)."""
+    return tie_argmax(np.add(log_a.T[:, None, :], score[:, :, None], order="C"))
 
 
 def entropy(p):

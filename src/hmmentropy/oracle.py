@@ -26,7 +26,7 @@ from .errors import (BudgetExceededError, ImpossibleObservationError,
                      ValidationError)
 from .model import (HmmModel, ObservedSequence, ObservedTree, TreeTopology,
                     log_emission_matrix)
-from .numutil import entr, entropy
+from .numutil import entropy
 
 __all__ = ["OracleResult", "enumerate_chain", "enumerate_tree", "oracle_entropy",
            "DEFAULT_CONFIG_BUDGET"]
@@ -91,10 +91,10 @@ class OracleResult:
             codes = codes * j + self.configurations[:, c]
         weights = np.bincount(codes, weights=self.posterior,
                               minlength=j ** len(coords))
-        return float(entr(weights).sum())
+        return entropy(weights)
 
     def global_entropy(self) -> float:
-        return float(entr(self.posterior).sum())
+        return entropy(self.posterior)
 
     def marginal_entropy(self, u: int) -> float:
         return entropy(self.marginal(u))
@@ -223,7 +223,7 @@ def _normalized_entropy(w):
     norm = w.sum()
     if norm <= 0.0:
         return None
-    return float(entr(w / norm).sum())
+    return entropy(w / norm)
 
 
 def _enumerate(model: HmmModel, values, parent, config_budget: int):

@@ -18,20 +18,12 @@ flattened table (_add_rows_at), in ascending child id.  The number of
 Python-level steps is therefore the depth of the tree, not its size; a path
 takes one step per vertex, a complete binary tree one per level.
 
-As in the chain filter, a vertex's row, log emission plus log child
-messages, is exponentiated after subtracting its maximum (kept in log N_u)
-and weighted by the prior only then; a state is lost only where its subtree
-likelihood is below 1e-308 of the largest at its vertex.
-
-On levels of 8 J vertices or more, row maxima are J - 1 ``np.maximum``
-steps over columns: numpy reduces a short row in 30-60 ns, a step costs
-about 0.5 us, and the two cross at 8 J rows for J = 2, 3, 4, 8 and 16 (14 J
-at J = 9; BENCH_23.json, row_max_us).  Maxima are exact, so the bits are
-the same.  Rows are gathered with ``take``, and
-masks are built only where a 0 or -inf is.
+A level's upward and max-product steps are the chain's kernels,
+numutil.scaled_step (on subtree likelihoods, weighted by the prior after
+the shift) and numutil.max_plus_step.  Rows are gathered with ``take``,
+and masks are built only where a 0 or -inf is.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -41,7 +33,8 @@ import numpy as np
 from .errors import ImpossibleObservationError
 from .model import (HmmModel, ObservedTree, log_emission_matrix,
                     log_joint_terms)
-from .numutil import entr, fsum, safe_div, tie_argmax
+from .numutil import (entr, fsum, max_plus_step, safe_div, scaled_step,
+                      tie_argmax)
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
            "viterbi_tree", "viterbi_profiles"]
@@ -74,11 +67,15 @@ class TreePosterior:
 
     @cached_property
     def marginal_entropy(self) -> np.ndarray:
-        if self.smoothed is None:
-            raise ValueError("posterior lacks the smoothed table; run downward_pass")
+        _require_smoothed(self)
         marginal = entr(self.smoothed).sum(axis=1)
         marginal.flags.writeable = False
         return marginal
+
+
+def _require_smoothed(posterior):
+    if posterior.smoothed is None:
+        raise ValueError("posterior lacks the smoothed table; run downward_pass")
 
 
 def _add_rows_at(table: np.ndarray, rows: np.ndarray, values: np.ndarray):
@@ -121,7 +118,7 @@ def _upward(model: HmmModel, tree: ObservedTree,
     n, j = topo.num_vertices, model.num_states
     level_prior = _level_priors(model, topo)
     beta_edge = np.ones((n, j))
-    top, total = np.empty((2, n))
+    log_normalizers = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log emissions plus log child messages, -inf where the prior is 0,
         # turned level by level into the ratio table
@@ -129,21 +126,11 @@ def _upward(model: HmmModel, tree: ObservedTree,
             ratio[(level_prior == 0.0)[topo.depth[topo.downward_order]]] = -np.inf
         for d in range(topo.num_levels - 1, -1, -1):
             start, stop = topo.level(d)
-            level, level_top = ratio[start:stop], top[start:stop]
-            if stop - start < 8 * j:  # where numpy's row maximum is faster
-                level.max(axis=1, out=level_top)
-            else:
-                np.copyto(level_top, level[:, 0])
-                for i in range(1, j):
-                    np.maximum(level_top, level[:, i], out=level_top)
-            level -= level_top[:, None]
-            np.exp(level, out=level)
-            total[start:stop] = level @ level_prior[d]
-            level /= total[start:stop, None]
+            level = ratio[start:stop]
+            log_normalizers[start:stop] = scaled_step(level, level_prior[d])
             if d:
                 edge = beta_edge[start:stop] = level @ model.transition.T
                 _add_rows_at(ratio, topo.parent_position[start:stop], np.log(edge))
-        log_normalizers = np.log(total) + top
     # An overflowed message turns its parent's row into NaN, so it is looked
     # for first, among the vertices whose own joint law is defined.
     defined = log_normalizers > -np.inf
@@ -210,10 +197,8 @@ def _max_product(model: HmmModel, tree: ObservedTree, m: np.ndarray):
     back = np.zeros((n, j), dtype=np.min_scalar_type(j - 1))
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
-        # scores[k, p, i] in C order: by default numpy lays the sum out with
-        # k innermost, where its max over k is 45 times as slow (J = 4)
-        back[start:stop], best[start:stop] = tie_argmax(np.add(
-            log_a.T[:, None, :], m[start:stop].T[:, :, None], order="C"))
+        back[start:stop], best[start:stop] = max_plus_step(log_a,
+                                                           m[start:stop].T)
         _add_rows_at(m, topo.parent_position[start:stop], best[start:stop])
     root_state, top = tie_argmax(log_initial + m[0])
     if top == -np.inf:
@@ -241,7 +226,7 @@ def viterbi_tree(model: HmmModel, tree: ObservedTree):
     states, _, _ = _max_product(
         model, tree, log_b.take(tree.topology.downward_order, axis=0))
     terms = log_joint_terms(model, log_b, tree.topology.parent, states)
-    return states, math.fsum(memoryview(terms.reshape(-1)))
+    return states, fsum(terms.reshape(-1))
 
 
 def viterbi_profiles(model: HmmModel, tree: ObservedTree):

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .model import HmmModel, ObservedTree
-from .numutil import _blocks, entr, fsum, safe_div, xlogy
-from .tree import TreePosterior, _add_rows_at
+from .numutil import _blocks, entr, entropy, fsum, safe_div, xlogy
+from .tree import TreePosterior, _add_rows_at, _require_smoothed
 
 __all__ = ["TreeEntropyProfile", "EntropySummary", "parent_conditional_profile",
            "subtree_entropies_approach1", "subtree_entropies_approach2",
@@ -96,11 +96,6 @@ class EntropySummary:
         return (self.m - self.g) / self.g if self.g > 0.0 else float("nan")
 
 
-def _require_smoothed(posterior):
-    if posterior.smoothed is None:
-        raise ValueError("posterior lacks the smoothed table; run downward_pass")
-
-
 def _last_first(x):  # np.moveaxis(x, -1, 0), at a fraction of its cost
     return x.transpose(-1, *range(x.ndim - 1))
 
@@ -127,7 +122,7 @@ def parent_conditional_profile(model: HmmModel, tree: ObservedTree,
     parent = tree.topology.parent
     n, j = tree.num_vertices, model.num_states
     out = np.empty(n)
-    out[0] = float(entr(posterior.smoothed[0]).sum())
+    out[0] = entropy(posterior.smoothed[0])
     for lo, hi in _blocks(1, n, j * j):
         block = slice(lo, hi)
         cond = _child_given_parent(model, posterior.ratio[block],
@@ -200,7 +195,7 @@ def subtree_entropies_approach2(model: HmmModel, tree: ObservedTree,
                      + entr(w).sum(axis=2))
     h = h[topo.position]
     beta0 = posterior.beta[0]
-    global_entropy = float(beta0 @ h[0]) + float(entr(beta0).sum())
+    global_entropy = float(beta0 @ h[0]) + entropy(beta0)
     expected = np.einsum("uj,uj->u", posterior.smoothed, h)
     partial_subtree = expected + posterior.marginal_entropy
     parent_cond = parent_conditional_profile(model, tree, posterior)

@@ -95,6 +95,21 @@ class TestValidate:
         assert "initial" in out
 
     @pytest.mark.parametrize("argv", [("validate",), ("smooth",)])
+    @pytest.mark.parametrize("rate", ["null", "[2.5]", '{"rate": 2.5}',
+                                      "true", '"2.5"'])
+    def test_malformed_poisson_rate_exit_2(self, capsys, tmp_path, chain_file,
+                                           argv, rate):
+        path = tmp_path / "model.json"
+        path.write_text('{"num_states": 1, "initial": [1.0], "transition": '
+                        '[[1.0]], "emissions": [[{"type": "poisson", '
+                        f'"rate": {rate}}}]]}}')
+        data = ("--data", chain_file) if argv == ("smooth",) else ()
+        code, out, err = run(capsys, *argv, "--model", str(path), *data)
+        assert code == 2 and out == ""
+        assert err == (f"error: emissions[0][0]: poisson rate {rate} "
+                       "is not a number\n")
+
+    @pytest.mark.parametrize("argv", [("validate",), ("smooth",)])
     @pytest.mark.parametrize("doc, message", [
         (["num_states", "initial", "transition", "emissions"],
          "model document must be a JSON object"),

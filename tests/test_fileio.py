@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ class TestModelFormat:
         model = parse_model(json.dumps(EARTHQUAKE_MODEL))
         assert model.num_states == 3
         assert model.emissions[2][0] == Poisson(29.7)
+
+    @pytest.mark.parametrize("rate", [None, [2.5], {"rate": 2.5}, True,
+                                      False, "2.5"])
+    def test_poisson_rate_must_be_a_number(self, rate):
+        doc = dict(EARTHQUAKE_MODEL)
+        doc["emissions"] = [[{"type": "poisson", "rate": 13.1}],
+                            [{"type": "poisson", "rate": rate}],
+                            [{"type": "poisson", "rate": 29.7}]]
+        message = (r"^emissions\[1\]\[0\]: poisson rate "
+                   + re.escape(json.dumps(rate)) + " is not a number$")
+        with pytest.raises(DataFormatError, match=message):
+            parse_model(json.dumps(doc))
+
+    def test_integer_poisson_rate_parses(self):
+        doc = dict(EARTHQUAKE_MODEL)
+        doc["emissions"] = [[{"type": "poisson", "rate": 13}]] * 3
+        assert parse_model(json.dumps(doc)).emissions[0][0] == Poisson(13.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)

@@ -4,7 +4,14 @@ profiles and base-2 entropies.  They were written by the per-block ``%``
 writer that the numpy formatter replaced, and every formatter must print
 them byte for byte.  The tree entropy table (both conditionings) and the
 tree summary were written before the level passes and profiles took
-slice maxima, guarded masks and state-major blocks."""
+slice maxima, guarded masks and state-major blocks.
+
+The many-chains and wide-tree goldens were written before the chain and
+tree engines shared their scaled and max-product step kernels.  They run
+those steps on the wide side of the 8 J rows at which the row maxima
+switch to column slices (24 at J = 3), which the goldens above do not
+reach: the chain filter and Viterbi recursion on 81-105 segment rows, and
+the tree on levels of 1-32 vertices."""
 
 from pathlib import Path
 
@@ -24,6 +31,11 @@ CASES = [
     (["entropy", "--data", "small_tree.txt", "--cond", "both"],
      "small_tree_entropy_both.tsv"),
     (["summary", "--data", "small_tree.txt"], "small_tree_summary.tsv"),
+    (["smooth", "--data", "many_chains.txt"], "many_chains_smooth.tsv"),
+    (["viterbi", "--data", "many_chains.txt"], "many_chains_viterbi.tsv"),
+    (["smooth", "--data", "wide_tree.txt"], "wide_tree_smooth.tsv"),
+    (["viterbi-profiles", "--data", "wide_tree.txt"],
+     "wide_tree_viterbi_profiles.tsv"),
 ]
 
 
@@ -34,3 +46,11 @@ def test_golden_output(tmp_path, argv, golden):
     assert main([command, "--model", str(MODEL), "--data", str(GOLDEN / data),
                  *rest, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_golden_log_joints(capsys):
+    """The viterbi command's log_joint[s] lines on stderr."""
+    assert main(["viterbi", "--model", str(MODEL), "--data",
+                 str(GOLDEN / "many_chains.txt")]) == 0
+    err = capsys.readouterr().err
+    assert err == (GOLDEN / "many_chains_viterbi.err").read_text()

@@ -1,4 +1,5 @@
-"""The numpy entropy kernels and the log-factorial helper.
+"""The numpy entropy kernels, the log-factorial helper and the two step
+kernels of the chain and tree recursions.
 
 scipy.special is the reference here only: the package itself does not
 import scipy."""
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from hmmentropy.numutil import entr, fsum, log_factorial, safe_div, xlogy
+from hmmentropy.numutil import (entr, fsum, log_factorial, max_plus_step,
+                               safe_div, scaled_step, tie_argmax, xlogy)
 
 EDGES = np.array([0.0, -0.0, -1.0, -5e-324, -np.inf, np.nan, np.inf,
                   5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
@@ -27,6 +29,25 @@ def assert_same_values(got, want):
 class TestKernelsAgainstScipy:
     def test_entr_edges(self):
         assert_same_values(entr(EDGES), special.entr(EDGES))
+
+    @pytest.mark.parametrize("x", [EDGES, EDGES[EDGES > 0]],
+                             ids=["edges", "positive"])
+    def test_entr_into_out_and_in_place(self, x):
+        """Into a separate out, into x itself and into an overlapping view,
+        with the masks built (edges) and skipped (positive values)."""
+        want = special.entr(x)
+        out = np.full_like(x, 7.0)
+        assert np.shares_memory(entr(x, out=out), out)
+        assert_same_values(out, want)
+        same = x.copy()
+        entr(same, out=same)
+        assert_same_values(same, want)
+        reversed_in_place = x.copy()
+        entr(reversed_in_place[::-1], out=reversed_in_place)
+        assert_same_values(reversed_in_place, special.entr(x[::-1]))
+        block = np.stack([x, x[::-1]])
+        entr(block.T, out=block.T)
+        assert_same_values(block, special.entr(np.stack([x, x[::-1]])))
 
     def test_xlogy_edge_grid(self):
         x, y = np.meshgrid(EDGES, EDGES)
@@ -238,3 +259,96 @@ class TestSafeDiv:
                        np.array([0.0, -0.0, 0.0, -0.0]))
         assert np.array_equal(got, np.zeros(4))
         assert not np.signbit(got).any()
+
+
+# J and the row counts of the step kernels' pins: both sides of the 8 J
+# rows at which the row maxima switch to column slices
+STEP_SHAPES = [(j, rows) for j in (1, 2, 3, 4, 8, 9, 16)
+               for rows in (1, 8 * j - 1, 8 * j, 8 * j + 13)]
+
+
+def log_joints(rng, j, rows):
+    """A (rows, J) block of log joints between -800 and 0, some cells -inf,
+    one row -inf throughout, as a C-ordered slice of a larger table."""
+    table = rng.uniform(-800.0, 0.0, (rows + 3, j))
+    table[rng.random(table.shape) < 0.2] = -np.inf
+    table[1 + rows // 2] = -np.inf
+    return table[1:rows + 1]
+
+
+def chain_filter_step(joint):
+    """The chain filter's own step before the shared kernel."""
+    top = joint.max(axis=1)
+    joint = np.exp((joint.T - top).T)
+    total = joint @ np.ones(joint.shape[1])
+    return (joint.T / total).T, np.log(total) + top
+
+
+def tree_upward_step(level, prior):
+    """The tree upward pass's own in-place step before the shared kernel."""
+    j = level.shape[1]
+    top = np.empty(len(level))
+    if len(level) < 8 * j:
+        level.max(axis=1, out=top)
+    else:
+        np.copyto(top, level[:, 0])
+        for i in range(1, j):
+            np.maximum(top, level[:, i], out=top)
+    level -= top[:, None]
+    np.exp(level, out=level)
+    total = level @ prior
+    level /= total[:, None]
+    return level, np.log(total) + top
+
+
+class TestStepKernels:
+    """scaled_step and max_plus_step give the bits of the inline forms of
+    the chain and tree engines that they replace."""
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_scaled_step_is_the_chain_filter_step(self, j, rows):
+        joint = log_joints(np.random.default_rng([j, rows]), j, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_law, want_log_norm = chain_filter_step(joint)
+            block = joint.copy()
+            log_norm = scaled_step(block, np.ones(j))
+        assert np.isnan(log_norm[rows // 2])
+        assert_same_values(block, want_law)
+        assert_same_values(log_norm, want_log_norm)
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_scaled_step_is_the_tree_upward_step(self, j, rows):
+        rng = np.random.default_rng([j, rows, 1])
+        level = log_joints(rng, j, rows)
+        prior = rng.dirichlet(np.ones(j))
+        prior[rng.random(j) < 0.3] = 0.0  # zero weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_level, want_log_norm = tree_upward_step(level.copy(), prior)
+            log_norm = scaled_step(level, prior)
+        assert_same_values(level, want_level)
+        assert_same_values(log_norm, want_log_norm)
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_max_plus_step_is_the_inline_tie_argmax(self, j, rows):
+        rng = np.random.default_rng([j, rows, 2])
+        with np.errstate(divide="ignore"):
+            log_a = np.log(rng.dirichlet(np.ones(j), size=j))
+        # ties: integer scores and a transition row of equal entries, and
+        # candidates within the tie tolerance of the best
+        log_a[0] = -1.0
+        log_a[rng.random((j, j)) < 0.2] = -np.inf
+        score = np.floor(rng.uniform(-6.0, 0.0, (j, rows + 5)))
+        score[:, 1::7] += 1e-15 * rng.random((j, len(range(1, rows + 5, 7))))
+        score[rng.random(score.shape) < 0.2] = -np.inf
+        score[:, rows // 2] = -np.inf  # a column that is -inf throughout
+        want_ptr, want_best = tie_argmax(log_a.T[:, None, :]
+                                         + score[:, :rows, None])
+        ptr, best = max_plus_step(log_a, score[:, :rows])
+        assert np.array_equal(ptr, want_ptr)
+        assert_same_values(best, want_best)
+        assert not ptr[rows // 2].any()
+        # as the tree passes it: a transposed (rows, J) table
+        table = np.ascontiguousarray(score[:, :rows].T)
+        ptr_t, best_t = max_plus_step(log_a, table.T)
+        assert np.array_equal(ptr_t, want_ptr)
+        assert best_t.tobytes() == best.tobytes()
