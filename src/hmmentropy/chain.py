@@ -51,8 +51,8 @@ import numpy as np
 from .errors import ImpossibleObservationError, ValidationError
 from .model import (HmmModel, ObservedSequence, log_emission_matrix,
                     log_joint_terms)
-from .numutil import (entr, fsum, max_plus_step, safe_div, scaled_step,
-                      tie_argmax)
+from .numutil import (entr, fsum, max_plus, max_plus_step, safe_div,
+                      scaled_step, tie_argmax)
 
 __all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
            "viterbi_dataset"]
@@ -341,18 +341,16 @@ def _max_transfers(log_a, log_b, seg: _Segments):
     u_{s-1}(i) = max_k M_r[i, k] + u_{e-1}(k).
 
     Returned as transfer[k, r - B, i] = M_r[i, k], so that every max over k
-    is a reduction over the first axis.  Each step is J elementwise maxima
-    in that layout; reducing the middle axis of a (rows, J, J, J) sum took
-    4-11 times as long.
+    is a reduction over the first axis.  Each step is numutil.max_plus over
+    the middle state in that layout; reducing the middle axis of a
+    (rows, J, J, J) sum took 4-11 times as long.
     """
     first = seg.count[0]
     order = first + np.argsort(-seg.length[first:], kind="stable")
     starts = seg.start[order]
     m = log_a.T[:, None, :] + log_b.take(starts, axis=0).T[:, :, None]
     for t, k in enumerate(_active(seg.length[order])[1:], start=1):
-        step = m[0, None, :k] + log_a[0, :, None, None]
-        for l in range(1, log_a.shape[0]):
-            np.maximum(step, m[l, None, :k] + log_a[l, :, None, None], out=step)
+        step = max_plus(m[:, None, :k], log_a[:, :, None, None])
         step += log_b.take(starts[:k] + t, axis=0).T[:, :, None]
         m[:, :k] = step
     transfer = np.empty_like(m)
@@ -375,9 +373,8 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
     """
     log_b = log_emission_matrix(model, data.values)
     n, j = log_b.shape
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transition)
-        log_pi = np.log(model.initial)
+    log_a = model.log_transition
+    log_pi = model.log_initial
     seg = _Segments(data.offsets, _viterbi_segment_length(data.offsets, j))
     rows, first = seg.start.size, seg.count[0]
     # pass 2: u at the last position of every row, stitched backward from

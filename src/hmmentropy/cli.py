@@ -137,8 +137,7 @@ def validate(model_file):
 @_model_opt
 @_data_opt
 @_out_opt
-@_base_opt
-def smooth(model_file, data_file, out_file, log_base):
+def smooth(model_file, data_file, out_file):
     """Smoothed state probabilities (chain or tree, auto-detected)."""
     model = _load_model(model_file)
     kind, data = _load_data(data_file)
@@ -149,7 +148,7 @@ def smooth(model_file, data_file, out_file, log_base):
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
-    _emit(write_profile(table, log_base), out_file)
+    _emit(write_profile(table), out_file)
 
 
 @cli.command()

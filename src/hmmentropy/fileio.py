@@ -34,6 +34,27 @@ _INT_RE = re.compile(r"^-?\d+$")
 # models
 # ---------------------------------------------------------------------------
 
+def _number(value, where):
+    """A JSON number as a double; DataFormatError for any other value or an
+    integer too large for a double."""
+    if type(value) not in (int, float):  # bool is no JSON number
+        raise DataFormatError(f"{where} {json.dumps(value)} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataFormatError(f"{where} is outside the double range") from None
+
+
+def _numbers(value, where, depth=1):
+    """A list of JSON numbers, nested depth lists deep, as nested lists of
+    doubles; DataFormatError names the first entry that is not one."""
+    if depth == 0:
+        return _number(value, where)
+    if not isinstance(value, list):
+        raise DataFormatError(f"{where} must be a list")
+    return [_numbers(v, f"{where}[{i}]", depth - 1) for i, v in enumerate(value)]
+
+
 def _emission_var_from_spec(spec, where):
     if not isinstance(spec, dict) or "type" not in spec:
         raise DataFormatError(f"{where}: emission variable spec must be an "
@@ -42,14 +63,11 @@ def _emission_var_from_spec(spec, where):
     if kind == "categorical":
         if "probs" not in spec:
             raise DataFormatError(f"{where}: categorical spec needs 'probs'")
-        return Categorical(spec["probs"])
+        return Categorical(_numbers(spec["probs"], f"{where}: probs"))
     if kind == "poisson":
         if "rate" not in spec:
             raise DataFormatError(f"{where}: poisson spec needs 'rate'")
-        if type(spec["rate"]) not in (int, float):  # bool is no JSON number
-            raise DataFormatError(f"{where}: poisson rate "
-                                  f"{json.dumps(spec['rate'])} is not a number")
-        return Poisson(spec["rate"])
+        return Poisson(_number(spec["rate"], f"{where}: poisson rate"))
     raise DataFormatError(f"{where}: unknown emission type {kind!r}")
 
 
@@ -64,6 +82,11 @@ def parse_model(text: str, check: bool = True) -> HmmModel:
     for key in ("num_states", "initial", "transition", "emissions"):
         if key not in doc:
             raise DataFormatError(f"model document lacks field {key!r}")
+    if type(doc["num_states"]) is not int:  # bool is no JSON integer
+        raise DataFormatError(
+            f"num_states {json.dumps(doc['num_states'])} is not an integer")
+    initial = _numbers(doc["initial"], "initial")
+    transition = _numbers(doc["transition"], "transition", depth=2)
     if not isinstance(doc["emissions"], list):
         raise DataFormatError("emissions must be a list with one entry per state")
     for j, state_vars in enumerate(doc["emissions"]):
@@ -75,7 +98,7 @@ def parse_model(text: str, check: bool = True) -> HmmModel:
         for j, state_vars in enumerate(doc["emissions"])
     ]
     try:
-        model = HmmModel(doc["initial"], doc["transition"], emissions)
+        model = HmmModel(initial, transition, emissions)
     except ValidationError as exc:
         raise DataFormatError(str(exc)) from None
     if model.num_states != doc["num_states"]:

@@ -147,8 +147,9 @@ class HmmModel:
     """A J-state hidden Markov model shared by chain and tree inference.
 
     Parameters are stored as given; use :func:`validate_model` to check the
-    probabilistic invariants.  Instances are immutable after construction
-    and safe to share across threads.
+    probabilistic invariants.  log_initial and log_transition are their
+    logs, -inf at zeros, taken once here.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, initial, transition, emissions: Sequence[Sequence[EmissionVar]]):
@@ -168,6 +169,10 @@ class HmmModel:
             )
         if j == 0:
             raise ValidationError("model needs at least one state")
+        # values that validate_model rejects (negatives, NaN) log silently
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_initial = _read_only(np.log(self.initial), float)
+            self.log_transition = _read_only(np.log(self.transition), float)
 
     @property
     def num_states(self) -> int:
@@ -489,13 +494,10 @@ def log_joint_terms(model: HmmModel, log_b: np.ndarray, parent: np.ndarray,
     probability of entering states[u], log pi at a root and the log
     transition from the parent's state elsewhere, and its log emission
     log_b[u, states[u]]."""
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transition)
-        log_pi = np.log(model.initial)
     roots = parent < 0
     terms = np.empty((states.size, 2))
-    terms[:, 0] = log_a[states[parent], states]
-    terms[roots, 0] = log_pi[states[roots]]
+    terms[:, 0] = model.log_transition[states[parent], states]
+    terms[roots, 0] = model.log_initial[states[roots]]
     terms[:, 1] = log_b[np.arange(states.size), states]
     return terms
 

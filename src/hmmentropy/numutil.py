@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = ["entr", "xlogy", "log_factorial", "safe_div", "entropy", "fsum",
            "compensated_cumsum", "tie_argmax", "scaled_step", "max_plus_step",
-           "TIE_RTOL"]
+           "max_plus", "TIE_RTOL"]
 
 # numbers per block of the blocked array expressions: 128 KiB per temporary
 BLOCK_CELLS = 2 ** 14
@@ -140,6 +140,19 @@ def max_plus_step(log_a, score):
     its tie_argmax.  The candidates are laid out C order, (J, rows, J);
     numpy puts k innermost for a transposed table, 45 times as slow (J = 4)."""
     return tie_argmax(np.add(log_a.T[:, None, :], score[:, :, None], order="C"))
+
+
+def max_plus(x, y, out=None):
+    """The maximum over the leading axis of x + y (equal leading lengths),
+    into out if given, by one np.fmax per slice: a NaN candidate counts as
+    impossible, and only NaN throughout stays NaN.  On 760-4,096 rows at
+    J = 4-8 this beats (x + y).max(axis=0), which builds the whole sum
+    first, 1.6-3.8 times (BENCH_25.json, max_plus_us); maxima are exact,
+    so the bits are the same."""
+    out = np.add(x[0], y[0], out=out)
+    for i in range(1, len(x)):
+        np.fmax(out, x[i] + y[i], out=out)
+    return out
 
 
 def entropy(p):

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ImpossibleObservationError
 from .model import (HmmModel, ObservedTree, log_emission_matrix,
                     log_joint_terms)
-from .numutil import (entr, fsum, max_plus_step, safe_div, scaled_step,
-                      tie_argmax)
+from .numutil import (entr, fsum, max_plus, max_plus_step, safe_div,
+                      scaled_step, tie_argmax)
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
            "viterbi_tree", "viterbi_profiles"]
@@ -189,18 +189,15 @@ def _max_product(model: HmmModel, tree: ObservedTree, m: np.ndarray):
     """
     topo = tree.topology
     n, j = topo.num_vertices, model.num_states
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transition)
-        log_initial = np.log(model.initial)
     best = np.zeros((n, j))
     # the smallest integer type that holds a state index
     back = np.zeros((n, j), dtype=np.min_scalar_type(j - 1))
     for d in range(topo.num_levels - 1, 0, -1):
         start, stop = topo.level(d)
-        back[start:stop], best[start:stop] = max_plus_step(log_a,
-                                                           m[start:stop].T)
+        back[start:stop], best[start:stop] = max_plus_step(
+            model.log_transition, m[start:stop].T)
         _add_rows_at(m, topo.parent_position[start:stop], best[start:stop])
-    root_state, top = tie_argmax(log_initial + m[0])
+    root_state, top = tie_argmax(model.log_initial + m[0])
     if top == -np.inf:
         raise ImpossibleObservationError("all state configurations are impossible")
     states = np.empty(n, dtype=np.int64)
@@ -244,31 +241,20 @@ def viterbi_profiles(model: HmmModel, tree: ObservedTree):
                                                           axis=0)
     states, m, best = _max_product(model, tree, log_b.copy())
     log_likelihood = _upward(model, tree, log_b).log_likelihood
-    impossible_below = best == -np.inf
-    any_impossible = impossible_below.any()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(model.transition)
-        down = np.empty_like(m)
-        down[0] = np.log(model.initial)
+    down = np.empty_like(m)
+    down[0] = model.log_initial
+    with np.errstate(invalid="ignore"):
         for d in range(1, topo.num_levels):
             start, stop = topo.level(d)
             parent = topo.parent_position[start:stop]
             # m[p] already contains best[u]; removing it leaves the outside
             # score.  Where the child subtree is impossible (best -inf) the
-            # subtraction is NaN and the whole term must be -inf.
+            # subtraction is NaN, which numutil.max_plus counts as -inf.
             outside = down.take(parent, axis=0)
             outside += m.take(parent, axis=0)
             outside -= best[start:stop]
-            if any_impossible:
-                np.copyto(outside, -np.inf, where=impossible_below[start:stop])
-            # max over the parent's state i, one (vertices, J) slice at a
-            # time rather than a strided reduction over a (vertices, J, J)
-            # array; maxima are exact, so the order cannot change a bit
-            completion = down[start:stop]
-            np.add(outside[:, :1], log_a[0], out=completion)
-            for i in range(1, len(log_a)):
-                np.maximum(completion, outside[:, i, None] + log_a[i],
-                           out=completion)
+            max_plus(outside.T[:, :, None], model.log_transition[:, None],
+                     out=down[start:stop])
     m += down
     m -= log_likelihood
     return states, np.exp(m.take(topo.position, axis=0))

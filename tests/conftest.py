@@ -1,10 +1,12 @@
-"""Shared fixtures and random instance generators.
+"""Shared fixtures, random instance generators and malformed model
+documents.
 
 The generators draw models with optional structural zeros (the zero-handling
 paths matter) and always pair them with data simulated from the same model,
 so every generated instance has positive evidence.
 """
 
+import json
 import math
 
 import numpy as np
@@ -247,3 +249,41 @@ def log_space_tree(model, tree):
                                    + log_m[level])
     return (np.exp(log_smoothed), subtree_log_evidence,
             float(subtree_log_evidence[0]))
+
+
+def one_state_doc(field, value):
+    """A one-state model document, categorical over {0, 1}, with one of its
+    fields (num_states, initial, transition or probs) replaced."""
+    doc = {"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+           "emissions": [[{"type": "categorical", "probs": [0.5, 0.5]}]]}
+    if field == "probs":
+        doc["emissions"][0][0]["probs"] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+# (field, value, the DataFormatError message)
+MALFORMED_NUMBERS = [
+    ("initial", {"a": 1}, "initial must be a list"),
+    ("transition", {"a": [1]}, "transition must be a list"),
+    ("transition", [1.0], "transition[0] must be a list"),
+    ("initial", ["1.0"], 'initial[0] "1.0" is not a number'),
+    ("initial", [True], "initial[0] true is not a number"),
+    ("initial", [[1.0]], "initial[0] [1.0] is not a number"),
+    ("initial", [10 ** 400], "initial[0] is outside the double range"),
+    ("transition", [["1"]], 'transition[0][0] "1" is not a number'),
+    ("transition", [[None]], "transition[0][0] null is not a number"),
+    ("transition", [[-10 ** 400]],
+     "transition[0][0] is outside the double range"),
+    ("probs", [True, False],
+     "emissions[0][0]: probs[0] true is not a number"),
+    ("probs", [0.5, "0.5"],
+     'emissions[0][0]: probs[1] "0.5" is not a number'),
+    ("probs", {"0": 1.0}, "emissions[0][0]: probs must be a list"),
+    ("num_states", "1", 'num_states "1" is not an integer'),
+    ("num_states", True, "num_states true is not an integer"),
+    ("num_states", 1.0, "num_states 1.0 is not an integer"),
+]
+MALFORMED_IDS = [f"{field} {json.dumps(value)[:12]}"
+                 for field, value, _ in MALFORMED_NUMBERS]

@@ -13,7 +13,8 @@ from hmmentropy import cli
 from hmmentropy.cli import main
 from hmmentropy.numutil import entr
 
-from conftest import (M1, log_space_tree, random_chain_instance,
+from conftest import (M1, MALFORMED_IDS, MALFORMED_NUMBERS, log_space_tree,
+                      one_state_doc, random_chain_instance,
                       random_tree_instance, uniform_model)
 
 CHAIN_DATA = "0 0\n"
@@ -109,6 +110,16 @@ class TestValidate:
         assert err == (f"error: emissions[0][0]: poisson rate {rate} "
                        "is not a number\n")
 
+    @pytest.mark.parametrize("field, value, message", MALFORMED_NUMBERS,
+                             ids=MALFORMED_IDS)
+    def test_malformed_numbers_exit_2(self, capsys, tmp_path, field, value,
+                                      message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(one_state_doc(field, value)))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [("validate",), ("smooth",)])
     @pytest.mark.parametrize("doc, message", [
         (["num_states", "initial", "transition", "emissions"],
@@ -152,6 +163,13 @@ class TestSmooth:
         assert lines[0].startswith("vertex\tparent\tobs_0")
         root = lines[1].split("\t")
         assert float(root[3]) == pytest.approx(0.970062001771, abs=1e-11)
+
+    def test_takes_no_log_base(self, capsys, model_file, chain_file):
+        """smooth prints no entropy column, so it has no base to take."""
+        code, out, err = run(capsys, "smooth", "--model", model_file,
+                             "--data", chain_file, "--log-base", "2")
+        assert code == 1 and out == ""
+        assert "--log-base" in err
 
     def test_out_file(self, capsys, tmp_path, model_file, chain_file):
         out_path = tmp_path / "out.tsv"

@@ -19,7 +19,8 @@ from hmmentropy import (Categorical, DataFormatError, HmmModel,
                         write_profile)
 from hmmentropy.fileio import PROFILE_BLOCK_CELLS, detect_data_kind
 
-from conftest import M1, TOPOLOGY_KINDS, random_model, random_topology, stack
+from conftest import (M1, MALFORMED_IDS, MALFORMED_NUMBERS, TOPOLOGY_KINDS,
+                      one_state_doc, random_model, random_topology, stack)
 
 EARTHQUAKE_MODEL = {
     "num_states": 3,
@@ -48,6 +49,28 @@ class TestModelFormat:
                    + re.escape(json.dumps(rate)) + " is not a number$")
         with pytest.raises(DataFormatError, match=message):
             parse_model(json.dumps(doc))
+
+    def test_poisson_rate_beyond_a_double(self):
+        doc = dict(EARTHQUAKE_MODEL)
+        doc["emissions"] = [[{"type": "poisson", "rate": 10 ** 400}]] * 3
+        with pytest.raises(DataFormatError, match=r"^emissions\[0\]\[0\]: "
+                           "poisson rate is outside the double range$"):
+            parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", MALFORMED_NUMBERS,
+                             ids=MALFORMED_IDS)
+    def test_malformed_numbers(self, field, value, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_model(json.dumps(one_state_doc(field, value)))
+        assert type(info.value) is DataFormatError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial", [1]), ("transition", [[1]]), ("probs", [0, 1]),
+        ("initial", [1.0]), ("probs", [0.0, 1e0])])
+    def test_integers_and_floats_parse(self, field, value):
+        model = parse_model(json.dumps(one_state_doc(field, value)))
+        assert model.initial.dtype == model.transition.dtype == float
 
     def test_integer_poisson_rate_parses(self):
         doc = dict(EARTHQUAKE_MODEL)

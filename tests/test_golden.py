@@ -11,7 +11,14 @@ tree engines shared their scaled and max-product step kernels.  They run
 those steps on the wide side of the 8 J rows at which the row maxima
 switch to column slices (24 at J = 3), which the goldens above do not
 reach: the chain filter and Viterbi recursion on 81-105 segment rows, and
-the tree on levels of 1-32 vertices."""
+the tree on levels of 1-32 vertices.
+
+The tree Viterbi table and its log joint, the two criteria tables (the
+many-chains one with NEC) and the many-chains summary and past entropy
+table were written before the segment transfers of chain Viterbi and the
+Viterbi-profile completion shared one max-plus kernel and the model took
+the logs of its parameters once.  The past table runs the chain entropy
+route on 81-105 filter rows."""
 
 from pathlib import Path
 
@@ -36,6 +43,13 @@ CASES = [
     (["smooth", "--data", "wide_tree.txt"], "wide_tree_smooth.tsv"),
     (["viterbi-profiles", "--data", "wide_tree.txt"],
      "wide_tree_viterbi_profiles.tsv"),
+    (["viterbi", "--data", "small_tree.txt"], "small_tree_viterbi.tsv"),
+    (["criteria", "--data", "small_tree.txt"], "small_tree_criteria.tsv"),
+    (["criteria", "--data", "many_chains.txt", "--baseline-loglik", "-900"],
+     "many_chains_criteria_nec.tsv"),
+    (["summary", "--data", "many_chains.txt"], "many_chains_summary.tsv"),
+    (["entropy", "--data", "many_chains.txt", "--cond", "past"],
+     "many_chains_entropy_past.tsv"),
 ]
 
 
@@ -54,3 +68,11 @@ def test_golden_log_joints(capsys):
                  str(GOLDEN / "many_chains.txt")]) == 0
     err = capsys.readouterr().err
     assert err == (GOLDEN / "many_chains_viterbi.err").read_text()
+
+
+def test_golden_tree_log_joint(capsys):
+    """The viterbi command's one log_joint line on stderr for a tree."""
+    assert main(["viterbi", "--model", str(MODEL), "--data",
+                 str(GOLDEN / "small_tree.txt")]) == 0
+    err = capsys.readouterr().err
+    assert err == (GOLDEN / "small_tree_viterbi.err").read_text()

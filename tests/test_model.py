@@ -465,8 +465,13 @@ class TestCallerArrays:
         ([0.5, 0.5], lambda a: HmmModel(a, np.eye(2), TWO_STATES), "initial"),
         ([[0.5, 0.5], [0.1, 0.9]],
          lambda a: HmmModel([0.5, 0.5], a, TWO_STATES), "transition"),
+        ([0.5, 0.5], lambda a: HmmModel(a, np.eye(2), TWO_STATES),
+         "log_initial"),
+        ([[0.5, 0.5], [0.1, 0.9]],
+         lambda a: HmmModel([0.5, 0.5], a, TWO_STATES), "log_transition"),
     ], ids=["sequence vector", "sequence matrix", "offsets", "tree values",
-            "parent ids", "categorical", "initial", "transition"])
+            "parent ids", "categorical", "initial", "transition",
+            "log initial", "log transition"])
     @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
     def test_caller_array_stays_writable(self, caller, build, attribute, view):
         caller = np.array(caller)
@@ -478,6 +483,29 @@ class TestCallerArrays:
         np.testing.assert_array_equal(held, want)
         with pytest.raises(ValueError, match="read-only"):
             held.fill(0)
+
+
+class TestLogParameters:
+    def test_logs_with_minus_inf_at_zeros(self):
+        model = pine_model()
+        with np.errstate(divide="ignore"):
+            want_initial = np.log(model.initial)
+            want_transition = np.log(model.transition)
+        assert np.isneginf(model.log_initial).sum() == 4
+        assert np.isneginf(model.log_transition).sum() == 13
+        assert model.log_initial.tobytes() == want_initial.tobytes()
+        assert model.log_transition.tobytes() == want_transition.tobytes()
+        for table in (model.log_initial, model.log_transition):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_rejected_values_give_no_warning(self):
+        """Negative and NaN entries, which validate_model rejects, build a
+        model without a RuntimeWarning (the test run makes one an error)."""
+        model = HmmModel([-0.5, 1.5], [[np.nan, 1.0], [-1.0, 2.0]], TWO_STATES)
+        assert np.isnan(model.log_initial[0])
+        assert np.isnan(model.log_transition[:, 0]).all()
+        assert not validate_model(model).ok
 
 
 class TestObservedData:

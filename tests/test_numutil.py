@@ -1,4 +1,4 @@
-"""The numpy entropy kernels, the log-factorial helper and the two step
+"""The numpy entropy kernels, the log-factorial helper and the step
 kernels of the chain and tree recursions.
 
 scipy.special is the reference here only: the package itself does not
@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from hmmentropy.numutil import (entr, fsum, log_factorial, max_plus_step,
-                               safe_div, scaled_step, tie_argmax, xlogy)
+from hmmentropy.numutil import (entr, fsum, log_factorial, max_plus,
+                               max_plus_step, safe_div, scaled_step,
+                               tie_argmax, xlogy)
 
 EDGES = np.array([0.0, -0.0, -1.0, -5e-324, -np.inf, np.nan, np.inf,
                   5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
@@ -352,3 +353,93 @@ class TestStepKernels:
         ptr_t, best_t = max_plus_step(log_a, table.T)
         assert np.array_equal(ptr_t, want_ptr)
         assert best_t.tobytes() == best.tobytes()
+
+
+def transfer_step(m, log_a):
+    """chain._max_transfers' own np.maximum loop before the shared kernel:
+    step[x, r, i] = max over l of m[l, r, i] + log a_lx."""
+    step = m[0, None] + log_a[0, :, None, None]
+    for l in range(1, log_a.shape[0]):
+        np.maximum(step, m[l, None] + log_a[l, :, None, None], out=step)
+    return step
+
+
+def completion_step(outside, log_a, impossible):
+    """The Viterbi-profile completion's own loop, after its -inf mask of
+    the candidates whose child subtree is impossible."""
+    outside = outside.copy()
+    np.copyto(outside, -np.inf, where=impossible)
+    completion = np.empty(outside.shape)
+    np.add(outside[:, :1], log_a[0], out=completion)
+    for i in range(1, len(log_a)):
+        np.maximum(completion, outside[:, i, None] + log_a[i], out=completion)
+    return completion
+
+
+def log_transitions(rng, j):
+    """A J x J log transition table with -inf entries."""
+    log_a = np.log(rng.dirichlet(np.ones(j), size=j))
+    log_a[rng.random((j, j)) < 0.2] = -np.inf
+    return log_a
+
+
+class TestMaxPlus:
+    """max_plus gives the bits of the two np.maximum loops it replaces and
+    of the one-line reduction, and counts a NaN candidate as impossible."""
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_is_the_transfer_loop(self, j, rows):
+        rng = np.random.default_rng([j, rows, 3])
+        log_a = log_transitions(rng, j)
+        m = rng.uniform(-900.0, 0.0, (j, rows + 4, j))
+        m[rng.random(m.shape) < 0.2] = -np.inf
+        m[:, rows // 2] = -np.inf  # a row impossible from every state
+        m = m[:, :rows]  # as the transfer step slices the active rows
+        want = transfer_step(m, log_a)
+        got = max_plus(m[:, None], log_a[:, :, None, None])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (m[:, None] + log_a[:, :, None, None]
+                                 ).max(axis=0).tobytes()
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_is_the_completion_loop(self, j, rows):
+        """Outside scores NaN where the child subtree is impossible, as the
+        completion's -inf - -inf leaves them, into a row slice of the
+        table; at least one parent state stays possible per vertex."""
+        rng = np.random.default_rng([j, rows, 4])
+        log_a = log_transitions(rng, j)
+        outside = rng.uniform(-900.0, 0.0, (rows, j))
+        outside[rng.random(outside.shape) < 0.2] = -np.inf
+        impossible = rng.random(outside.shape) < 0.3
+        impossible[0] = True  # all parent states but one
+        impossible[np.arange(rows), rng.integers(j, size=rows)] = False
+        outside[impossible] = np.nan
+        assert np.isnan(outside).any() or j == 1
+        want = completion_step(outside, log_a, impossible)
+        table = np.full((rows + 5, j), 7.0)
+        got = max_plus(outside.T[:, :, None], log_a[:, None],
+                       out=table[2:rows + 2])
+        assert np.shares_memory(got, table)
+        assert table[2:rows + 2].tobytes() == want.tobytes()
+        assert (table[:2] == 7.0).all() and (table[rows + 2:] == 7.0).all()
+
+    @pytest.mark.parametrize("j, rows", STEP_SHAPES)
+    def test_is_the_reduction_without_nan(self, j, rows):
+        rng = np.random.default_rng([j, rows, 5])
+        x = rng.uniform(-50.0, 50.0, (j, rows, 1))
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        x[:, rows // 2] = -np.inf  # -inf throughout
+        y = log_transitions(rng, j)[:, None]
+        want = (x + y).max(axis=0)
+        assert max_plus(x, y).tobytes() == want.tobytes()
+        assert np.isneginf(want[rows // 2]).all()
+
+    def test_nan_candidates(self):
+        """A NaN candidate loses to a number and to -inf, wherever it comes
+        in the order; only NaN throughout stays NaN."""
+        nan, inf = np.nan, np.inf
+        x = np.array([[nan, 1.0, nan, -inf, nan],
+                      [2.0, nan, -inf, nan, nan],
+                      [nan, -3.0, nan, nan, nan]])
+        got = max_plus(x, np.zeros((3, 1)))
+        assert_same_values(got, np.array([2.0, 1.0, -inf, -inf, nan]))
