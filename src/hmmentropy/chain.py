@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ImpossibleObservationError, ValidationError
 from .model import (HmmModel, ObservedSequence, log_emission_matrix,
                     log_joint_terms)
-from .numutil import (entr, fsum, max_plus, max_plus_step, safe_div,
+from .numutil import (_blocks, entr, fsum, max_plus, max_plus_step, safe_div,
                       scaled_step, tie_argmax)
 
 __all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
@@ -80,7 +80,10 @@ class ChainPosterior:
 
     @cached_property
     def marginal_entropy(self) -> np.ndarray:
-        marginal = entr(self.smoothed).sum(axis=1)
+        # in row blocks: the same row sums, with no T x J temporary
+        marginal = np.empty(len(self.smoothed))
+        for lo, hi in _blocks(0, len(marginal), self.smoothed.shape[1]):
+            entr(self.smoothed[lo:hi]).sum(axis=1, out=marginal[lo:hi])
         marginal.flags.writeable = False
         return marginal
 

@@ -4,19 +4,23 @@ The global state entropy H(S | X = x) decomposes along a sequence as a sum
 of conditional entropies, conditioning either on the preceding state (past
 direction) or on the following state (future direction).  The command line
 runs the recursive routes, which take each conditional from the law of the
-neighbouring state given the current one; the direct routes (conditionals
-from the pairwise posteriors) and `hernando_table` (the state-conditioned
-entropy recursion) are references that the tests compare against them.  All
-work in blocks of about BLOCK_CELLS numbers on the ChainPosterior of a
-dataset of any number of sequences, restart at each and sum H(S | X).
+previous state given the current one; the direct routes (conditionals from
+the pairwise posteriors) and `hernando_table` (the state-conditioned entropy
+recursion) are references that the tests compare against them.  All work on
+the ChainPosterior of a dataset of any number of sequences, walk it in
+blocks of about BLOCK_CELLS numbers, restart at each sequence and sum
+H(S | X).
 
-The recursive routes' blocked walk is bit-identical to a loop of one step
-per position on J x J arrays (the tests keep that loop).  A block holds its
+Both recursive routes read one neighbour law, the predecessor law
+P(S_{t-1} | S_t, X), in one blocked walk: its middle term
+sum_a L_t(a) H(S_{t-1} | S_t = a, X) is the future conditional at t - 1,
+and the past conditional at t follows from it by H(S_t | X) + middle -
+H(S_{t-1} | X).  The walk is bit-identical to a loop of one step per
+position on J x J arrays (the tests keep that loop).  A block holds its
 laws state-major, (J, J, rows), so every elementwise step runs along the
 rows, and each sum adds its terms in the order numpy gives it within one
-position: over the previous state (past) along a strided axis, in order;
-over the next state (future) and over the current state along a
-contiguous one, pairwise from 8 terms on.
+position: over the previous state along a strided axis, in order; over
+the current state along a contiguous one, pairwise from 8 terms on.
 
 All entropies are in nats.
 """
@@ -67,61 +71,31 @@ def _neighbours(model, posterior, direction):
             for lo, hi in _blocks(0, rows.size, model.transition.size))
 
 
-def _law(model, posterior, direction, t, n, out):
-    """K[a, b, i] = P(S_n = b | S_t = a, X) at rows t[i], n[i]: p_ba F_n(b) /
-    G_t(a) for 'past', p_ab L_n(b) / G_n(b) normalized over b for 'future'.
+def _law_blocks(model, posterior):
+    """(t, n, e) for each block of the past walk, n = t - 1: with the
+    predecessor laws K[a, b, i] = P(S_n = b | S_t = a, X) = p_ba F_n(b) /
+    G_t(a) at rows t[i], n[i], e[a, i] = sum_b entr(K[a, b, i]).
 
-    K is the first J^2 len(t) numbers of out[0], state-major, so that every
-    elementwise step runs along the rows; the future normalizer sums over b
-    in a transposed copy in out[2].
+    K is state-major in the first J^2 len(t) numbers of out[0], so that every
+    elementwise step runs along the rows, and entr's values go into out[1];
+    the blocks reuse the buffers of the first, the largest.  The sums add one
+    slice at a time from numpy's initial +0.0, the order in which numpy
+    reduces a strided axis; numpy's own reduction would sum a one-row block
+    along a contiguous axis, pairwise from 8 terms on.
     """
-    a = model.transition
-    k = out[0, :a.size * t.size].reshape(*a.shape, t.size)
-    if direction == "past":
+    a, out = model.transition, None
+    for t, n in _neighbours(model, posterior, "past"):
+        if out is None:
+            out = np.empty((2, a.size * t.size))
+        k = out[0, :a.size * t.size].reshape(*a.shape, t.size)
         np.multiply(a.T[:, :, None], posterior.forward.take(n, axis=0).T,
                     out=k)
         safe_div(k, posterior.predicted.take(t, axis=0).T[:, None, :], out=k)
-        return k
-    ratio = safe_div(posterior.smoothed.take(n, axis=0),
-                     posterior.predicted.take(n, axis=0))
-    np.multiply(a[:, :, None], ratio.T, out=k)
-    safe_div(k, _sum_over_b(k, out[2])[:, None, :], out=k)
-    return k
-
-
-def _sum_over_b(x, out):
-    """x[a, :, i] summed by numpy along a contiguous axis, pairwise from 8
-    terms on, in a transposed copy in out that has that axis."""
-    j, _, rows = x.shape
-    xt = out[:x.size].reshape(j, rows, j)
-    np.copyto(xt, x.transpose(0, 2, 1))
-    return xt.sum(axis=2)
-
-
-def _law_blocks(model, posterior, direction):
-    """(t, n, K, e) for each block of _neighbours: the laws K of _law and
-    e[a, i] = sum_b entr(K[a, b, i]).
-
-    entr's values go into out[1].  The past sums add one slice at a time
-    from numpy's initial +0.0, the order in which numpy reduces a strided
-    axis; numpy's own reduction would sum a one-row block along a contiguous
-    axis, pairwise from 8 terms on.  The future sums are that contiguous
-    reduction.  The blocks reuse the buffers of the first, the largest.
-    """
-    out = None
-    for t, n in _neighbours(model, posterior, direction):
-        if out is None:
-            out = np.empty((2 if direction == "past" else 3,
-                            model.transition.size * t.size))
-        k = _law(model, posterior, direction, t, n, out)
         ent = entr(k, out=out[1, :k.size].reshape(k.shape))
-        if direction == "future":
-            e = _sum_over_b(ent, out[2])
-        else:
-            e = ent[:, 0] + 0.0
-            for b in range(1, len(k)):
-                e += ent[:, b]
-        yield t, n, k, e
+        e = ent[:, 0] + 0.0
+        for b in range(1, len(k)):
+            e += ent[:, b]
+        yield t, n, e
 
 
 def _route(posterior, direction, blocks):
@@ -142,13 +116,20 @@ def _route(posterior, direction, blocks):
 
 
 def _from_law(model, posterior, direction):
-    """Blocks of H(S_t | X) + smoothed[t] . entr(K) 1 - H(S_n | X)."""
+    """Blocks of conditionals from the middle terms of the past walk,
+    w = smoothed[t] . e = sum_a L_t(a) H(S_{t-1} | S_t = a, X), which is
+    H(S_{t-1} | S_t, X): the future conditional at n = t - 1 is w itself,
+    and the past one at t is H(S_t | X) + w - H(S_{t-1} | X)."""
     marginal = posterior.marginal_entropy
-    for t, n, _, e in _law_blocks(model, posterior, direction):
+    for t, n, e in _law_blocks(model, posterior):
         # smoothed[t] . e summed along a contiguous axis, in numpy's order
         weighted = posterior.smoothed.take(t, axis=0)
         weighted *= e.T
-        yield t, marginal[t] + (weighted.sum(axis=1) - marginal[n])
+        w = weighted.sum(axis=1)
+        if direction == "future":
+            yield n, w
+        else:
+            yield t, marginal[t] + (w - marginal[n])
 
 
 def _from_pairwise(model, posterior, direction):
@@ -169,26 +150,29 @@ def hernando_table(model: HmmModel, posterior: ChainPosterior,
 
     'past':   h[t, j] = H(S_0^{t-1} | S_t=j, X_0^t=x_0^t)
     'future': h[t, j] = H(S_{t+1}^{T-1} | S_t=j, X_{t+1}^{T-1})
-    built by h[t] = K h[n] + entr(K) 1, one position at a time from 0 at
-    each sequence's first row ('past') or last row ('future'), with the
-    predecessor or successor laws K of the recursive routes; the partial
-    entropies are smoothed[t] . h[t] + H(S_t | X).
+    built by h[t] = K h[n] + entr(K) 1 with one J x J law K per position, in
+    walk order from 0 at each sequence's first row ('past', n = t - 1) or
+    last row ('future', n = t + 1), where K[a, b] = P(S_n = b | S_t = a, X)
+    is the predecessor law p_ba F_n(b) / G_t(a) or the successor law
+    p_ab L_n(b) / G_n(b) normalized over b; the partial entropies are
+    smoothed[t] . h[t] + H(S_t | X).  It builds its laws itself, apart from
+    the blocked walk of the profiles.
 
     Future-table rows at states with zero smoothed mass hold conventional
     values (the smoothed/predicted ratios driving the recursion are guarded
     to 0 there); every profile quantity weights such rows by zero.
     """
-    h = np.zeros_like(posterior.forward)
-    for t, n, k, e in _law_blocks(model, posterior, direction):
-        # each position's K in the memory order of one step's J x J law,
-        # Fortran for 'past' and C for 'future': BLAS rounds a
-        # matrix-vector product by the matrix's memory order
-        if direction == "past":
-            k = k.transpose(2, 1, 0).copy().transpose(0, 2, 1)
-        else:
-            k = k.transpose(2, 0, 1).copy()
-        for s, r, k_s, e_s in zip(t.tolist(), n.tolist(), k, e.T):
-            h[s] = k_s @ h[r] + e_s
+    a, f, g = model.transition, posterior.forward, posterior.predicted
+    h = np.zeros_like(f)
+    for rows, neighbours in _neighbours(model, posterior, direction):
+        for t, n in zip(rows.tolist(), neighbours.tolist()):
+            if direction == "past":  # w[b, a] = K[a, b]
+                w = safe_div(a * f[n][:, None], g[t][None, :])
+                h[t] = w.T @ h[n] + entr(w).sum(axis=0)
+            else:
+                u = a * safe_div(posterior.smoothed[n], g[n])[None, :]
+                k = safe_div(u, u.sum(axis=1)[:, None])
+                h[t] = k @ h[n] + entr(k).sum(axis=1)
     return h
 
 
@@ -221,11 +205,12 @@ def entropy_past_direct(model: HmmModel, data: ObservedSequence,
 
 def entropy_future(model: HmmModel, data: ObservedSequence,
                    posterior: ChainPosterior) -> ChainEntropyProfile:
-    """Future-conditioned profile from the successor laws.
+    """Future-conditioned profile from the predecessor laws.
 
-    Each H(S_t | S_{t+1}, X) is H(S_t | X) + E[H(S_{t+1} | S_t, X)] -
-    H(S_{t+1} | X), the middle term from the successor law
-    p_jk L_{t+1}(k) / G_{t+1}(k), normalized over k; the suffix partials
+    Each H(S_t | S_{t+1}, X) is sum_k L_{t+1}(k) H(S_t | S_{t+1} = k, X),
+    the past walk's middle term at t + 1, from the predecessor law
+    p_jk F_t(j) / G_{t+1}(k): a weighted sum of non-negative entropies,
+    with no difference of marginals to round.  The suffix partials
     H(S_t^{T-1} | X) are their (compensated) reverse running sums.
 
     data is unused; the argument stays for callers that pass it positionally.

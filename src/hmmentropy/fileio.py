@@ -47,12 +47,18 @@ def _number(value, where):
 
 def _numbers(value, where, depth=1):
     """A list of JSON numbers, nested depth lists deep, as nested lists of
-    doubles; DataFormatError names the first entry that is not one."""
+    doubles; DataFormatError names the first entry that is not one, or the
+    first inner list whose length differs from the first's."""
     if depth == 0:
         return _number(value, where)
     if not isinstance(value, list):
         raise DataFormatError(f"{where} must be a list")
-    return [_numbers(v, f"{where}[{i}]", depth - 1) for i, v in enumerate(value)]
+    rows = [_numbers(v, f"{where}[{i}]", depth - 1) for i, v in enumerate(value)]
+    for i, row in enumerate(rows if depth > 1 else ()):
+        if len(row) != len(rows[0]):
+            raise DataFormatError(f"{where}[{i}] has length {len(row)} but "
+                                  f"{where}[0] has length {len(rows[0])}")
+    return rows
 
 
 def _emission_var_from_spec(spec, where):

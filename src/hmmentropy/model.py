@@ -159,6 +159,8 @@ class HmmModel:
         if self.initial.ndim != 1:
             raise ValidationError("initial must be a vector")
         j = self.initial.size
+        if j == 0:
+            raise ValidationError("model needs at least one state")
         if self.transition.shape != (j, j):
             raise ValidationError(
                 f"transition must be {j}x{j}, got {self.transition.shape}"
@@ -167,8 +169,6 @@ class HmmModel:
             raise ValidationError(
                 f"need one emission model per state: {len(self.emissions)} != {j}"
             )
-        if j == 0:
-            raise ValidationError("model needs at least one state")
         # values that validate_model rejects (negatives, NaN) log silently
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log_initial = _read_only(np.log(self.initial), float)

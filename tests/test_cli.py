@@ -133,8 +133,13 @@ class TestValidate:
           "transition": [[0.5, 0.5], [0.5, 0.5]],
           "emissions": [[{"type": "categorical", "probs": [1.0]}], 3]},
          "emissions[1] must be a list"),
+        ({"num_states": 2, "initial": [0.5, 0.5], "transition": [[1, 0], [1]],
+          "emissions": [[{"type": "categorical", "probs": [1.0]}]] * 2},
+         "error: transition[1] has length 1 but transition[0] has length 2\n"),
+        ({"num_states": 0, "initial": [], "transition": [], "emissions": []},
+         "error: model needs at least one state\n"),
     ], ids=["array document", "string document", "emissions not a list",
-            "state entry not a list"])
+            "state entry not a list", "ragged transition", "no state"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, chain_file,
                                        argv, doc, message):
         path = tmp_path / "malformed.json"

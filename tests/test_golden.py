@@ -18,7 +18,13 @@ many-chains one with NEC) and the many-chains summary and past entropy
 table were written before the segment transfers of chain Viterbi and the
 Viterbi-profile completion shared one max-plus kernel and the model took
 the logs of its parameters once.  The past table runs the chain entropy
-route on 81-105 filter rows."""
+route on 81-105 filter rows.
+
+The many-chains future entropy table was written when the future
+conditionals became the past walk's middle terms, sums of non-negative
+entropies; before, 8 of its conditionals printed negative.  Its 7 negative
+marginal entropies are those of the past table: smoothed probabilities a
+rounding above 1."""
 
 from pathlib import Path
 
@@ -50,6 +56,8 @@ CASES = [
     (["summary", "--data", "many_chains.txt"], "many_chains_summary.tsv"),
     (["entropy", "--data", "many_chains.txt", "--cond", "past"],
      "many_chains_entropy_past.tsv"),
+    (["entropy", "--data", "many_chains.txt", "--cond", "future"],
+     "many_chains_entropy_future.tsv"),
 ]
 
 
