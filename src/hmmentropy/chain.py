@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ImpossibleObservationError, ValidationError
 from .model import (HmmModel, ObservedSequence, log_emission_matrix,
                     log_joint_terms)
-from .numutil import (_blocks, entr, fsum, max_plus, max_plus_step, safe_div,
+from .numutil import (fsum, max_plus, max_plus_step, row_entropy, safe_div,
                       scaled_step, tie_argmax)
 
 __all__ = ["ChainPosterior", "smooth_chain", "smooth_dataset", "viterbi_chain",
@@ -80,12 +80,7 @@ class ChainPosterior:
 
     @cached_property
     def marginal_entropy(self) -> np.ndarray:
-        # in row blocks: the same row sums, with no T x J temporary
-        marginal = np.empty(len(self.smoothed))
-        for lo, hi in _blocks(0, len(marginal), self.smoothed.shape[1]):
-            entr(self.smoothed[lo:hi]).sum(axis=1, out=marginal[lo:hi])
-        marginal.flags.writeable = False
-        return marginal
+        return row_entropy(self.smoothed)
 
 
 def _segment_length(t_max: int) -> int:
@@ -124,11 +119,9 @@ class _Segments:
         lengths = np.diff(offsets)
         self.size = size = size or _segment_length(int(lengths.max()))
         per_seq = -(-lengths // size)
-        rank = np.empty(lengths.size, dtype=np.int64)
-        rank[np.argsort(-per_seq, kind="stable")] = np.arange(lengths.size)
         seq = np.repeat(np.arange(lengths.size), per_seq)
         k = np.arange(seq.size) - np.repeat(np.cumsum(per_seq) - per_seq, per_seq)
-        order = np.lexsort((rank[seq], k))
+        order = np.lexsort((-per_seq[seq], k))
         self.seq = seq = seq[order]
         k = k[order]
         self.start = self.offsets[seq] + k * size
@@ -165,6 +158,7 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
                            - np.repeat(seg.count[:-1], seg.count[1:])]
     transfer = np.zeros((j, j, pred_start.size))
     transfer[np.arange(j), np.arange(j)] = 1.0
+    spare = np.empty_like(transfer)
     log_scale = np.zeros((j, pred_start.size))
     with np.errstate(divide="ignore"):
         for t in range(seg.size):
@@ -173,7 +167,8 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
             top = joint.max(axis=1)
             top[top == -np.inf] = 0.0  # an impossible start state
             joint -= top[:, None, :]
-            transfer = np.matmul(a.T, np.exp(joint, out=joint))
+            transfer = np.matmul(a.T, np.exp(joint, out=joint), out=spare)
+            spare = joint
             total = transfer.sum(axis=1)
             log_scale += top + np.log(total)
             total[total == 0.0] = 1.0

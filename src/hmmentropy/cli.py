@@ -46,7 +46,7 @@ _base_opt = click.option("--log-base", type=click.Choice(["e", "2"]),
 _budget_opt = click.option("--budget", type=int, default=None,
                            help="Operation/configuration budget override.")
 
-# characters encoded and written at a time by _emit, so that the encoded
+# characters encoded and written at a time by _writer, so that the encoded
 # output never exists as a second full-size copy of the text
 _WRITE_CHARS = 1 << 16
 
@@ -56,22 +56,39 @@ def cli():
     """State restoration and entropy profiles for hidden Markov models."""
 
 
-def _emit(text: str, out_file):
-    """Write text to out_file, or to stdout, _WRITE_CHARS at a time."""
+@contextlib.contextmanager
+def _writer(out_file):
+    """A function that writes text to out_file, or to stdout,
+    _WRITE_CHARS at a time."""
     with (open(out_file, "w", encoding="utf-8") if out_file
           else contextlib.nullcontext(sys.stdout)) as out:
-        for start in range(0, len(text), _WRITE_CHARS):
-            out.write(text[start:start + _WRITE_CHARS])
+        def write(text):
+            for start in range(0, len(text), _WRITE_CHARS):
+                out.write(text[start:start + _WRITE_CHARS])
+        yield write
         out.flush()
 
 
+def _emit(text: str, out_file):
+    """Write text to out_file, or to stdout."""
+    with _writer(out_file) as write:
+        write(text)
+
+
+def _emit_profile(table: ProfileTable, out_file, log_base: str = "e"):
+    """Write a profile table block by block as write_profile formats it:
+    its whole text is never held."""
+    with _writer(out_file) as write:
+        write_profile(table, log_base, write)
+
+
 def _load_model(model_file):
-    return parse_model(Path(model_file).read_text(encoding="utf-8"))
+    return parse_model(Path(model_file).read_text(encoding="utf-8-sig"))
 
 
 def _load_data(data_file):
     """Returns ('tree', ObservedTree) or ('chain', ObservedSequence)."""
-    text = Path(data_file).read_text(encoding="utf-8")
+    text = Path(data_file).read_text(encoding="utf-8-sig")
     if detect_data_kind(text) == "tree":
         return "tree", parse_tree(text)
     return "chain", parse_sequence(text)
@@ -122,7 +139,7 @@ def _sums(model, kind, data):
 @_model_opt
 def validate(model_file):
     """Check a model file against all invariants."""
-    text = Path(model_file).read_text(encoding="utf-8")
+    text = Path(model_file).read_text(encoding="utf-8-sig")
     model = parse_model(text, check=False)
     report = validate_model(model)
     if report.ok:
@@ -148,7 +165,7 @@ def smooth(model_file, data_file, out_file):
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
-    _emit(write_profile(table), out_file)
+    _emit_profile(table, out_file)
 
 
 @cli.command()
@@ -169,7 +186,7 @@ def viterbi(model_file, data_file, out_file):
                    err=True, nl=False)
     table = _id_table(kind, data)
     table.add("viterbi_state", states)
-    _emit(write_profile(table), out_file)
+    _emit_profile(table, out_file)
 
 
 @cli.command("viterbi-profiles")
@@ -187,7 +204,7 @@ def viterbi_profiles_cmd(model_file, data_file, out_file):
     table.add("viterbi_state", states)
     for j in range(model.num_states):
         table.add(f"vprofile_{j}", prof[:, j])
-    _emit(write_profile(table), out_file)
+    _emit_profile(table, out_file)
 
 
 @cli.command()
@@ -240,7 +257,7 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
     table.add("marginal_entropy", marginal, entropy=True)
     for name, values in columns:
         table.add(name, values, entropy=True)
-    _emit(write_profile(table, log_base), out_file)
+    _emit_profile(table, out_file, log_base)
 
 
 @cli.command()
@@ -260,7 +277,7 @@ def simulate(model_file, out_file, length, topology_file, seed):
         _, seq = simulate_chain(model, length, seed)
         _emit(serialize_sequence(seq), out_file)
     else:
-        tree = parse_tree(Path(topology_file).read_text(encoding="utf-8"))
+        tree = parse_tree(Path(topology_file).read_text(encoding="utf-8-sig"))
         _, sim = simulate_tree(model, tree.topology, seed)
         _emit(serialize_tree(sim), out_file)
 

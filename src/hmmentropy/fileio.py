@@ -709,14 +709,16 @@ def _format_rows(parts):
     return text.translate(None, b"\0").decode("ascii")
 
 
-def write_profile(table: ProfileTable, log_base: str = "e") -> str:
+def write_profile(table: ProfileTable, log_base: str = "e", write=None) -> str:
     """Render a table as TSV; entropies divided by ln(2) for base-2 output.
 
     Integer columns print as integers (``%d``) and bool columns as 1/0,
     every other column as ``%.12g``: correctly rounded to 12 significant
     digits, which is what ``format(x, '.12g')`` gives too.  The header is
     joined apart from the rows, so a ``%`` in a column name is printed as
-    it is.
+    it is.  Given ``write``, a function of one string, the text goes to it
+    as it is formatted, the header with the first block of rows, and ""
+    is returned: the whole text is never held.
     """
     if log_base not in ("e", "2"):
         raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
@@ -741,6 +743,13 @@ def write_profile(table: ProfileTable, log_base: str = "e") -> str:
         # instead of all being held until a join copies them
         for at in range(0, parts[0].shape[-1], step):
             text += _format_rows([part[..., at:at + step] for part in parts])
+            if write is not None:
+                write(text)
+                text = ""
+    if write is not None:
+        # the header of a table without rows, or ""
+        write(text)
+        text = ""
     return text
 
 

@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 __all__ = ["entr", "xlogy", "log_factorial", "safe_div", "entropy", "fsum",
-           "compensated_cumsum", "tie_argmax", "scaled_step", "max_plus_step",
-           "max_plus", "TIE_RTOL"]
+           "row_entropy", "compensated_cumsum", "tie_argmax", "scaled_step",
+           "max_plus_step", "max_plus", "TIE_RTOL"]
 
 # numbers per block of the blocked array expressions: 128 KiB per temporary
 BLOCK_CELLS = 2 ** 14
@@ -160,6 +160,16 @@ def entropy(p):
     return float(entr(np.asarray(p, dtype=float)).sum())
 
 
+def row_entropy(p):
+    """entr(p).sum(axis=1) of a (rows, J) table, read-only, summed in row
+    blocks of about BLOCK_CELLS numbers: no rows x J temporary is made."""
+    h = np.empty(len(p))
+    for lo, hi in _blocks(0, len(h), p.shape[1]):
+        entr(p[lo:hi]).sum(axis=1, out=h[lo:hi])
+    h.flags.writeable = False
+    return h
+
+
 def fsum(values):
     """Exactly rounded sum of a 1-D array (deterministic across platforms).
     A memoryview hands math.fsum Python floats; iterating the array would
@@ -177,28 +187,24 @@ def compensated_cumsum(values, starts):
         t = total + v
         comp += (total - t) + v if |total| >= |v| else (v - t) + total
         total = t;  out = total + comp
-    bit for bit.  Segments run as the rows of one zero-padded block per
-    power-of-two length, each row led by a 0 column: the loop's initial 0.
+    bit for bit.  Segments of length 2^(e-1) < L <= 2^e run as the rows of
+    one block as wide as the class's longest, led by a 0 column (the loop's
+    initial 0); one mask, column < L, fills it and reads the sums back.
     """
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
     n = values.size
     starts = np.asarray(starts, dtype=np.int64).ravel()
-    bound = np.zeros(n + 1, dtype=bool)
-    bound[[0, n]] = True
-    bound[starts[(starts >= 0) & (starts < n)]] = True
-    first = np.flatnonzero(bound)
-    segment = np.cumsum(bound[:n]) - 1
-    column = np.arange(1, n + 1) - first[segment]
-    # a segment of length L runs in the block of width 2^e + 1, 2^(e-1) < L <= 2^e
-    exponent = np.frexp(np.diff(first) - 1)[1]
+    first = np.unique(np.r_[0, n, starts[(starts >= 0) & (starts < n)]])
+    lengths = np.diff(first)
+    exponent = np.frexp(lengths - 1)[1]
     for e in np.unique(exponent):
-        width = (1 << int(e)) + 1
-        in_block = exponent == e
-        cells = np.flatnonzero(in_block[segment])
-        flat = (np.cumsum(in_block) - 1)[segment[cells]] * width + column[cells]
-        block = np.zeros((np.count_nonzero(in_block), width))
-        block.reshape(-1)[flat] = values[cells]
+        in_class = exponent == e
+        cells = np.repeat(in_class, lengths)
+        size = lengths[in_class]
+        mask = np.arange(size.max()) < size[:, None]
+        block = np.zeros((size.size, mask.shape[1] + 1))
+        block[:, 1:][mask] = values[cells]
         total = np.cumsum(block, axis=1)
         prev, v, t = total[:, :-1], block[:, 1:], total[:, 1:]
         larger = np.abs(prev) >= np.abs(v)
@@ -208,5 +214,5 @@ def compensated_cumsum(values, starts):
         # the block becomes the error terms, led by the same 0 column
         v[...] = err
         total += np.cumsum(block, axis=1, out=block)
-        out[cells] = total.reshape(-1)[flat]
+        out[cells] = t[mask]
     return out

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ImpossibleObservationError
 from .model import (HmmModel, ObservedTree, log_emission_matrix,
                     log_joint_terms)
-from .numutil import (entr, fsum, max_plus, max_plus_step, safe_div,
+from .numutil import (fsum, max_plus, max_plus_step, row_entropy, safe_div,
                       scaled_step, tie_argmax)
 
 __all__ = ["TreePosterior", "upward_pass", "downward_pass", "smooth_tree",
@@ -68,9 +68,7 @@ class TreePosterior:
     @cached_property
     def marginal_entropy(self) -> np.ndarray:
         _require_smoothed(self)
-        marginal = entr(self.smoothed).sum(axis=1)
-        marginal.flags.writeable = False
-        return marginal
+        return row_entropy(self.smoothed)
 
 
 def _require_smoothed(posterior):

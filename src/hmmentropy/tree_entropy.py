@@ -79,8 +79,8 @@ class EntropySummary:
     """Sums of the three per-vertex profiles; their relative gaps
     ratio_cg = (c - g) / g and ratio_mg = (m - g) / g are derived from them.
 
-    g equals the global state entropy; g <= c <= m always.  Ratios are NaN
-    when g == 0.
+    g equals the global state entropy; g <= c <= m in exact arithmetic (c
+    may round a few ulps below g).  Ratios are NaN when g == 0.
     """
 
     g: float

@@ -1,6 +1,7 @@
 """Chain entropy profiles against frozen hand cases and the oracle."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -430,6 +431,26 @@ class TestCompensatedCumsum:
         lengths = rng.choice([1, 2, 3, 4, 5, 63, 64, 65, 129], 200)
         self.assert_bitwise(rng.random(lengths.sum()),
                             np.cumsum(lengths) - lengths)
+        # a class whose longest row is below 2^e: 65-100 in 64 < L <= 128
+        lengths = np.append(rng.integers(65, 101, 30), 1)
+        self.assert_bitwise(rng.random(lengths.sum()),
+                            np.cumsum(lengths) - lengths)
+
+    def test_memory_bound(self):
+        """One call's traced peak stays within 8 times the input's bytes:
+        no per-element index table and no power-of-two padding."""
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(20, 181, 100)
+        for values, starts in ((rng.random(10 ** 5), [0]),
+                               (rng.random(lengths.sum()),
+                                np.cumsum(lengths) - lengths)):
+            tracemalloc.start()
+            try:
+                compensated_cumsum(values, starts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * values.nbytes
 
     def test_block_edge_chain(self):
         for model, seq in block_edge_instances():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,28 @@ class TestSmooth:
         assert len(stdout.getvalue()) > 3 * cli._WRITE_CHARS
         assert max(writes) <= cli._WRITE_CHARS
 
+    def test_profile_is_written_block_by_block(self, tmp_path):
+        """Writing a long table never holds its whole text: the traced peak
+        stays far below the output's size (above it when the text was
+        rendered whole before it was written)."""
+        rows = 40_000
+        rng = np.random.default_rng(0)
+        table = fileio.ProfileTable()
+        table.add("position", np.arange(rows))
+        for j in range(6):
+            table.add(f"p_{j}", rng.random(rows))
+        table.add("h", rng.random(rows), entropy=True)
+        out_path = tmp_path / "out.tsv"
+        tracemalloc.start()
+        try:
+            cli._emit_profile(table, str(out_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert out_path.read_text() == fileio.write_profile(table)
+        assert peak <= size / 4
+
 
 class TestViterbi:
     def test_chain(self, capsys, model_file, chain_file):
@@ -431,6 +454,27 @@ class TestSummaryCommand:
             assert (code, err) == (0, "")
             table = dict(line.split("\t") for line in out.splitlines())
             assert [table[key] for key in keys] == ["0"] * len(keys)
+
+
+def test_byte_order_mark_prints_the_same(capsys, tmp_path, model_file,
+                                         chain_file, tree_file):
+    """A UTF-8 byte-order mark opening a model, chain or tree file is not
+    read as data: every command prints what the file without it prints."""
+    plain = {"model": model_file, "chain": chain_file, "tree": tree_file}
+    marked = {}
+    for name, path in plain.items():
+        marked[name] = str(tmp_path / f"bom_{name}")
+        with open(path, "rb") as source, open(marked[name], "wb") as copy:
+            copy.write(b"\xef\xbb\xbf" + source.read())
+    for argv in (["validate", "--model", "{model}"],
+                 ["entropy", "--model", "{model}", "--data", "{chain}"],
+                 ["entropy", "--model", "{model}", "--data", "{tree}",
+                  "--cond", "both"],
+                 ["simulate", "--model", "{model}", "--topology", "{tree}",
+                  "--seed", "1"]):
+        want = run(capsys, *[arg.format(**plain) for arg in argv])
+        assert want[0] == 0
+        assert run(capsys, *[arg.format(**marked) for arg in argv]) == want
 
 
 class TestExitCodes:

@@ -459,6 +459,11 @@ class TestWriteProfileBytes:
                 text = write_profile(table, log_base)
                 assert first_difference(
                     text, reference_write_profile(table, log_base)) is None
+                # written as formatted: the same text, a block at a time
+                pieces = []
+                assert write_profile(table, log_base, pieces.append) == ""
+            assert "".join(pieces) == text
+            assert max(piece.count("\n") for piece in pieces) <= B + 1
             assert text.count("\n") == rows + 1
 
     def test_no_columns(self):

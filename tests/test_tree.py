@@ -284,14 +284,17 @@ class TestLevelScatter:
 
 
 def test_marginal_entropy_is_built_once_and_read_only(m1):
-    """Both posteriors carry H(S_u | X) as one shared, read-only column; the
-    chain's, summed in row blocks, is the whole table's row sums (the long
-    chain ends in a one-row block)."""
+    """Both posteriors carry H(S_u | X) as one shared, read-only column,
+    summed in row blocks, which is the whole table's row sums (the long
+    chain ends in a one-row block, the wide star spans three blocks)."""
     from hmmentropy.numutil import BLOCK_CELLS, entr
-    long_chain = [0, 1, 0] * (BLOCK_CELLS // m1.num_states) + [1]
+    rows = BLOCK_CELLS // m1.num_states
+    long_chain = [0, 1, 0] * rows + [1]
+    wide_star = ObservedTree(TreeTopology([-1] + [0] * (2 * rows)),
+                             [0, 1] * rows + [0])
     for post in (smooth_chain(m1, ObservedSequence([0, 1, 0])),
                  smooth_chain(m1, ObservedSequence(long_chain)),
-                 smooth_tree(m1, star_tree())):
+                 smooth_tree(m1, star_tree()), smooth_tree(m1, wide_star)):
         marginal = post.marginal_entropy
         assert marginal is post.marginal_entropy
         np.testing.assert_array_equal(marginal,
