@@ -34,12 +34,18 @@ boundaries from each sequence's end, and pass 3 runs the max-product
 recursion down all rows at once, recording argmax pointers and composing
 them into each row's map from its first state to its last.  The read-out
 stitches the rows' first states forward through those maps and then fills
-every row in one batched pass.  Pass 1 costs J^3 per position against J^2
+every row in one batched pass.  Both stitches are associative, max-plus
+products of transfer matrices and compositions of maps between states, so
+they run by pointer jumping (_jump): every row composes what it holds with
+its pointee's in about log2(segments) batched rounds, not one step per
+segment.  The batched steps are then about 3L + 2 log2(T_max / L), so
+Viterbi segments are shorter than smoothing's: L = 24 on a chain of 10^4
+positions at J = 4, not 100.  Pass 1 costs J^3 per position against J^2
 for pass 3, so a dataset is segmented only where that pays
-(_viterbi_segment_length); otherwise every sequence is one row.  Because
-segmenting changes the order in which scores are summed, every backtracking
-step breaks ties with numutil.tie_argmax, and the printed log joint is the
-fsum of the restored path's terms.
+(_viterbi_segment_length, which also sets L); otherwise every sequence is
+one row.  Because segmenting changes the order in which scores are summed,
+every backtracking step breaks ties with numutil.tie_argmax, and the
+printed log joint is the fsum of the restored path's terms.
 """
 
 import math
@@ -110,8 +116,10 @@ class _Segments:
     are then the block off[k]:off[k + 1], and the first count[k + 1] rows of
     block k are the predecessors of the rows of block k + 1, in order.  The
     rows from B = count[0] on are those with a predecessor, and seq[r] is the
-    sequence of row r.  Segments are `size` positions long, by default
-    ceil(sqrt(T_max)).  offsets are the dataset's sequence offsets.
+    sequence of row r; pred[r] and succ[r] are the rows before and after row
+    r in its sequence, -1 where there is none.  Segments are `size`
+    positions long, by default ceil(sqrt(T_max)).  offsets are the dataset's
+    sequence offsets.
     """
 
     def __init__(self, offsets, size=None):
@@ -129,6 +137,12 @@ class _Segments:
         self.last = k == per_seq[seq] - 1
         self.count = np.bincount(k)
         self.off = np.concatenate(([0], np.cumsum(self.count)))
+        first = self.count[0]
+        self.pred = np.full(seq.size, -1)
+        self.pred[first:] = (np.arange(first, seq.size)
+                             - np.repeat(self.count[:-1], self.count[1:]))
+        self.succ = np.full(seq.size, -1)
+        self.succ[self.pred[first:]] = np.arange(first, seq.size)
 
     def blocks(self):
         """(predecessor rows, rows of the next block) as slice bounds, for
@@ -153,9 +167,7 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
     """
     a = model.transition
     j = a.shape[0]
-    first = seg.count[0]
-    pred_start = seg.start[np.arange(first, seg.start.size)
-                           - np.repeat(seg.count[:-1], seg.count[1:])]
+    pred_start = seg.start[seg.pred[seg.count[0]:]]
     transfer = np.zeros((j, j, pred_start.size))
     transfer[np.arange(j), np.arange(j)] = 1.0
     spare = np.empty_like(transfer)
@@ -306,29 +318,70 @@ def smooth_chain(model: HmmModel, seq: ObservedSequence) -> ChainPosterior:
 
 # numbers of viterbi_dataset's pass 1 that cost about one step of its pass 3
 VITERBI_CELLS_PER_STEP = 8000
+# numbers that a row's gathers, scatters and pointer updates cost in a
+# pointer-jumping round, besides its J^3 max-plus sums
+VITERBI_ROW_CELLS = 128
 
 
 def _viterbi_segment_length(offsets, j: int) -> int:
-    """Segment length of viterbi_dataset: L = ceil(sqrt(T_max)) when
-    segmenting pays, else T_max, which leaves every sequence one segment.
+    """Segment length of viterbi_dataset: T_max, which leaves every sequence
+    one segment, unless segmenting pays; then
+    L = 1 + floor(sqrt((J^3 + VITERBI_ROW_CELLS) n log2(T_max)
+                       / (6 VITERBI_CELLS_PER_STEP))),
+    n the number of positions and log2(T_max) taken as T_max's bit length,
+    floor(log2(T_max)) + 1.
 
-    Segmenting saves about T_max - 3L steps of the batched recursion, and
-    its pass 1 costs J^3 numbers per position after each sequence's first
-    segment: m = sum over sequences of max(0, T - L) positions.  Measured on
-    a 2-core host with numpy 2.4.6, a step cost 25-40 us and pass 1 about
-    4 ns per number, hence the rule J^3 m <= VITERBI_CELLS_PER_STEP
-    (T_max - 3L).  A single sequence is then segmented from T = 13 on at
-    J <= 8 (J = 8, T = 1000: 5.5 ms against 27 ms), and 100 sequences of
-    20-180 positions stay one segment each at J = 8 (15 ms against 19 ms
-    segmented) but not at J = 4 (8 ms against 11 ms).
+    Whether segmenting pays is decided at L0 = ceil(sqrt(T_max)): it saves
+    about T_max - 3 L0 steps of the batched recursion, and its pass 1 costs
+    J^3 numbers per position after each sequence's first segment:
+    m = sum over sequences of max(0, T - L0) positions.  The test is
+    J^3 m <= VITERBI_CELLS_PER_STEP (T_max - 3 L0).  A single sequence is
+    then segmented from T = 13 on at J <= 8, and 100 sequences of 20-180
+    positions stay one segment each at J = 8 but not at J = 4.
+
+    The length itself balances the 3L steps of passes 1 and 3 and the fill
+    against the two pointer-jumping stitches, which take about
+    log2(T_max / L) ~ log2(T_max) / 2 rounds over n / L rows, each row
+    costing J^3 + VITERBI_ROW_CELLS numbers a round: in steps,
+    3L + (J^3 + VITERBI_ROW_CELLS) (n / L) log2(T_max)
+    / (2 VITERBI_CELLS_PER_STEP), least at the L above.  VITERBI_ROW_CELLS
+    is fitted to sweeps of L = 5-350 on single chains of 10^4 and 10^5
+    positions and on 3 to 100 sequences at J = 2, 4 and 8, whose best L ran
+    from 11 to 250.  Against ceil(sqrt(T_max) / 3), which ignores J and the
+    number of sequences, it takes 0.93-1.03 of the time on single chains of
+    10^4 to 10^5 positions at J = 2-8, 0.68-0.89 of the time on 50 to 100
+    sequences of 20-300 positions at J = 2-4, and 1.07-1.18 times as long
+    on 5 to 20 sequences of 200-5,000 positions at J = 4-8.
+
+    Measured on a 2-core host with numpy 2.4.6, on a chain of 10^4
+    positions at L = 24 (416 rows): pass 1 costs 2.2-3.9 ns per number at
+    J = 4-8, and a max-plus step of pass 3 13 us on one row and 75 us on
+    416 rows at J = 4.  At J = 4 the restoration takes 7.3 ms, against
+    9.7 ms when segments of 100 were stitched one block at a time and
+    94 ms unsegmented.
     """
     lengths = np.diff(offsets)
     t_max = int(lengths.max())
     size = _segment_length(t_max)
     covered = int(np.maximum(lengths - size, 0).sum())
-    if j ** 3 * covered <= VITERBI_CELLS_PER_STEP * (t_max - 3 * size):
-        return size
-    return t_max
+    if j ** 3 * covered > VITERBI_CELLS_PER_STEP * (t_max - 3 * size):
+        return t_max
+    cells = (j ** 3 + VITERBI_ROW_CELLS) * int(offsets[-1]) * t_max.bit_length()
+    return min(t_max, math.isqrt(cells // (6 * VITERBI_CELLS_PER_STEP)) + 1)
+
+
+def _jump(ptr, combine):
+    """Pointer jumping (Wyllie 1979): in rounds, every row r whose pointer
+    ptr[r] is not -1 is combined with its pointee, combine(r, ptr[r]) on
+    arrays of rows, and then points where its pointee pointed.  Each round
+    doubles the span a row has combined, so chains of n rows take
+    ceil(log2(n)) rounds.  ptr is updated in place."""
+    rows = np.flatnonzero(ptr >= 0)
+    while rows.size:
+        to = ptr[rows]
+        combine(rows, to)
+        ptr[rows] = ptr[to]
+        rows = rows[ptr[rows] >= 0]
 
 
 def _max_transfers(log_a, log_b, seg: _Segments):
@@ -338,10 +391,14 @@ def _max_transfers(log_a, log_b, seg: _Segments):
     probability of everything after position t given S_t = i (u_{T-1} = 0),
     u_{s-1}(i) = max_k M_r[i, k] + u_{e-1}(k).
 
-    Returned as transfer[k, r - B, i] = M_r[i, k], so that every max over k
-    is a reduction over the first axis.  Each step is numutil.max_plus over
-    the middle state in that layout; reducing the middle axis of a
-    (rows, J, J, J) sum took 4-11 times as long.
+    Built as m[k, r - B, i] = M_r[i, k], so that every max over k is a
+    reduction over the first axis.  Each step is numutil.max_plus over the
+    middle state in that layout; reducing the middle axis of a
+    (rows, J, J, J) sum took 4-11 times as long.  Returned with the rows
+    innermost, transfer[k, i, r - B] = M_r[i, k], where np.take gathers them
+    for pass 2 as contiguous (J, J, rows) blocks: a fancy index along that
+    axis returns a transposed view, on which pass 2's max-plus products
+    took twice as long.
     """
     first = seg.count[0]
     order = first + np.argsort(-seg.length[first:], kind="stable")
@@ -351,8 +408,8 @@ def _max_transfers(log_a, log_b, seg: _Segments):
         step = max_plus(m[:, None, :k], log_a[:, :, None, None])
         step += log_b.take(starts[:k] + t, axis=0).T[:, :, None]
         m[:, :k] = step
-    transfer = np.empty_like(m)
-    transfer[:, order - first] = m
+    transfer = np.empty((m.shape[0], m.shape[2], m.shape[1]))
+    transfer[:, :, order - first] = m.transpose(0, 2, 1)
     return transfer
 
 
@@ -375,14 +432,22 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
     log_pi = model.log_initial
     seg = _Segments(data.offsets, _viterbi_segment_length(data.offsets, j))
     rows, first = seg.start.size, seg.count[0]
-    # pass 2: u at the last position of every row, stitched backward from
-    # each sequence's end
+    # pass 2: u at the last position of every row.  The transfer of each row
+    # r with a predecessor becomes the max-plus product of its own and those
+    # after it, to its sequence's end, which maps u = 0 there to u at the
+    # end of pred[r]
     u_end = np.zeros((rows, j))
     if rows > first:
         transfer = _max_transfers(log_a, log_b, seg)
-        for p0, p1, s0, s1 in reversed(seg.blocks()):
-            u_end[p0:p1] = (transfer[:, s0 - first:s1 - first]
-                            + u_end[s0:s1].T[:, :, None]).max(axis=0)
+
+        def compose(r, q):
+            after = transfer.take(q, axis=2).transpose(1, 0, 2)
+            transfer[:, :, r] = max_plus(transfer.take(r, axis=2)[:, None],
+                                         after[:, :, None])
+
+        succ = seg.succ[first:]
+        _jump(np.where(succ < 0, -1, succ - first), compose)
+        u_end[seg.pred[first:]] = transfer.max(axis=0).T
         del transfer
     # pass 3: score_t(i) = log b_i(x_t) + u_t(i) down every row, longest
     # first, with the pointer nxt[t, i] to the state at t + 1 and reach[r, i],
@@ -403,20 +468,30 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
             reach[:k * j] = reach.take(row_base[:k] + ptr).reshape(-1)
     start_score = np.empty((rows, j))
     start_score[order] = score.T
-    # read-out: the state at each row's start, stitched forward from each
-    # sequence's first state, then every row filled from its start
-    state = np.empty(rows, dtype=np.intp)
-    state[:first], best = tie_argmax(log_pi[:, None] + start_score[:first].T)
+    # read-out: the state at each row's start.  Each row with a predecessor
+    # maps the state at its predecessor's start to its own first state, and
+    # each sequence's first row holds its first state as a constant map; the
+    # maps composed back to that row are constant, each row's start state
+    state, best = tie_argmax(log_pi[:, None] + start_score[:first].T)
     impossible = seg.seq[:first][best == -np.inf]
     if impossible.size:
         raise ImpossibleObservationError(
             "all state sequences are impossible at sequence "
             f"{impossible.min()}")
-    exit_of = np.empty((rows, j), dtype=np.intp)
-    exit_of[order] = reach.reshape(rows, j)
-    for p0, p1, s0, s1 in seg.blocks():
-        leave = exit_of[np.arange(p0, p1), state[p0:p1]]
-        state[s0:s1] = tie_argmax(log_a[leave].T + start_score[s0:s1].T)[0]
+    entry = np.empty((rows, j), dtype=np.intp)
+    entry[:first] = state[:, None]
+    if rows > first:
+        exit_of = np.empty((rows, j), dtype=np.intp)
+        exit_of[order] = reach.reshape(rows, j)
+        leave = exit_of[seg.pred[first:]]
+        entry[first:] = tie_argmax(np.moveaxis(log_a[leave], 2, 0)
+                                   + start_score[first:].T[:, :, None])[0]
+
+        def compose(r, q):
+            entry[r] = np.take_along_axis(entry[r], entry[q], axis=1)
+
+        _jump(seg.pred.copy(), compose)
+    state = entry[:, 0]
     path = np.empty(n, dtype=np.intp)
     starts = seg.start[order]
     path[starts] = state[order]

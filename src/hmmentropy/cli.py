@@ -82,13 +82,19 @@ def _emit_profile(table: ProfileTable, out_file, log_base: str = "e"):
         write_profile(table, log_base, write)
 
 
+def _read_input(path):
+    """The text of an input file, UTF-8; a byte-order mark opening it is
+    not part of the text."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_model(model_file):
-    return parse_model(Path(model_file).read_text(encoding="utf-8-sig"))
+    return parse_model(_read_input(model_file))
 
 
 def _load_data(data_file):
     """Returns ('tree', ObservedTree) or ('chain', ObservedSequence)."""
-    text = Path(data_file).read_text(encoding="utf-8-sig")
+    text = _read_input(data_file)
     if detect_data_kind(text) == "tree":
         return "tree", parse_tree(text)
     return "chain", parse_sequence(text)
@@ -139,8 +145,7 @@ def _sums(model, kind, data):
 @_model_opt
 def validate(model_file):
     """Check a model file against all invariants."""
-    text = Path(model_file).read_text(encoding="utf-8-sig")
-    model = parse_model(text, check=False)
+    model = parse_model(_read_input(model_file), check=False)
     report = validate_model(model)
     if report.ok:
         click.echo("ok")
@@ -277,7 +282,7 @@ def simulate(model_file, out_file, length, topology_file, seed):
         _, seq = simulate_chain(model, length, seed)
         _emit(serialize_sequence(seq), out_file)
     else:
-        tree = parse_tree(Path(topology_file).read_text(encoding="utf-8-sig"))
+        tree = parse_tree(_read_input(topology_file))
         _, sim = simulate_tree(model, tree.topology, seed)
         _emit(serialize_tree(sim), out_file)
 

@@ -83,7 +83,7 @@ class Categorical:
         for j, log_probs in enumerate(log_table):
             out[:, j] += log_probs[x]
 
-    def sample(self, rng: np.random.Generator, size: int):
+    def sample(self, rng: "np.random.Generator", size: int):
         cum = np.cumsum(self.probs)
         idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
         return np.minimum(idx, self.alphabet_size - 1)
@@ -126,7 +126,7 @@ class Poisson:
             # xlogy keeps rate == 0 well defined: pmf(0) = 1, pmf(x > 0) = 0
             out[:, j] += xlogy(x, var.rate) - var.rate - log_x_factorial
 
-    def sample(self, rng: np.random.Generator, size: int):
+    def sample(self, rng: "np.random.Generator", size: int):
         return rng.poisson(self.rate, size=size)
 
     def __eq__(self, other):

@@ -489,6 +489,44 @@ def test_segmented_viterbi_is_the_sequential_viterbi(instance):
     assert log_joint.tolist() == [lj for _, lj in expected]
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_pointer_jumping_stitches_any_number_of_segments(size):
+    """Sequences of 1, 2, 3, 5, 9 and 17 segments of `size` positions, in
+    random order, the last segment shorter where it can be: pass 2 and the
+    read-out take 0-5 pointer-jumping rounds, and rows leave them after
+    different rounds."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, int(rng.integers(1, 6)), zeros=seed % 2 == 1,
+                             poisson=True)
+        counts = rng.permutation([1, 2, 3, 5, 9, 17])
+        lengths = [c * size - int(rng.integers(0, size)) for c in counts]
+        assert [-(-t // size) for t in lengths] == counts.tolist()
+        seqs = [simulate_chain(model, t, int(rng.integers(0, 2 ** 31)))[1]
+                for t in lengths]
+        with patch.object(chain_module, "_viterbi_segment_length",
+                          lambda offsets, j: size):
+            path, log_joint = viterbi_dataset(model, stack(seqs))
+        expected = [sequential_viterbi(model, seq) for seq in seqs]
+        np.testing.assert_array_equal(path,
+                                      np.concatenate([p for p, _ in expected]))
+        assert log_joint.tolist() == [lj for _, lj in expected]
+
+
+def test_viterbi_segment_length_rule():
+    """A single sequence is segmented from 13 positions on at J <= 8, a
+    chain of 10^4 positions at J = 4 into segments of 24, and 100
+    sequences of 20-180 positions stay whole at J = 8."""
+    for j in range(1, 9):
+        for t_max in range(1, 1000):
+            size = _viterbi_segment_length(np.array([0, t_max]), j)
+            assert (size < t_max) == (t_max >= 13)
+    assert _viterbi_segment_length(np.array([0, 10 ** 4]), 4) == 24
+    lengths = np.random.default_rng(0).integers(20, 181, size=100)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    assert _viterbi_segment_length(offsets, 8) == lengths.max()
+
+
 def tie_heavy_model(rng, j):
     """Uniform initial law; each transition row uniform or a permutation of
     (1/2, 1/4, ..., 2^-(J-1), 2^-(J-1)); two-symbol emissions (1/2, 1/2),

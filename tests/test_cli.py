@@ -751,9 +751,9 @@ class TestOneRoutePerQuantity:
         assert code == 0 and len(calls) == 1
 
 
-def test_fresh_import_loads_no_scipy():
-    """scipy is a test dependency only: its import alone took most of a
-    command's start-up."""
+def fresh_interpreter(code):
+    """What a new Python process running code prints, with this checkout's
+    package first on its path."""
     import os
     import subprocess
     from pathlib import Path
@@ -761,11 +761,26 @@ def test_fresh_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, hmmentropy.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_fresh_import_loads_no_scipy():
+    """scipy is a test dependency only: its import alone took most of a
+    command's start-up."""
+    code = ("import sys, hmmentropy.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_fresh_import_loads_numpy_random_only_with_numpy():
+    """numpy.random, with its hashlib and secrets imports, serves simulate
+    alone: importing the command line loads it only where a bare import of
+    numpy does (numpy 1.x imports it eagerly)."""
+    code = "import sys, {}; print('numpy.random' in sys.modules)"
+    assert (fresh_interpreter(code.format("hmmentropy.cli"))
+            == fresh_interpreter(code.format("numpy")))
 
 
 def test_cli_imports_no_private_name():

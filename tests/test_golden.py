@@ -29,7 +29,13 @@ The many-chains future entropy table was written when the future
 conditionals became the past walk's middle terms, sums of non-negative
 entropies; before, 8 of its conditionals printed negative.  Its 7 negative
 marginal entropies are those of the past table: smoothed probabilities a
-rounding above 1."""
+rounding above 1.
+
+The long-chains Viterbi table and log joints (chains of 2,000, 700 and 1
+positions) were written when chain Viterbi stitched its segments of 45
+positions one segment block at a time.  Their segments are now 10 positions
+long and stitched by pointer jumping: the 2,000-position chain's 200
+segments take 8 rounds each way."""
 
 import json
 from pathlib import Path
@@ -61,6 +67,11 @@ def _stderr_matches(monkeypatch, capsys, stdout):
 def test_golden_log_joints(monkeypatch, capsys):
     """The viterbi command's log_joint[s] lines on stderr."""
     assert _stderr_matches(monkeypatch, capsys, "many_chains_viterbi.tsv")
+
+
+def test_golden_long_chain_log_joints(monkeypatch, capsys):
+    """The log_joint[s] lines of chains long enough to be segmented."""
+    assert _stderr_matches(monkeypatch, capsys, "long_chains_viterbi.tsv")
 
 
 def test_golden_tree_log_joint(monkeypatch, capsys):
