@@ -10,22 +10,34 @@ the observation is impossible under the model and is a hard error, never a
 silent renormalization.
 
 One kernel smooths a whole dataset, read as the stacked rows and sequence
-offsets of one ObservedSequence.  Every sequence is cut into segments of
-L = ceil(sqrt(T_max)) positions, T_max the length of the longest sequence
-(only a sequence's last segment is shorter), and the segments of all
-sequences are the rows of one batch.  The forward filter is a two-level
-prefix scan in three passes:
+offsets of one ObservedSequence.  Every sequence is cut into segments of L
+positions (only a sequence's last segment is shorter), and the segments of
+all sequences are the rows of one batch.  The forward filter is a
+two-level prefix scan in three passes:
 
 1. the transfer matrix of every segment that has a successor, one batched
    (k, J, J) step per position of a segment;
-2. the segment boundaries, stitched in order for all sequences at once;
+2. the segment boundaries: the predicted law at every row's start;
 3. the vector recursion on all rows together, each row from its exact
    boundary law, which yields every position's tables.
 
 Backward smoothing runs the vector recursion on the last segments, stitches
 the boundaries back with the same transfer matrices, and runs the other
-segments from their successors' smoothed laws.  That is at most 3L numpy
-steps per direction, instead of one per position.
+segments from their successors' smoothed laws.  The two stitches take one
+of two forms, chosen by _smoothing_segments from a fitted count of batched
+steps.  Block by block, one step per segment index for all sequences at
+once, with L = ceil(sqrt(T_max)), T_max the length of the longest sequence:
+about 4L + 2 T_max / L steps, the form that pays for many short sequences.
+Or by pointer jumping (_jump), since both stitches are products of transfer
+matrices: every row composes the product it holds with its pointee's, in
+about log2(segments) batched rounds each way (the associative-scan form of
+smoothing, Sarkka and Garcia-Fernandez, IEEE TAC 2021).  Its segments are
+shorter, L = 27 on a chain of 10^4 positions at J = 4, not 100.  Each
+product keeps one scale per row, as the transfer matrices do, so no start
+state is lost to underflow, and its scales are taken back to a largest of 0
+after each composition, so they never grow to the size of a
+log-likelihood.  Either way that is about 4L numpy steps and the
+stitches, instead of one step per position.
 
 Viterbi restoration has the same shape in the max-plus semiring, run
 backward: pass 1 builds the J x J max-plus transfer matrix of every segment
@@ -39,8 +51,8 @@ products of transfer matrices and compositions of maps between states, so
 they run by pointer jumping (_jump): every row composes what it holds with
 its pointee's in about log2(segments) batched rounds, not one step per
 segment.  The batched steps are then about 3L + 2 log2(T_max / L), so
-Viterbi segments are shorter than smoothing's: L = 24 on a chain of 10^4
-positions at J = 4, not 100.  Pass 1 costs J^3 per position against J^2
+Viterbi segments are as short as jumped smoothing's: L = 24 on a chain of
+10^4 positions at J = 4.  Pass 1 costs J^3 per position against J^2
 for pass 3, so a dataset is segmented only where that pays
 (_viterbi_segment_length, which also sets L); otherwise every sequence is
 one row.  Because segmenting changes the order in which scores are summed,
@@ -94,6 +106,81 @@ def _segment_length(t_max: int) -> int:
     return math.isqrt(t_max - 1) + 1
 
 
+# numbers of a pointer-jumping product in smooth_dataset that cost about
+# one step of its batched recursion
+SMOOTH_CELLS_PER_STEP = 5500
+# numbers that a row's gathers and scatters cost in a pointer-jumping round,
+# besides its J^3 products
+SMOOTH_ROW_CELLS = 50
+# recursion steps that a pointer-jumping round costs besides its rows
+SMOOTH_ROUND_STEPS = 4
+
+
+def _jumped_rows(m):
+    """The compositions that pointer jumping (_jump) makes on a chain of m
+    rows, whose row d = 1..m holds one factor and needs d, so takes
+    ceil(log2 d) rounds: m k - 2^k + 1 in all, k = ceil(log2 m)."""
+    m = np.maximum(m, 0)
+    k = np.frexp(np.maximum(m - 1, 0))[1]
+    return np.where(m > 0, m * k - 2 ** k + 1, 0)
+
+
+def _smoothing_segments(offsets, j: int):
+    """(L, jump) of smooth_dataset: whether its two boundary stitches run
+    by pointer jumping, and the segment length.
+
+    Stitched one block of segments at a time, segments are
+    L0 = ceil(sqrt(T_max)) long, and the batched steps are about 4 L0 for
+    the recursions and 2 (S0 - 1) for the stitches, S0 = ceil(T_max / L0)
+    segments in the longest sequence.  Stitched by pointer jumping,
+    segments are
+    L = 1 + floor(sqrt((J^3 + SMOOTH_ROW_CELLS) n log2(T_max)
+                       / (4 SMOOTH_CELLS_PER_STEP))),
+    n the number of positions and log2(T_max) taken as its bit length,
+    which balances 4L steps against the rounds' products, about
+    (n / L) log2(T_max / L) rows of J^3 numbers each way.  The jumped
+    path's cost in steps is 4L, plus SMOOTH_ROUND_STEPS per round
+    (ceil(log2(S - 1)) forward and ceil(log2(S - 2)) backward, S the
+    segments of the longest sequence), plus
+    (J^3 + SMOOTH_ROW_CELLS) / SMOOTH_CELLS_PER_STEP per composition
+    (_jumped_rows of each sequence's S_s - 1 and S_s - 2 rows).  The
+    stitches jump where that is below the block path's steps.
+
+    The three constants are a least-squares fit of those step counts to
+    in-process sweeps of both paths at L = 1-320 (numpy 2.4.6, 2-core
+    host) on 60 shapes, each at J = 2, 4 and 8: single chains of 10 to
+    10^5 positions and datasets of 3-100 sequences of 10-20,000.  A step
+    cost 9.6-11.1 us, a block step 0.8-1.0 steps, a round 3.3-3.8 steps,
+    and a composition (J^3 + 47-52) / (5,200-5,600) steps.  On those
+    shapes the rule's choice took at most 1.17 times the time of the best
+    path and L seen (1.02 on average), and a jumped path it picks at most
+    1.02 times the block path's.  Many short sequences keep the block
+    stitch: 100 sequences of 20-180 positions took 1.04-1.15 times as long
+    jumped at any L, at J = 2-8.  One chain of 10^4 positions at J = 4
+    jumps with L = 27 and smoothed in 6.2 ms, against 10.1 ms in blocks of
+    L = 100; one of 10^5 with L = 94, 47 against 59 ms.  Below about 100
+    positions a chain keeps the block stitch, except at 2 and 3 positions,
+    where the 4 L0 steps overstate the block path and segments of 1
+    position jump; either path takes about 0.2 ms there.
+    """
+    lengths = np.diff(offsets)
+    t_max = int(lengths.max())
+    size = _segment_length(t_max)
+    blocked = 4 * size + 2 * (-(-t_max // size) - 1)
+    cells = j ** 3 + SMOOTH_ROW_CELLS
+    jumped = min(t_max, 1 + math.isqrt(cells * int(offsets[-1])
+                                       * t_max.bit_length()
+                                       // (4 * SMOOTH_CELLS_PER_STEP)))
+    per_seq = -(-lengths // jumped)
+    longest = int(per_seq.max())
+    rounds = (max(longest - 2, 0).bit_length()
+              + max(longest - 3, 0).bit_length())
+    rows = int((_jumped_rows(per_seq - 1) + _jumped_rows(per_seq - 2)).sum())
+    cost = (4 * jumped + SMOOTH_ROUND_STEPS * rounds
+            + rows * cells / SMOOTH_CELLS_PER_STEP)
+    return (jumped, True) if cost < blocked else (size, False)
+
+
 def _active(steps):
     """For steps sorted in descending order: per step s < steps[0], the
     number of rows that take more than s steps (a prefix of the rows)."""
@@ -108,6 +195,20 @@ def _locate(offsets, p):
     return s, int(p - offsets[s])
 
 
+def _jump(ptr, combine):
+    """Pointer jumping (Wyllie 1979): in rounds, every row r whose pointer
+    ptr[r] is not -1 is combined with its pointee, combine(r, ptr[r]) on
+    arrays of rows, and then points where its pointee pointed.  Each round
+    doubles the span a row has combined, so chains of n rows take
+    ceil(log2(n)) rounds.  ptr is updated in place."""
+    rows = np.flatnonzero(ptr >= 0)
+    while rows.size:
+        to = ptr[rows]
+        combine(rows, to)
+        ptr[rows] = ptr[to]
+        rows = rows[ptr[rows] >= 0]
+
+
 class _Segments:
     """The segments of a dataset as the rows of the batch.
 
@@ -118,14 +219,13 @@ class _Segments:
     rows from B = count[0] on are those with a predecessor, and seq[r] is the
     sequence of row r; pred[r] and succ[r] are the rows before and after row
     r in its sequence, -1 where there is none.  Segments are `size`
-    positions long, by default ceil(sqrt(T_max)).  offsets are the dataset's
-    sequence offsets.
+    positions long.  offsets are the dataset's sequence offsets.
     """
 
-    def __init__(self, offsets, size=None):
+    def __init__(self, offsets, size):
         self.offsets = offsets
         lengths = np.diff(offsets)
-        self.size = size = size or _segment_length(int(lengths.max()))
+        self.size = size
         per_seq = -(-lengths // size)
         seq = np.repeat(np.arange(lengths.size), per_seq)
         k = np.arange(seq.size) - np.repeat(np.cumsum(per_seq) - per_seq, per_seq)
@@ -152,6 +252,25 @@ class _Segments:
                 for k in range(len(count) - 1)]
 
 
+def _scaled_product(joint, log_scale, times):
+    """One product of row-scaled matrices, in place on joint[i, l, r]: the
+    log of the left factor's row i times a weight per column l (the
+    emissions in _transfers, the right factor's row scales in _compose).
+    Each row i less its own largest term is exponentiated and multiplied
+    by the rest of the right factor through times; the product's rows are
+    normalized to sum to 1 (or stay 0) and their log scales added to
+    log_scale."""
+    top = joint.max(axis=1)
+    top[top == -np.inf] = 0.0  # an impossible start state
+    joint -= top[:, None, :]
+    product = times(np.exp(joint, out=joint))
+    total = product.sum(axis=1)
+    log_scale += top + np.log(total)
+    total[total == 0.0] = 1.0
+    product /= total[:, None, :]
+    return product
+
+
 def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
     """Pass 1, for every row with a successor: the matrix
     M = diag(b_s) A diag(b_{s+1}) A ... diag(b_{e-1}) A of its positions
@@ -165,8 +284,8 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
     transfer sums to 1 or is 0.  Each row keeps its own scale, so that no
     start state is lost to underflow however unlikely the others make it.
     """
-    a = model.transition
-    j = a.shape[0]
+    a_t = model.transition.T
+    j = a_t.shape[0]
     pred_start = seg.start[seg.pred[seg.count[0]:]]
     transfer = np.zeros((j, j, pred_start.size))
     transfer[np.arange(j), np.arange(j)] = 1.0
@@ -176,19 +295,48 @@ def _transfers(model: HmmModel, seg: _Segments, log_b: np.ndarray):
         for t in range(seg.size):
             joint = np.log(transfer, out=transfer)
             joint += log_b.take(pred_start + t, axis=0).T
-            top = joint.max(axis=1)
-            top[top == -np.inf] = 0.0  # an impossible start state
-            joint -= top[:, None, :]
-            transfer = np.matmul(a.T, np.exp(joint, out=joint), out=spare)
+            transfer = _scaled_product(
+                joint, log_scale, lambda e: np.matmul(a_t, e, out=spare))
             spare = joint
-            total = transfer.sum(axis=1)
-            log_scale += top + np.log(total)
-            total[total == 0.0] = 1.0
-            transfer /= total[:, None, :]
     return transfer, log_scale
 
 
-def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale):
+def _compose(transfer, log_scale, left, right):
+    """The products M_left M_right of row-scaled matrices held as the
+    columns left and right of (transfer, log_scale), in _transfers' form.
+    Each row is shifted by its own largest term, as in _transfers, and each
+    product's scales less their largest (0 if all are -inf), so that they
+    stay near 0 however many segments the product spans: left to grow to
+    the size of a log-likelihood, they would cost the laws digits."""
+    joint = np.log(transfer.take(left, axis=2))
+    joint += log_scale.take(right, axis=1)
+    after = transfer.take(right, axis=2)
+    scale = log_scale.take(left, axis=1)
+    product = _scaled_product(joint, scale,
+                              lambda e: np.einsum("ilr,lmr->imr", e, after))
+    top = scale.max(axis=0)
+    top[top == -np.inf] = 0.0
+    scale -= top
+    return product, scale
+
+
+def _laws(log_w, transfer, log_scale):
+    """The normalized laws w M of row-scaled matrices M from the log
+    weights log_w[i, r] of their rows, as (rows, J)."""
+    w = log_w + log_scale
+    w = np.einsum("ir,ilr->rl", np.exp(w - w.max(axis=0)), transfer)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _log_products(log_v, transfer, log_scale):
+    """log M v of row-scaled matrices M from log v, (rows, J) both."""
+    v = np.exp(log_v.T - log_v.max(axis=1))
+    v = np.einsum("ilr,lr->ri", transfer, v)
+    return np.log(v) + log_scale.T
+
+
+def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale,
+             jump):
     """Passes 2 and 3 of the forward filter: (forward, predicted,
     log_normalizers) as stacked tables.  Pass 3 steps with
     numutil.scaled_step, even where every emission probability underflows
@@ -202,12 +350,24 @@ def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale):
         # pass 2: the predicted law at each row's start; a segment that is
         # impossible from every start state hands on NaN, so that pass 3
         # reports its successor's first position
-        for p0, p1, s0, s1 in seg.blocks():
-            cols = slice(s0 - first, s1 - first)
-            w = np.log(law[p0:p1]).T + log_scale[:, cols]
-            w = np.einsum("ir,ilr->rl", np.exp(w - w.max(axis=0)),
-                          transfer[:, :, cols])
-            law[s0:s1] = w / w.sum(axis=1, keepdims=True)
+        if jump:
+            # each row with a predecessor holds the product of the
+            # transfers from the row it points to up to its own start, and
+            # ends with the product from its sequence's first row
+            prod_t, prod_s = transfer.copy(), log_scale.copy()
+
+            def compose(r, q):
+                r = r - first
+                prod_t[:, :, r], prod_s[:, r] = _compose(prod_t, prod_s,
+                                                         q - first, r)
+
+            _jump(np.where(seg.pred >= first, seg.pred, -1), compose)
+            law[first:] = _laws(np.log(model.initial)[:, None], prod_t, prod_s)
+        else:
+            for p0, p1, s0, s1 in seg.blocks():
+                cols = slice(s0 - first, s1 - first)
+                law[s0:s1] = _laws(np.log(law[p0:p1]).T, transfer[:, :, cols],
+                                   log_scale[:, cols])
         # pass 3: the scaled recursion on all rows, longest first
         order = np.argsort(-seg.length, kind="stable")
         starts = seg.start[order]
@@ -248,7 +408,7 @@ def _smooth_rows(model, forward, predicted, smoothed, top, steps, law):
 
 
 def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
-              log_scale):
+              log_scale, jump):
     """Smoothed table of a dataset from its stacked forward tables.
 
     The last segment of each sequence runs the backward recursion from
@@ -271,11 +431,35 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
                      forward[starts + seg.length[last] - 1])
         log_v = np.empty((seg.start.size, j))
         log_v[last] = np.log(safe_div(smoothed[starts], predicted[starts]))
-        for p0, p1, s0, s1 in reversed(seg.blocks()):
-            cols = slice(s0 - first, s1 - first)
-            v = np.exp(log_v[s0:s1].T - log_v[s0:s1].max(axis=1))
-            v = np.einsum("ilr,lr->ri", transfer[:, :, cols], v)
-            log_v[p0:p1] = np.log(v) + log_scale[:, cols].T
+        if jump:
+            # every row with a predecessor and a successor, slot c of
+            # (prod_t, prod_s), holds the product of its transfer and those
+            # after it up to the row it points to, and ends with the product
+            # up to its sequence's last row
+            mid = inner[inner >= first]
+            slot = np.empty(seg.start.size, dtype=np.intp)
+            slot[mid] = np.arange(mid.size)
+            cols = seg.succ[mid] - first
+            prod_t = transfer.take(cols, axis=2)
+            prod_s = log_scale.take(cols, axis=1)
+
+            def compose(r, q):
+                r = slot[r]
+                prod_t[:, :, r], prod_s[:, r] = _compose(prod_t, prod_s, r,
+                                                         slot[q])
+
+            ptr = np.full(seg.start.size, -1)
+            ptr[mid] = np.where(seg.last[seg.succ[mid]], -1, seg.succ[mid])
+            _jump(ptr, compose)
+            last_of = np.empty(len(seg.offsets) - 1, dtype=np.intp)
+            last_of[seg.seq[last]] = last
+            log_v[mid] = _log_products(log_v[last_of[seg.seq[mid]]], prod_t,
+                                       prod_s)
+        else:
+            for p0, p1, s0, s1 in reversed(seg.blocks()):
+                cols = slice(s0 - first, s1 - first)
+                log_v[p0:p1] = _log_products(
+                    log_v[s0:s1], transfer[:, :, cols], log_scale[:, cols])
         # the smoothed law at the start of each row's successor
         succ = np.arange(first, seg.start.size)
         law = np.log(predicted[seg.start[succ]]) + log_v[succ]
@@ -301,12 +485,14 @@ def smooth_dataset(model: HmmModel, data: ObservedSequence) -> ChainPosterior:
     in one batch.  An impossible observation is reported at the lowest
     sequence index that has one, and at that sequence's first."""
     log_b = log_emission_matrix(model, data.values)
-    seg = _Segments(data.offsets)
+    size, jump = _smoothing_segments(data.offsets, model.num_states)
+    seg = _Segments(data.offsets, size)
     transfer, log_scale = _transfers(model, seg, log_b)
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
-                                            log_scale)
+                                            log_scale, jump)
     del log_b
-    smoothed = _backward(model, seg, forward, predicted, transfer, log_scale)
+    smoothed = _backward(model, seg, forward, predicted, transfer, log_scale,
+                         jump)
     return ChainPosterior(forward, log_norm, predicted, fsum(log_norm),
                           seg.offsets, smoothed)
 
@@ -368,20 +554,6 @@ def _viterbi_segment_length(offsets, j: int) -> int:
         return t_max
     cells = (j ** 3 + VITERBI_ROW_CELLS) * int(offsets[-1]) * t_max.bit_length()
     return min(t_max, math.isqrt(cells // (6 * VITERBI_CELLS_PER_STEP)) + 1)
-
-
-def _jump(ptr, combine):
-    """Pointer jumping (Wyllie 1979): in rounds, every row r whose pointer
-    ptr[r] is not -1 is combined with its pointee, combine(r, ptr[r]) on
-    arrays of rows, and then points where its pointee pointed.  Each round
-    doubles the span a row has combined, so chains of n rows take
-    ceil(log2(n)) rounds.  ptr is updated in place."""
-    rows = np.flatnonzero(ptr >= 0)
-    while rows.size:
-        to = ptr[rows]
-        combine(rows, to)
-        ptr[rows] = ptr[to]
-        rows = rows[ptr[rows] >= 0]
 
 
 def _max_transfers(log_a, log_b, seg: _Segments):

@@ -3,20 +3,23 @@ enumeration oracle; entropy profiles and Viterbi restorations of datasets
 against those of their sequences; the segmented Viterbi kernel against the
 sequential recursion and the oracle, on instances whose optima tie.
 
-smooth_dataset cuts every sequence into segments of L = ceil(sqrt(T_max))
-positions and runs all segments of all sequences as the rows of one batch.
-The generated datasets put sequence lengths at the segment boundaries, and
+smooth_dataset cuts every sequence into segments and runs all segments of
+all sequences as the rows of one batch; its segment boundaries are stitched
+one block of segments at a time, with L = ceil(sqrt(T_max)), or by pointer
+jumping with the shorter segments of chain._smoothing_segments.  The
+generated datasets put sequence lengths at the segment boundaries, and
 their models have near-deterministic transitions (entries 1e-300 and
 1 - 1e-16), initial laws with a 1e-300 entry and Poisson observations far
 in the tail, where probabilities leave the double range.
 """
 
 import math
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -29,12 +32,16 @@ from hmmentropy import (Categorical, ChainPosterior, HmmModel,
                         enumerate_chain, hernando_table, simulate_chain,
                         smooth_chain, smooth_dataset, smooth_tree,
                         viterbi_chain, viterbi_dataset, viterbi_tree)
-from hmmentropy.chain import _segment_length, _viterbi_segment_length
+from hmmentropy.chain import (_segment_length, _smoothing_segments,
+                              _viterbi_segment_length)
+from hmmentropy.fileio import parse_model, parse_sequence
 from hmmentropy.model import log_emission_matrix
 from hmmentropy.numutil import tie_argmax
 
 from conftest import (extreme_model, log_space_tree, random_model, stack,
                       with_tails)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def log_space_smoothing(model, seq):
@@ -184,10 +191,11 @@ def test_predicted_law_favouring_an_underflowing_state():
 def test_start_state_far_below_the_others_survives_stitching():
     """State 0 is absorbing.  The zeros pin it down, and from position 100
     on each observation makes a start in state 0 about exp(-147) times less
-    likely than a start in state 1, so that over a segment of 11 positions
-    state 0's row of the transfer matrix is below 1e-308 of state 1's.  It
-    is the only row the stitched law weighs, so it must keep its own
-    scale."""
+    likely than a start in state 1, so that over a segment of 11 positions,
+    ceil(sqrt(T)), state 0's row of the transfer matrix is below 1e-308 of
+    state 1's (the rule stitches these 111 positions by pointer jumping, in
+    segments of 2, whose products over 5 or more fall as far).  It is the
+    only row the stitched law weighs, so it must keep its own scale."""
     model = HmmModel([0.5, 0.5], [[1.0, 0.0], [1e-300, 1.0]],
                      [[Poisson(1.0)], [Poisson(50.0)]])
     seq = ObservedSequence([0] * 100 + [50] * 11)
@@ -195,6 +203,128 @@ def test_start_state_far_below_the_others_survives_stitching():
     post = smooth_chain(model, seq)
     np.testing.assert_allclose(post.smoothed[:, 0], 1.0, atol=1e-12)
     assert_matches_log_space(model, seq, post)
+
+
+def takes_jumps(model, data):
+    """Whether smooth_dataset stitches the dataset by pointer jumping."""
+    return _smoothing_segments(data.offsets, model.num_states)[1]
+
+
+def test_start_state_far_below_the_others_survives_jumping():
+    """The case above with 2,000 zeros and 200 fifties, stitched by pointer
+    jumping: every product of transfers that spans a segment of fifties has
+    state 0's row below 1e-308 of state 1's, so each composition must shift
+    each row by its own largest term."""
+    model = HmmModel([0.5, 0.5], [[1.0, 0.0], [1e-300, 1.0]],
+                     [[Poisson(1.0)], [Poisson(50.0)]])
+    seq = ObservedSequence([0] * 2000 + [50] * 200)
+    assert takes_jumps(model, seq)
+    post = smooth_chain(model, seq)
+    np.testing.assert_allclose(post.smoothed[:, 0], 1.0, atol=1e-12)
+    assert_matches_log_space(model, seq, post)
+
+
+def test_predicted_law_favouring_an_underflowing_state_when_jumped():
+    """The case above with 1,000 zeros after the 300, stitched by pointer
+    jumping."""
+    model = HmmModel([1.0 - 1e-300, 1e-300], [[1.0 - 1e-16, 1e-16], [1e-300, 1.0]],
+                     [[Poisson(1.0)], [Poisson(20.0)]])
+    seq = ObservedSequence([300] + [0] * 1000)
+    assert takes_jumps(model, seq)
+    post = smooth_chain(model, seq)
+    assert post.smoothed[0, 0] == pytest.approx(1.0)
+    assert_matches_log_space(model, seq, post)
+
+
+@st.composite
+def jumped_datasets(draw):
+    """(model, dataset, L): one sequence of 400-600 positions and 0-5 whose
+    lengths sit at the boundaries of segments of L positions, the length
+    that smooth_dataset's rule gives the dataset where it stitches it by
+    pointer jumping (at J = 8 it keeps the block stitch on some); the long
+    sequence has 16 segments or more."""
+    j = draw(st.integers(1, 8))
+    t_long = draw(st.integers(400, 600))
+    picks = draw(st.lists(st.integers(0, 6), max_size=5))
+    size, before = _smoothing_segments(np.array([0, t_long]), j)[0], None
+    for _ in range(5):  # L depends on the dataset's length
+        lengths = [segment_boundaries(size)[p] for p in picks]
+        lengths.insert(draw(st.integers(0, len(lengths))), t_long)
+        before, (size, jump) = size, _smoothing_segments(
+            np.concatenate(([0], np.cumsum(lengths))), j)
+        if size == before:
+            break
+    assume(size == before and jump)
+    assert -(-t_long // size) >= 16
+    near_deterministic = draw(st.booleans())
+    tiny_initial = draw(st.booleans())
+    tail_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model, kinds = extreme_model(rng, j, near_deterministic, tiny_initial)
+    seqs = []
+    for t_len in lengths:
+        _, seq = simulate_chain(model, t_len, int(rng.integers(0, 2 ** 31)))
+        seqs.append(ObservedSequence(with_tails(rng, seq.values, kinds,
+                                                tail_share)))
+    return model, stack(seqs), size
+
+
+@given(jumped_datasets())
+@settings(deadline=None, max_examples=30)
+def test_jumped_kernel_matches_log_space_reference(instance):
+    """The extreme datasets above, stitched by pointer jumping; the
+    reference's per-position loop is what limits the examples."""
+    model, data, size = instance
+    assert _smoothing_segments(data.offsets, model.num_states) == (size, True)
+    post = smooth_dataset(model, data)
+    chains = sequence_posteriors(post)
+    for seq, chain in zip(data.sequences(), chains):
+        assert_matches_log_space(model, seq, chain)
+    assert post.log_likelihood == pytest.approx(
+        math.fsum(chain.log_likelihood for chain in chains),
+        rel=1e-12, abs=1e-9)
+
+
+def test_jumped_smoothing_is_as_accurate_as_the_block_stitch():
+    """One chain of 10^4 positions at J = 4 with sticky transitions, drawn
+    as the chain-long benchmark draws its model: against the log-space
+    reference, the largest error of the jumped path's smoothed laws is no
+    larger than the block stitch's (5.7e-15 against 2.0e-14 here)."""
+    rng = np.random.default_rng(1)
+    transition = (0.3 * rng.dirichlet(np.full(4, 2.0), size=4)
+                  + 0.7 * np.eye(4))
+    model = HmmModel(rng.dirichlet(np.full(4, 2.0)),
+                     transition / transition.sum(axis=1, keepdims=True),
+                     [[Categorical(p)]
+                      for p in rng.dirichlet(np.full(4, 2.0), size=4)])
+    seq = simulate_chain(model, 10 ** 4, 1)[1]
+    assert takes_jumps(model, seq)
+    reference = log_space_smoothing(model, seq)[2]
+    jumped = smooth_chain(model, seq).smoothed
+    with patch.object(chain_module, "_smoothing_segments",
+                      lambda offsets, j: (_segment_length(10 ** 4), False)):
+        blocked = smooth_chain(model, seq).smoothed
+    assert np.abs(jumped - reference).max() <= np.abs(blocked - reference).max()
+
+
+def test_smoothing_segments_rule():
+    """Pointer jumping stitches one chain of 10^4 positions at J = 4, in
+    segments of 27 where the block stitch's are 100, and one of 10^5 in
+    segments of 94.  The block stitch, with its segments of
+    ceil(sqrt(T_max)), stays on 100 sequences of 20-180 positions at J = 8
+    and on the many-chains (J = 3, at most 4 segments) and short-chains
+    goldens."""
+    assert _smoothing_segments(np.array([0, 10 ** 4]), 4) == (27, True)
+    assert _smoothing_segments(np.array([0, 10 ** 5]), 4) == (94, True)
+    lengths = np.linspace(20, 180, 100).round().astype(int)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    assert _smoothing_segments(offsets, 8) == (14, False)
+    j = parse_model((GOLDEN / "zeros_model.json").read_text()).num_states
+    for name in ("many_chains.txt", "short_chains.txt"):
+        data = parse_sequence((GOLDEN / name).read_text())
+        t_max = int(np.diff(data.offsets).max())
+        assert _smoothing_segments(data.offsets, j) == (_segment_length(t_max),
+                                                       False)
 
 
 def test_dataset_rows_are_the_sequences_in_order():
@@ -226,6 +356,27 @@ def test_impossible_observation_names_lowest_sequence_first():
         smooth_dataset(model, data)
 
 
+def test_jumped_impossible_observation_names_lowest_sequence_first():
+    """State 0 emits 0 and state 1 emits 1, and state 1 is absorbing: a 0
+    after a 1 is impossible, which only the law stitched in at its
+    segment's start shows.  Sequence 1 fails at position 2,500, sequence 2
+    at position 1,200; the block stitch names the same position."""
+    model = HmmModel([0.5, 0.5], [[0.5, 0.5], [0.0, 1.0]],
+                     [[Categorical([1.0, 0.0])], [Categorical([0.0, 1.0])]])
+    values = [[0] * 3000,
+              [0] * 1000 + [1] * 1500 + [0] + [1] * 499,
+              [1] * 1200 + [0] * 1800]
+    data = ObservedSequence(sum(values, []), np.cumsum([0, 3000, 3000, 3000]))
+    assert takes_jumps(model, data)
+    message = "sequence 1, position 2500$"
+    with pytest.raises(ImpossibleObservationError, match=message):
+        smooth_dataset(model, data)
+    with patch.object(chain_module, "_smoothing_segments",
+                      lambda offsets, j: (_segment_length(3000), False)):
+        with pytest.raises(ImpossibleObservationError, match=message):
+            smooth_dataset(model, data)
+
+
 @pytest.mark.parametrize("initial, transition, emissions, values", [
     # G_1 = (1, 1e-310) is subnormal in state 1, which alone explains the
     # observation 1: the ratio L_1 / G_1 overflows
@@ -242,6 +393,22 @@ def test_smoothing_out_of_double_range_is_an_error(initial, transition,
     model = HmmModel(initial, transition, emissions)
     with pytest.raises(FloatingPointError, match="sequence 0, position 0"):
         smooth_chain(model, ObservedSequence(values))
+
+
+@pytest.mark.parametrize("initial, transition, emissions, values", [
+    # the cases above, with 3,000 more positions of the same kind
+    ([1.0, 0.0], [[1.0 - 1e-310, 1e-310], [0.0, 1.0]],
+     [[Categorical([1.0, 0.0])], [Categorical([0.0, 1.0])]], [0] + [1] * 3001),
+    ([0.5, 0.5], np.eye(2), [[Poisson(1.0)], [Poisson(50.0)]],
+     [400] + [0] * 3600),
+])
+def test_jumped_smoothing_out_of_double_range_is_an_error(
+        initial, transition, emissions, values):
+    model = HmmModel(initial, transition, emissions)
+    seq = ObservedSequence(values)
+    assert takes_jumps(model, seq)
+    with pytest.raises(FloatingPointError, match="sequence 0, position 0$"):
+        smooth_chain(model, seq)
 
 
 @pytest.mark.parametrize("run", [smooth_dataset, viterbi_dataset])

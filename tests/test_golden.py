@@ -15,8 +15,9 @@ The many-chains and wide-tree goldens were written before the chain and
 tree engines shared their scaled and max-product step kernels.  They run
 those steps on the wide side of the 8 J rows at which the row maxima
 switch to column slices (24 at J = 3), which the goldens above do not
-reach: the chain filter and Viterbi recursion on 81-105 segment rows, and
-the tree on levels of 1-32 vertices.
+reach: the chain filter on 81-105 segment rows, the Viterbi recursion on
+165 (its segments are 3 positions long), and the tree on levels of 1-32
+vertices.
 
 The tree Viterbi table and its log joint, the two criteria tables (the
 many-chains one with NEC) and the many-chains summary and past entropy
@@ -35,7 +36,11 @@ The long-chains Viterbi table and log joints (chains of 2,000, 700 and 1
 positions) were written when chain Viterbi stitched its segments of 45
 positions one segment block at a time.  Their segments are now 10 positions
 long and stitched by pointer jumping: the 2,000-position chain's 200
-segments take 8 rounds each way."""
+segments take 8 rounds each way.  The long-chains past entropy table was
+written when chain smoothing took up pointer jumping too, with segments of
+11 positions: its boundary laws come from products over up to 181
+segments, 8 rounds each way, where the goldens above are all stitched one
+block of segments at a time."""
 
 import json
 from pathlib import Path
