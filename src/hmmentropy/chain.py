@@ -28,16 +28,19 @@ of two forms, chosen by _smoothing_segments from a fitted count of batched
 steps.  Block by block, one step per segment index for all sequences at
 once, with L = ceil(sqrt(T_max)), T_max the length of the longest sequence:
 about 4L + 2 T_max / L steps, the form that pays for many short sequences.
-Or by pointer jumping (_jump), since both stitches are products of transfer
-matrices: every row composes the product it holds with its pointee's, in
-about log2(segments) batched rounds each way (the associative-scan form of
-smoothing, Sarkka and Garcia-Fernandez, IEEE TAC 2021).  Its segments are
-shorter, L = 27 on a chain of 10^4 positions at J = 4, not 100.  Each
-product keeps one scale per row, as the transfer matrices do, so no start
-state is lost to underflow, and its scales are taken back to a largest of 0
-after each composition, so they never grow to the size of a
-log-likelihood.  Either way that is about 4L numpy steps and the
-stitches, instead of one step per position.
+Or by pointer jumping (_jump), since the forward stitch needs the prefix
+products of the transfer matrices, from each sequence's first row, and the
+backward stitch their suffix products, up to its last row.  One jump over
+two copies of the transfer matrices builds both, composing every product
+with its pointee's along the predecessors in one copy and the successors in
+the other, in about log2(segments) batched rounds (the associative-scan
+form of smoothing, Sarkka and Garcia-Fernandez, IEEE TAC 2021).  Its
+segments are shorter, L = 27 on a chain of 10^4 positions at J = 4, not
+100.  Each product keeps one scale per row, as the transfer matrices do,
+so no start state is lost to underflow, and its scales are taken back to a
+largest of 0 after each composition, so they never grow to the size of a
+log-likelihood.  Either way that is about 4L numpy steps and the stitches,
+instead of one step per position.
 
 Viterbi restoration has the same shape in the max-plus semiring, run
 backward: pass 1 builds the J x J max-plus transfer matrix of every segment
@@ -116,6 +119,19 @@ SMOOTH_ROW_CELLS = 50
 SMOOTH_ROUND_STEPS = 4
 
 
+def _jumped_length(offsets, j: int, row_cells: int, step_cells: int) -> int:
+    """Segment length of a stitch by pointer jumping,
+    L = min(T_max, 1 + floor(sqrt((J^3 + row_cells) n log2(T_max)
+                                  / step_cells))),
+    n the number of positions and log2(T_max) taken as T_max's bit length,
+    floor(log2(T_max)) + 1.  It balances batched steps that grow as L
+    against rounds of about n / L rows, each of J^3 + row_cells numbers,
+    step_cells numbers costing about one step."""
+    t_max = int(np.diff(offsets).max())
+    return min(t_max, 1 + math.isqrt((j ** 3 + row_cells) * int(offsets[-1])
+                                     * t_max.bit_length() // step_cells))
+
+
 def _jumped_rows(m):
     """The compositions that pointer jumping (_jump) makes on a chain of m
     rows, whose row d = 1..m holds one factor and needs d, so takes
@@ -133,18 +149,25 @@ def _smoothing_segments(offsets, j: int):
     L0 = ceil(sqrt(T_max)) long, and the batched steps are about 4 L0 for
     the recursions and 2 (S0 - 1) for the stitches, S0 = ceil(T_max / L0)
     segments in the longest sequence.  Stitched by pointer jumping,
-    segments are
-    L = 1 + floor(sqrt((J^3 + SMOOTH_ROW_CELLS) n log2(T_max)
-                       / (4 SMOOTH_CELLS_PER_STEP))),
-    n the number of positions and log2(T_max) taken as its bit length,
-    which balances 4L steps against the rounds' products, about
-    (n / L) log2(T_max / L) rows of J^3 numbers each way.  The jumped
-    path's cost in steps is 4L, plus SMOOTH_ROUND_STEPS per round
-    (ceil(log2(S - 1)) forward and ceil(log2(S - 2)) backward, S the
-    segments of the longest sequence), plus
-    (J^3 + SMOOTH_ROW_CELLS) / SMOOTH_CELLS_PER_STEP per composition
+    segments are _jumped_length's, with row_cells = SMOOTH_ROW_CELLS and
+    step_cells = 4 SMOOTH_CELLS_PER_STEP, which balances 4L steps against
+    the rounds' products, about (n / L) log2(T_max / L) rows of J^3
+    numbers each way.  The jumped path's cost in steps is 4L, plus
+    SMOOTH_ROUND_STEPS per round (ceil(log2(S - 1)) forward and
+    ceil(log2(S - 2)) backward, S the segments of the longest sequence),
+    plus (J^3 + SMOOTH_ROW_CELLS) / SMOOTH_CELLS_PER_STEP per composition
     (_jumped_rows of each sequence's S_s - 1 and S_s - 2 rows).  The
     stitches jump where that is below the block path's steps.
+
+    That count, and the fit below, are of two jumps, one each way: the
+    round term was fitted to ceil(log2(S - 1)) + ceil(log2(S - 2)) rounds.
+    smooth_dataset composes both ways in one jump of ceil(log2(S - 1))
+    rounds, with one more composition per sequence, so the rule
+    over-counts the jumped side's rounds.  It is left as fitted: counting
+    the merged rounds and compositions would move 755 single-chain
+    decisions (T = 2-20,000, J = 2, 3, 4, 8) and about one in ten random
+    datasets of 1-100 sequences to the other path or L, and with them
+    printed digits.
 
     The three constants are a least-squares fit of those step counts to
     in-process sweeps of both paths at L = 1-320 (numpy 2.4.6, 2-core
@@ -168,9 +191,8 @@ def _smoothing_segments(offsets, j: int):
     size = _segment_length(t_max)
     blocked = 4 * size + 2 * (-(-t_max // size) - 1)
     cells = j ** 3 + SMOOTH_ROW_CELLS
-    jumped = min(t_max, 1 + math.isqrt(cells * int(offsets[-1])
-                                       * t_max.bit_length()
-                                       // (4 * SMOOTH_CELLS_PER_STEP)))
+    jumped = _jumped_length(offsets, j, SMOOTH_ROW_CELLS,
+                            4 * SMOOTH_CELLS_PER_STEP)
     per_seq = -(-lengths // jumped)
     longest = int(per_seq.max())
     rounds = (max(longest - 2, 0).bit_length()
@@ -197,9 +219,9 @@ def _locate(offsets, p):
 
 def _jump(ptr, combine):
     """Pointer jumping (Wyllie 1979): in rounds, every row r whose pointer
-    ptr[r] is not -1 is combined with its pointee, combine(r, ptr[r]) on
-    arrays of rows, and then points where its pointee pointed.  Each round
-    doubles the span a row has combined, so chains of n rows take
+    ptr[r] is not negative is combined with its pointee, combine(r, ptr[r])
+    on arrays of rows, and then points where its pointee pointed.  Each
+    round doubles the span a row has combined, so chains of n rows take
     ceil(log2(n)) rounds.  ptr is updated in place."""
     rows = np.flatnonzero(ptr >= 0)
     while rows.size:
@@ -340,7 +362,9 @@ def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale,
     """Passes 2 and 3 of the forward filter: (forward, predicted,
     log_normalizers) as stacked tables.  Pass 3 steps with
     numutil.scaled_step, even where every emission probability underflows
-    or the predicted law favours a state whose emission does."""
+    or the predicted law favours a state whose emission does.  With jump,
+    the first half of the columns of (transfer, log_scale) holds the
+    prefix products that smooth_dataset composed."""
     a = model.transition
     n, j = log_b.shape
     first = seg.count[0]
@@ -351,18 +375,11 @@ def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale,
         # impossible from every start state hands on NaN, so that pass 3
         # reports its successor's first position
         if jump:
-            # each row with a predecessor holds the product of the
-            # transfers from the row it points to up to its own start, and
-            # ends with the product from its sequence's first row
-            prod_t, prod_s = transfer.copy(), log_scale.copy()
-
-            def compose(r, q):
-                r = r - first
-                prod_t[:, :, r], prod_s[:, r] = _compose(prod_t, prod_s,
-                                                         q - first, r)
-
-            _jump(np.where(seg.pred >= first, seg.pred, -1), compose)
-            law[first:] = _laws(np.log(model.initial)[:, None], prod_t, prod_s)
+            # the prefix products, of the transfers from each row's
+            # sequence's first row up to its start
+            cols = slice(0, seg.start.size - first)
+            law[first:] = _laws(np.log(model.initial)[:, None],
+                                transfer[:, :, cols], log_scale[:, cols])
         else:
             for p0, p1, s0, s1 in seg.blocks():
                 cols = slice(s0 - first, s1 - first)
@@ -414,8 +431,10 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
     The last segment of each sequence runs the backward recursion from
     L_{T-1} = F_{T-1}.  The boundaries are stitched with the forward pass's
     transfer matrices: with v_t = b_t . beta_t, v_s = M v_e and
-    L_t ~ G_t . v_t, in log space.  Every other segment then runs the
-    recursion from the smoothed law at its successor's start.
+    L_t ~ G_t . v_t, in log space, or with jump from each sequence's last
+    row through the suffix products in the second half of the columns.
+    Every other segment then runs the recursion from the smoothed law at
+    its successor's start.
     """
     j = forward.shape[1]
     first = seg.count[0]
@@ -432,29 +451,14 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
         log_v = np.empty((seg.start.size, j))
         log_v[last] = np.log(safe_div(smoothed[starts], predicted[starts]))
         if jump:
-            # every row with a predecessor and a successor, slot c of
-            # (prod_t, prod_s), holds the product of its transfer and those
-            # after it up to the row it points to, and ends with the product
-            # up to its sequence's last row
-            mid = inner[inner >= first]
-            slot = np.empty(seg.start.size, dtype=np.intp)
-            slot[mid] = np.arange(mid.size)
-            cols = seg.succ[mid] - first
-            prod_t = transfer.take(cols, axis=2)
-            prod_s = log_scale.take(cols, axis=1)
-
-            def compose(r, q):
-                r = slot[r]
-                prod_t[:, :, r], prod_s[:, r] = _compose(prod_t, prod_s, r,
-                                                         slot[q])
-
-            ptr = np.full(seg.start.size, -1)
-            ptr[mid] = np.where(seg.last[seg.succ[mid]], -1, seg.succ[mid])
-            _jump(ptr, compose)
+            # the suffix products, of the transfers from each row's
+            # predecessor up to its sequence's last row
+            cols = slice(seg.start.size - first, None)
             last_of = np.empty(len(seg.offsets) - 1, dtype=np.intp)
             last_of[seg.seq[last]] = last
-            log_v[mid] = _log_products(log_v[last_of[seg.seq[mid]]], prod_t,
-                                       prod_s)
+            log_v[seg.pred[first:]] = _log_products(
+                log_v[last_of[seg.seq[first:]]], transfer[:, :, cols],
+                log_scale[:, cols])
         else:
             for p0, p1, s0, s1 in reversed(seg.blocks()):
                 cols = slice(s0 - first, s1 - first)
@@ -488,6 +492,24 @@ def smooth_dataset(model: HmmModel, data: ObservedSequence) -> ChainPosterior:
     size, jump = _smoothing_segments(data.offsets, model.num_states)
     seg = _Segments(data.offsets, size)
     transfer, log_scale = _transfers(model, seg, log_b)
+    if jump:
+        # two copies of the transfer columns, column r - B the transfer into
+        # row r: the first composed along pred into the products from each
+        # sequence's first row, the second along succ into those up to its
+        # last row
+        width = transfer.shape[2]
+        transfer, log_scale = np.tile(transfer, 2), np.tile(log_scale, 2)
+        first = seg.count[0]
+        succ = seg.succ[first:] - first + width
+        succ[succ < width] = -1  # none, negative again after the offset
+
+        def compose(r, q):
+            left, right = np.where(r < width, (q, r), (r, q))
+            transfer[:, :, r], log_scale[:, r] = _compose(transfer, log_scale,
+                                                          left, right)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _jump(np.concatenate((seg.pred[first:] - first, succ)), compose)
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
                                             log_scale, jump)
     del log_b
@@ -511,11 +533,8 @@ VITERBI_ROW_CELLS = 128
 
 def _viterbi_segment_length(offsets, j: int) -> int:
     """Segment length of viterbi_dataset: T_max, which leaves every sequence
-    one segment, unless segmenting pays; then
-    L = 1 + floor(sqrt((J^3 + VITERBI_ROW_CELLS) n log2(T_max)
-                       / (6 VITERBI_CELLS_PER_STEP))),
-    n the number of positions and log2(T_max) taken as T_max's bit length,
-    floor(log2(T_max)) + 1.
+    one segment, unless segmenting pays; then _jumped_length's L, with
+    row_cells = VITERBI_ROW_CELLS and step_cells = 6 VITERBI_CELLS_PER_STEP.
 
     Whether segmenting pays is decided at L0 = ceil(sqrt(T_max)): it saves
     about T_max - 3 L0 steps of the batched recursion, and its pass 1 costs
@@ -552,8 +571,8 @@ def _viterbi_segment_length(offsets, j: int) -> int:
     covered = int(np.maximum(lengths - size, 0).sum())
     if j ** 3 * covered > VITERBI_CELLS_PER_STEP * (t_max - 3 * size):
         return t_max
-    cells = (j ** 3 + VITERBI_ROW_CELLS) * int(offsets[-1]) * t_max.bit_length()
-    return min(t_max, math.isqrt(cells // (6 * VITERBI_CELLS_PER_STEP)) + 1)
+    return _jumped_length(offsets, j, VITERBI_ROW_CELLS,
+                          6 * VITERBI_CELLS_PER_STEP)
 
 
 def _max_transfers(log_a, log_b, seg: _Segments):
@@ -617,8 +636,7 @@ def viterbi_dataset(model: HmmModel, data: ObservedSequence):
             transfer[:, :, r] = max_plus(transfer.take(r, axis=2)[:, None],
                                          after[:, :, None])
 
-        succ = seg.succ[first:]
-        _jump(np.where(succ < 0, -1, succ - first), compose)
+        _jump(seg.succ[first:] - first, compose)
         u_end[seg.pred[first:]] = transfer.max(axis=0).T
         del transfer
     # pass 3: score_t(i) = log b_i(x_t) + u_t(i) down every row, longest

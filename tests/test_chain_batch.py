@@ -30,16 +30,17 @@ from hmmentropy import (Categorical, ChainPosterior, HmmModel,
                         entropy_future, entropy_future_direct,
                         entropy_past_direct, entropy_past_hernando,
                         enumerate_chain, hernando_table, simulate_chain,
-                        smooth_chain, smooth_dataset, smooth_tree,
-                        viterbi_chain, viterbi_dataset, viterbi_tree)
+                        simulate_tree, smooth_chain, smooth_dataset,
+                        smooth_tree, viterbi_chain, viterbi_dataset,
+                        viterbi_tree)
 from hmmentropy.chain import (_segment_length, _smoothing_segments,
                               _viterbi_segment_length)
 from hmmentropy.fileio import parse_model, parse_sequence
 from hmmentropy.model import log_emission_matrix
 from hmmentropy.numutil import tie_argmax
 
-from conftest import (extreme_model, log_space_tree, random_model, stack,
-                      with_tails)
+from conftest import (extreme_model, log_space_tree, random_model,
+                      random_topology, stack, with_tails)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -461,6 +462,44 @@ def test_exact_zero_transitions_keep_the_only_explanation(name):
         log_likelihood = log_space_tree(model, tree)[2]
     assert post.log_likelihood == pytest.approx(log_likelihood, rel=1e-12)
     np.testing.assert_allclose(post.smoothed[:, 0], 1.0, rtol=0, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 5))
+@settings(deadline=None)
+def test_viterbi_log_joint_is_at_most_the_log_likelihood(seed, count):
+    """One path's probability is at most the evidence, so each sequence's
+    Viterbi log joint is at most its log-likelihood, the fsum of its log
+    normalizers, up to 1e-12 of the larger of 1 and that.  Models of 1-5
+    states with structural zeros and no tails (with tails, as in the cases
+    above, the printed log-likelihood can fall below the best path's), and
+    1-5 chains of 1-3,000 positions, so that many datasets are stitched by
+    pointer jumping."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, int(rng.integers(1, 6)), zeros=True,
+                         poisson=True)
+    seqs = [simulate_chain(model, int(rng.integers(1, 3001)),
+                           int(rng.integers(0, 2 ** 31)))[1]
+            for _ in range(count)]
+    data = stack(seqs)
+    _, log_joint = viterbi_dataset(model, data)
+    for lj, chain in zip(log_joint, sequence_posteriors(
+            smooth_dataset(model, data))):
+        ll = chain.log_likelihood
+        assert lj <= ll + 1e-12 * max(1.0, abs(ll))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_tree_viterbi_log_joint_is_at_most_the_log_likelihood(seed):
+    """The invariant above on trees of up to 300 vertices of every
+    topology kind."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, int(rng.integers(1, 6)), zeros=True,
+                         poisson=True)
+    topo = random_topology(rng, int(rng.integers(1, 301)))
+    _, tree = simulate_tree(model, topo, int(rng.integers(0, 2 ** 31)))
+    ll = smooth_tree(model, tree).log_likelihood
+    assert viterbi_tree(model, tree)[1] <= ll + 1e-12 * max(1.0, abs(ll))
 
 
 @st.composite

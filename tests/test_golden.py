@@ -40,7 +40,15 @@ segments take 8 rounds each way.  The long-chains past entropy table was
 written when chain smoothing took up pointer jumping too, with segments of
 11 positions: its boundary laws come from products over up to 181
 segments, 8 rounds each way, where the goldens above are all stitched one
-block of segments at a time."""
+block of segments at a time.
+
+The J = 8 future entropy table (an 8-state model with exact zeros in its
+transition matrix and initial law, chains of 1,200, 300 and 1 positions)
+was written when the two smoothing stitches were two pointer jumps, one
+each way, before they became one jump over two copies of the transfer
+matrices.  Its segments are 21 positions long, 58 in the longest chain:
+the only golden at J = 8, of several sequences stitched by pointer jumping
+and of the future route on jumped laws."""
 
 import json
 from pathlib import Path
