@@ -40,7 +40,12 @@ segments are shorter, L = 27 on a chain of 10^4 positions at J = 4, not
 so no start state is lost to underflow, and its scales are taken back to a
 largest of 0 after each composition, so they never grow to the size of a
 log-likelihood.  Either way that is about 4L numpy steps and the stitches,
-instead of one step per position.
+instead of one step per position.  smooth_dataset alone reads the choice:
+it hands each pass its stitch steps, (source rows, target rows, transfer
+columns) triples, one per pair of consecutive blocks of segments, or one
+from each sequence's first row through the prefix products (forward) and
+one from its last row through the suffix products (backward), and each
+pass runs its steps in one loop.
 
 Viterbi restoration has the same shape in the max-plus semiring, run
 backward: pass 1 builds the J x J max-plus transfer matrix of every segment
@@ -236,8 +241,8 @@ class _Segments:
 
     Rows are ordered by segment index k, and within a segment index by the
     number of segments of their sequence, descending.  The rows of segment k
-    are then the block off[k]:off[k + 1], and the first count[k + 1] rows of
-    block k are the predecessors of the rows of block k + 1, in order.  The
+    are then a block of count[k] rows, whose first count[k + 1] are the
+    predecessors of the rows of block k + 1, in order.  The
     rows from B = count[0] on are those with a predecessor, and seq[r] is the
     sequence of row r; pred[r] and succ[r] are the rows before and after row
     r in its sequence, -1 where there is none.  Segments are `size`
@@ -258,20 +263,12 @@ class _Segments:
         self.length = np.minimum(size, lengths[seq] - k * size)
         self.last = k == per_seq[seq] - 1
         self.count = np.bincount(k)
-        self.off = np.concatenate(([0], np.cumsum(self.count)))
         first = self.count[0]
         self.pred = np.full(seq.size, -1)
         self.pred[first:] = (np.arange(first, seq.size)
                              - np.repeat(self.count[:-1], self.count[1:]))
         self.succ = np.full(seq.size, -1)
         self.succ[self.pred[first:]] = np.arange(first, seq.size)
-
-    def blocks(self):
-        """(predecessor rows, rows of the next block) as slice bounds, for
-        every pair of consecutive blocks, first to last."""
-        off, count = self.off.tolist(), self.count.tolist()
-        return [(off[k], off[k] + count[k + 1], off[k + 1], off[k + 2])
-                for k in range(len(count) - 1)]
 
 
 def _scaled_product(joint, log_scale, times):
@@ -358,33 +355,26 @@ def _log_products(log_v, transfer, log_scale):
 
 
 def _forward(model: HmmModel, seg: _Segments, log_b, transfer, log_scale,
-             jump):
+             steps):
     """Passes 2 and 3 of the forward filter: (forward, predicted,
-    log_normalizers) as stacked tables.  Pass 3 steps with
-    numutil.scaled_step, even where every emission probability underflows
-    or the predicted law favours a state whose emission does.  With jump,
-    the first half of the columns of (transfer, log_scale) holds the
-    prefix products that smooth_dataset composed."""
+    log_normalizers) as stacked tables.  Pass 2 runs smooth_dataset's
+    stitch steps in order, each (source rows, target rows, transfer
+    columns): the predicted laws at the sources' starts, taken through the
+    columns of (transfer, log_scale), are those at the targets' starts.
+    Pass 3 steps with numutil.scaled_step, even where every emission
+    probability underflows or the predicted law favours a state whose
+    emission does."""
     a = model.transition
     n, j = log_b.shape
-    first = seg.count[0]
     law = np.empty((seg.start.size, j))
-    law[:first] = model.initial
+    law[:seg.count[0]] = model.initial
     with np.errstate(divide="ignore", invalid="ignore"):
         # pass 2: the predicted law at each row's start; a segment that is
         # impossible from every start state hands on NaN, so that pass 3
         # reports its successor's first position
-        if jump:
-            # the prefix products, of the transfers from each row's
-            # sequence's first row up to its start
-            cols = slice(0, seg.start.size - first)
-            law[first:] = _laws(np.log(model.initial)[:, None],
-                                transfer[:, :, cols], log_scale[:, cols])
-        else:
-            for p0, p1, s0, s1 in seg.blocks():
-                cols = slice(s0 - first, s1 - first)
-                law[s0:s1] = _laws(np.log(law[p0:p1]).T, transfer[:, :, cols],
-                                   log_scale[:, cols])
+        for source, target, cols in steps:
+            law[target] = _laws(np.log(law[source]).T, transfer[:, :, cols],
+                                log_scale[:, cols])
         # pass 3: the scaled recursion on all rows, longest first
         order = np.argsort(-seg.length, kind="stable")
         starts = seg.start[order]
@@ -425,16 +415,17 @@ def _smooth_rows(model, forward, predicted, smoothed, top, steps, law):
 
 
 def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
-              log_scale, jump):
+              log_scale, steps):
     """Smoothed table of a dataset from its stacked forward tables.
 
     The last segment of each sequence runs the backward recursion from
     L_{T-1} = F_{T-1}.  The boundaries are stitched with the forward pass's
     transfer matrices: with v_t = b_t . beta_t, v_s = M v_e and
-    L_t ~ G_t . v_t, in log space, or with jump from each sequence's last
-    row through the suffix products in the second half of the columns.
-    Every other segment then runs the recursion from the smoothed law at
-    its successor's start.
+    L_t ~ G_t . v_t, in log space, by smooth_dataset's stitch steps in
+    order, each (source rows, target rows, transfer columns): log v at the
+    sources' starts, taken through the columns of (transfer, log_scale), is
+    log v at the targets' starts.  Every other segment then runs the
+    recursion from the smoothed law at its successor's start.
     """
     j = forward.shape[1]
     first = seg.count[0]
@@ -450,20 +441,9 @@ def _backward(model: HmmModel, seg: _Segments, forward, predicted, transfer,
                      forward[starts + seg.length[last] - 1])
         log_v = np.empty((seg.start.size, j))
         log_v[last] = np.log(safe_div(smoothed[starts], predicted[starts]))
-        if jump:
-            # the suffix products, of the transfers from each row's
-            # predecessor up to its sequence's last row
-            cols = slice(seg.start.size - first, None)
-            last_of = np.empty(len(seg.offsets) - 1, dtype=np.intp)
-            last_of[seg.seq[last]] = last
-            log_v[seg.pred[first:]] = _log_products(
-                log_v[last_of[seg.seq[first:]]], transfer[:, :, cols],
-                log_scale[:, cols])
-        else:
-            for p0, p1, s0, s1 in reversed(seg.blocks()):
-                cols = slice(s0 - first, s1 - first)
-                log_v[p0:p1] = _log_products(
-                    log_v[s0:s1], transfer[:, :, cols], log_scale[:, cols])
+        for source, target, cols in steps:
+            log_v[target] = _log_products(log_v[source], transfer[:, :, cols],
+                                          log_scale[:, cols])
         # the smoothed law at the start of each row's successor
         succ = np.arange(first, seg.start.size)
         law = np.log(predicted[seg.start[succ]]) + log_v[succ]
@@ -492,14 +472,14 @@ def smooth_dataset(model: HmmModel, data: ObservedSequence) -> ChainPosterior:
     size, jump = _smoothing_segments(data.offsets, model.num_states)
     seg = _Segments(data.offsets, size)
     transfer, log_scale = _transfers(model, seg, log_b)
+    # the stitch steps of each pass, (source rows, target rows, transfer
+    # columns); column r - B is the transfer into row r
+    first, width = seg.count[0], transfer.shape[2]
     if jump:
-        # two copies of the transfer columns, column r - B the transfer into
-        # row r: the first composed along pred into the products from each
-        # sequence's first row, the second along succ into those up to its
-        # last row
-        width = transfer.shape[2]
+        # two copies of the transfer columns, the first composed along pred
+        # into the products from each sequence's first row, the second
+        # along succ into those up to its last row
         transfer, log_scale = np.tile(transfer, 2), np.tile(log_scale, 2)
-        first = seg.count[0]
         succ = seg.succ[first:] - first + width
         succ[succ < width] = -1  # none, negative again after the offset
 
@@ -510,11 +490,28 @@ def smooth_dataset(model: HmmModel, data: ObservedSequence) -> ChainPosterior:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             _jump(np.concatenate((seg.pred[first:] - first, succ)), compose)
+        # each sequence's first and last rows
+        ends = np.empty((2, len(data.offsets) - 1), dtype=np.intp)
+        ends[0, seg.seq[:first]] = np.arange(first)
+        ends[1, seg.seq[seg.last]] = np.flatnonzero(seg.last)
+        later = seg.seq[first:]
+        forward_steps = [(ends[0, later], slice(first, None), slice(0, width))]
+        backward_steps = [(ends[1, later], seg.pred[first:],
+                           slice(width, None))]
+    else:
+        # one step per pair of consecutive blocks of segments: the rows of
+        # block k + 1 follow the first rows of block k
+        off = np.cumsum(np.concatenate(([0], seg.count))).tolist()
+        forward_steps = [(slice(p0, p0 + s1 - s0), slice(s0, s1),
+                          slice(s0 - first, s1 - first))
+                         for p0, s0, s1 in zip(off, off[1:], off[2:])]
+        backward_steps = [(target, source, cols)
+                          for source, target, cols in reversed(forward_steps)]
     forward, predicted, log_norm = _forward(model, seg, log_b, transfer,
-                                            log_scale, jump)
+                                            log_scale, forward_steps)
     del log_b
     smoothed = _backward(model, seg, forward, predicted, transfer, log_scale,
-                         jump)
+                         backward_steps)
     return ChainPosterior(forward, log_norm, predicted, fsum(log_norm),
                           seg.offsets, smoothed)
 

@@ -75,11 +75,17 @@ def _emit(text: str, out_file):
         write(text)
 
 
-def _emit_profile(table: ProfileTable, out_file, log_base: str = "e"):
+def _emit_profile(table: ProfileTable, out_file):
     """Write a profile table block by block as write_profile formats it:
     its whole text is never held."""
     with _writer(out_file) as write:
-        write_profile(table, log_base, write)
+        write_profile(table, write)
+
+
+def _in_base(entropy, log_base):
+    """An entropy in nats, a number or an array, in the --log-base that
+    prints it: in bits for 2, as it is for e."""
+    return entropy * (1.0 / math.log(2.0)) if log_base == "2" else entropy
 
 
 def _read_input(path):
@@ -100,12 +106,9 @@ def _load_data(data_file):
     return "chain", parse_sequence(text)
 
 
-def _scalar_table(pairs, entropy_keys=(), log_base="e"):
-    scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
+def _scalar_table(pairs):
     lines = []
     for key, value in pairs:
-        if key in entropy_keys:
-            value = value * scale
         if isinstance(value, float):
             lines.append(f"{key}\t{format(value, '.12g')}")
         else:
@@ -259,10 +262,10 @@ def entropy(model_file, data_file, out_file, log_base, budget, cond):
     table = _id_table(kind, data)
     for j in range(model.num_states):
         table.add(f"smoothed_{j}", smoothed[:, j])
-    table.add("marginal_entropy", marginal, entropy=True)
+    table.add("marginal_entropy", _in_base(marginal, log_base))
     for name, values in columns:
-        table.add(name, values, entropy=True)
-    _emit_profile(table, out_file, log_base)
+        table.add(name, _in_base(values, log_base))
+    _emit_profile(table, out_file)
 
 
 @cli.command()
@@ -337,9 +340,9 @@ def oracle(model_file, data_file, out_file, log_base, budget):
         pairs += [(f"num_configurations{tag}", res.configurations.shape[0]),
                   (f"evidence{tag}", res.evidence),
                   (f"log_evidence{tag}", math.log(res.evidence)),
-                  (f"global_entropy{tag}", res.global_entropy())]
-    entropy_keys = {k for k, _ in pairs if k.startswith("global_entropy")}
-    _emit(_scalar_table(pairs, entropy_keys, log_base), out_file)
+                  (f"global_entropy{tag}",
+                   _in_base(res.global_entropy(), log_base))]
+    _emit(_scalar_table(pairs), out_file)
 
 
 @cli.command()
@@ -363,12 +366,13 @@ def summary(model_file, data_file, out_file, log_base, budget):
         # profile, which sums to H(S | X): C = G
         c = g
     s = EntropySummary(g, c, m)
-    pairs = [("global_entropy", s.g), ("g_parent_conditional_sum", s.g),
-             ("c_children_conditional_sum", s.c), ("m_marginal_sum", s.m),
+    # ratios of the sums in nats: the converted sums would round them
+    # differently
+    g, c, m = (_in_base(h, log_base) for h in (s.g, s.c, s.m))
+    pairs = [("global_entropy", g), ("g_parent_conditional_sum", g),
+             ("c_children_conditional_sum", c), ("m_marginal_sum", m),
              ("ratio_cg", s.ratio_cg), ("ratio_mg", s.ratio_mg)]
-    _emit(_scalar_table(pairs, {"global_entropy", "g_parent_conditional_sum",
-                                "c_children_conditional_sum", "m_marginal_sum"},
-                        log_base), out_file)
+    _emit(_scalar_table(pairs), out_file)
 
 
 def main(argv=None) -> int:

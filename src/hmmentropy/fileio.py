@@ -10,7 +10,6 @@ Profile tables serialize as TSV with a header row and floats rendered with
 """
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -478,21 +477,17 @@ def detect_data_kind(text: str) -> str:
 
 @dataclass
 class ProfileTable:
-    """Named numeric columns of equal length, one row per position.
-
-    Columns listed in entropy_columns are log-base converted on output.
-    """
+    """Named numeric columns of equal length, one row per position, written
+    as they hold them: an entropy column holds its values in the output's
+    base already (the CLI converts them)."""
 
     columns: List[Tuple[str, np.ndarray]] = field(default_factory=list)
-    entropy_columns: frozenset = frozenset()
 
-    def add(self, name: str, values, entropy: bool = False):
+    def add(self, name: str, values):
         values = np.asarray(values)
         if self.columns and values.shape[0] != self.columns[0][1].shape[0]:
             raise ValueError(f"column {name!r} length mismatch")
         self.columns.append((name, values))
-        if entropy:
-            self.entropy_columns = self.entropy_columns | {name}
         return self
 
     @property
@@ -709,8 +704,9 @@ def _format_rows(parts):
     return text.translate(None, b"\0").decode("ascii")
 
 
-def write_profile(table: ProfileTable, log_base: str = "e", write=None) -> str:
-    """Render a table as TSV; entropies divided by ln(2) for base-2 output.
+def write_profile(table: ProfileTable, write=None) -> str:
+    """Render a table as TSV.  Only numbers are formatted here: every cell
+    prints the value its column holds.
 
     Integer columns print as integers (``%d``) and bool columns as 1/0,
     every other column as ``%.12g``: correctly rounded to 12 significant
@@ -720,13 +716,8 @@ def write_profile(table: ProfileTable, log_base: str = "e", write=None) -> str:
     as it is formatted, the header with the first block of rows, and ""
     is returned: the whole text is never held.
     """
-    if log_base not in ("e", "2"):
-        raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
-    scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
     columns = []
-    for name, col in table.columns:
-        if name in table.entropy_columns and scale != 1.0:
-            col = col.astype(float) * scale
+    for _, col in table.columns:
         if col.dtype.kind not in "iub":
             col = np.asarray(col, dtype=np.float64)
         columns.append(col)
@@ -754,8 +745,9 @@ def write_profile(table: ProfileTable, log_base: str = "e", write=None) -> str:
 
 
 def read_profile(text: str) -> ProfileTable:
-    """Parse a TSV profile back into a table (entropy flags are not part of
-    the wire format and are not recovered)."""
+    """Parse a TSV profile back into the table that was written: the same
+    column names, integer columns as integers, every other column's cells
+    as the floats they print."""
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise DataFormatError("empty profile table")

@@ -142,21 +142,40 @@ def test_kernel_matches_log_space_reference(instance):
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6))
 @settings(deadline=None)
 def test_kernel_matches_oracle(seed, count):
-    """Small datasets with structural zeros and segments of 1-3 positions."""
+    """Small datasets with structural zeros, in the rule's own segments and
+    in segments of 1, 2 and 3 positions stitched both ways, block by block
+    and by pointer jumping.  Besides the smoothed laws and the evidence,
+    the pairwise posteriors P(S_{t-1} = i, S_t = k | X = x)
+    = F_{t-1}(i) a_ik L_t(k) / G_t(k) (0 / 0 = 0) check the predicted law
+    at every position, those the stitches hand to each row's start too."""
     rng = np.random.default_rng(seed)
     model = random_model(rng, int(rng.integers(1, 4)),
                          zeros=bool(rng.random() < 0.5), poisson=True)
     seqs = [simulate_chain(model, int(rng.integers(1, 7)),
                            int(rng.integers(0, 2 ** 31)))[1]
             for _ in range(count)]
-    post = smooth_dataset(model, stack(seqs))
-    for seq, chain in zip(seqs, sequence_posteriors(post)):
-        res = enumerate_chain(model, seq)
-        for t in range(seq.length):
-            np.testing.assert_allclose(chain.smoothed[t], res.marginal(t),
-                                       atol=1e-10)
-        assert math.exp(chain.log_likelihood) == pytest.approx(res.evidence,
-                                                               rel=1e-9)
+    oracles = [enumerate_chain(model, seq) for seq in seqs]
+    posts = [smooth_dataset(model, stack(seqs))]
+    for size in (1, 2, 3):
+        for jump in (False, True):
+            with patch.object(chain_module, "_smoothing_segments",
+                              lambda offsets, j: (size, jump)):
+                posts.append(smooth_dataset(model, stack(seqs)))
+    for post in posts:
+        for seq, res, chain in zip(seqs, oracles, sequence_posteriors(post)):
+            for t in range(seq.length):
+                np.testing.assert_allclose(chain.smoothed[t], res.marginal(t),
+                                           atol=1e-10)
+            for t in range(1, seq.length):
+                ratio = np.divide(chain.smoothed[t], chain.predicted[t],
+                                  out=np.zeros(model.num_states),
+                                  where=chain.predicted[t] > 0.0)
+                pairwise = (chain.forward[t - 1][:, None] * model.transition
+                            * ratio)
+                np.testing.assert_allclose(pairwise, res.pairwise(t - 1, t),
+                                           atol=1e-10)
+            assert math.exp(chain.log_likelihood) == pytest.approx(
+                res.evidence, rel=1e-9)
 
 
 def test_segment_length_rule():

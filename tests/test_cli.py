@@ -139,8 +139,35 @@ class TestValidate:
          "error: transition[1] has length 1 but transition[0] has length 2\n"),
         ({"num_states": 0, "initial": [], "transition": [], "emissions": []},
          "error: model needs at least one state\n"),
+        ({"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+          "emissions": [[3]]},
+         "error: emissions[0][0]: emission variable spec must be an object "
+         "with a 'type' field\n"),
+        ({"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+          "emissions": [[{"type": "categorical"}]]},
+         "error: emissions[0][0]: categorical spec needs 'probs'\n"),
+        ({"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+          "emissions": [[{"type": "categorical", "probs": []}]]},
+         "error: categorical probabilities must be a non-empty vector\n"),
+        ({"num_states": 1, "initial": [1.0], "transition": [[1.0]],
+          "emissions": [[{"type": "poisson"}]]},
+         "error: emissions[0][0]: poisson spec needs 'rate'\n"),
+        ({"num_states": 3, "initial": [0.5, 0.5],
+          "transition": [[0.5, 0.5], [0.5, 0.5]],
+          "emissions": [[{"type": "categorical", "probs": [1.0]}]] * 2},
+         "error: num_states field is 3 but initial has length 2\n"),
+        ({"num_states": 2, "initial": [0.5, 0.5], "transition": [[1.0]],
+          "emissions": [[{"type": "categorical", "probs": [1.0]}]] * 2},
+         "error: transition must be 2x2, got (1, 1)\n"),
+        ({"num_states": 2, "initial": [0.5, 0.5],
+          "transition": [[0.5, 0.5], [0.5, 0.5]],
+          "emissions": [[{"type": "categorical", "probs": [1.0]}]]},
+         "error: need one emission model per state: 1 != 2\n"),
     ], ids=["array document", "string document", "emissions not a list",
-            "state entry not a list", "ragged transition", "no state"])
+            "state entry not a list", "ragged transition", "no state",
+            "spec not an object", "no probs", "empty probs", "no rate",
+            "num_states above initial", "transition too small",
+            "one emission list for two states"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, chain_file,
                                        argv, doc, message):
         path = tmp_path / "malformed.json"
@@ -229,7 +256,7 @@ class TestSmooth:
         table.add("position", np.arange(rows))
         for j in range(6):
             table.add(f"p_{j}", rng.random(rows))
-        table.add("h", rng.random(rows), entropy=True)
+        table.add("h", rng.random(rows))
         out_path = tmp_path / "out.tsv"
         tracemalloc.start()
         try:
@@ -302,6 +329,14 @@ class TestEntropy:
                            "--data", chain_file, "--cond", "parent")
         assert code == 1
 
+    @pytest.mark.parametrize("cond", ["past", "future"])
+    def test_tree_rejects_chain_cond(self, capsys, model_file, tree_file, cond):
+        code, out, err = run(capsys, "entropy", "--model", model_file,
+                             "--data", tree_file, "--cond", cond)
+        assert code == 1 and out == ""
+        assert err.endswith(
+            "Error: tree input takes --cond parent|children|both\n")
+
     def test_tree_both(self, capsys, model_file, tree_file):
         code, out, _ = run(capsys, "entropy", "--model", model_file,
                            "--data", tree_file, "--cond", "both")
@@ -359,6 +394,10 @@ class TestSimulate:
                            "--topology", tree_file, "--seed", "1")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_length_zero_exit_2(self, capsys, model_file):
+        assert run(capsys, "simulate", "--model", model_file, "--length", "0",
+                   "--seed", "1") == (2, "", "error: length must be >= 1\n")
 
     def test_requires_exactly_one_target(self, capsys, model_file, tree_file):
         code, _, _ = run(capsys, "simulate", "--model", model_file, "--seed", "1")
@@ -486,6 +525,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "smooth", "--model", model_file,
                          "--data", "/does/not/exist")
         assert code == 1
+
+    def test_out_into_missing_directory_is_1(self, capsys, tmp_path,
+                                             model_file, chain_file):
+        """One i/o error line and no traceback."""
+        out_path = tmp_path / "missing" / "x.tsv"
+        code, out, err = run(capsys, "entropy", "--model", model_file,
+                             "--data", chain_file, "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == ("i/o error: [Errno 2] No such file or directory: "
+                       f"{str(out_path)!r}\n")
 
     def test_data_error_is_2(self, capsys, model_file, tmp_path):
         path = tmp_path / "bad.txt"

@@ -110,3 +110,7 @@ class TestInputValidation:
     def test_negative_entropy(self):
         with pytest.raises(ValueError):
             make_input(h=-1.0)
+
+    def test_negative_free_params(self):
+        with pytest.raises(ValueError, match="free_params must be non-negative"):
+            make_input(d=-1)

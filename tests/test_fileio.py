@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from hmmentropy import (Categorical, DataFormatError, HmmModel,
                         ObservedSequence, ObservedTree, Poisson, ProfileTable,
-                        TreeTopology, ValidationError,
+                        TreeTopology, ValidationError, cli,
                         fileio, parse_model, parse_sequence, parse_tree,
                         read_profile, serialize_model, serialize_sequence,
                         serialize_tree, simulate_chain, simulate_tree,
@@ -266,11 +266,15 @@ class TestWriteProfile:
         assert write_profile(table) == "index\tvalue\n0\t0.5\n"
 
     def test_base2_converts_entropy_columns_only(self):
+        """The CLI converts the entropies it prints; the writer prints every
+        column as it is."""
+        h = np.array([math.log(2.0)])
+        assert cli._in_base(h, "e") is h
         table = ProfileTable()
         table.add("index", np.array([0]))
-        table.add("h", np.array([math.log(2.0)]), entropy=True)
-        table.add("p", np.array([math.log(2.0)]))
-        text = write_profile(table, log_base="2")
+        table.add("h", cli._in_base(h, "2"))
+        table.add("p", h)
+        text = write_profile(table)
         rows = text.splitlines()[1].split("\t")
         assert float(rows[1]) == pytest.approx(1.0, rel=1e-12)
         assert float(rows[2]) == pytest.approx(math.log(2.0), rel=1e-12)
@@ -283,8 +287,8 @@ class TestWriteProfile:
     def test_deterministic(self):
         table = ProfileTable()
         table.add("vertex", np.arange(3))
-        table.add("h", np.array([0.1, 0.2, 0.3]), entropy=True)
-        assert write_profile(table, "2") == write_profile(table, "2")
+        table.add("h", np.array([0.1, 0.2, 0.3]) * (1.0 / math.log(2.0)))
+        assert write_profile(table) == write_profile(table)
 
     def test_length_mismatch(self):
         table = ProfileTable()
@@ -295,7 +299,7 @@ class TestWriteProfile:
     def test_round_trip(self):
         table = ProfileTable()
         table.add("index", np.arange(4))
-        table.add("h", np.array([0.1, 1 / 3, 0.0, 2.5e-13]), entropy=True)
+        table.add("h", np.array([0.1, 1 / 3, 0.0, 2.5e-13]))
         table.add("p", np.array([0.25, 0.5, 1.0, 0.0]))
         text = write_profile(table)
         again = read_profile(text)
@@ -307,14 +311,32 @@ class TestWriteProfile:
         with pytest.raises(DataFormatError, match="cells"):
             read_profile("a\tb\n1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty profile table"),
+        ("a\tb\n1\tx\n", "column 'b' holds a non-numeric cell"),
+    ], ids=["empty", "non-numeric"])
+    def test_read_rejects_malformed(self, text, message):
+        with pytest.raises(DataFormatError) as info:
+            read_profile(text)
+        assert str(info.value) == message
 
-def reference_write_profile(table, log_base="e"):
+
+def in_base(table, log_base, entropy):
+    """The table with its columns named in entropy in bits for log_base
+    "2", scaled by 1 / ln 2 as the CLI scales the entropies it prints."""
+    if log_base == "e":
+        return table
+    scaled = ProfileTable()
+    for name, col in table.columns:
+        scaled.add(name, col.astype(float) * (1.0 / math.log(2.0))
+                   if name in entropy else col)
+    return scaled
+
+
+def reference_write_profile(table):
     """write_profile as a per-cell loop: its bytes must not change."""
-    scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
     cells = []
     for name, col in table.columns:
-        if name in table.entropy_columns and scale != 1.0:
-            col = col.astype(float) * scale
         if col.dtype == np.float16:
             # a memoryview cannot iterate half floats, so this writer raised
             # NotImplementedError on them; float32 holds each one exactly
@@ -424,7 +446,7 @@ def profile_column(rng, dtype, rows):
 def profile_tables(draw):
     rows = draw(st.sampled_from(PROFILE_ROW_COUNTS) | st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    table = ProfileTable()
+    table, entropy = ProfileTable(), set()
     for c in range(draw(st.integers(1, 6))):
         dtype = draw(st.sampled_from(PROFILE_DTYPES))
         # the CLI's smoothed columns are strided views of a 2-D table
@@ -432,36 +454,40 @@ def profile_tables(draw):
         col = profile_column(rng, dtype, 2 * rows if strided else rows)
         name = draw(st.sampled_from(["index", "h", "100%", "%d", "%s%%",
                                      "%(x)s", f"c{c}"]))
-        table.add(name, col[::2] if strided else col, entropy=draw(st.booleans()))
-    return table
+        table.add(name, col[::2] if strided else col)
+        if draw(st.booleans()):
+            entropy.add(name)
+    return table, entropy
 
 
 class TestWriteProfileBytes:
     @given(table=profile_tables(), log_base=st.sampled_from(["e", "2"]))
     @settings(deadline=None)
     def test_same_bytes_as_the_per_cell_writer(self, table, log_base):
-        # both writers scale alike: the largest double times 1 / ln 2
-        # overflows to inf, and a signalling NaN of the random bit patterns
-        # raises the invalid flag
+        # both writers meet the scaled cells: the largest double times
+        # 1 / ln 2 overflows to inf, and a signalling NaN of the random bit
+        # patterns raises the invalid flag
         with np.errstate(over="ignore", invalid="ignore"):
-            assert first_difference(write_profile(table, log_base),
-                                    reference_write_profile(table, log_base)) is None
+            table = in_base(*table, log_base)
+            assert first_difference(write_profile(table),
+                                    reference_write_profile(table)) is None
 
     @pytest.mark.parametrize("rows", PROFILE_ROW_COUNTS)
     def test_every_row_count(self, rows):
         rng = np.random.default_rng(rows)
         table = ProfileTable()
         table.add("%d", np.arange(rows))
-        table.add("h", profile_column(rng, np.float64, rows), entropy=True)
+        table.add("h", profile_column(rng, np.float64, rows))
         table.add("m", profile_column(rng, np.int64, rows))
         for log_base in ("e", "2"):
             with np.errstate(over="ignore", invalid="ignore"):
-                text = write_profile(table, log_base)
+                scaled = in_base(table, log_base, {"h"})
+                text = write_profile(scaled)
                 assert first_difference(
-                    text, reference_write_profile(table, log_base)) is None
+                    text, reference_write_profile(scaled)) is None
                 # written as formatted: the same text, a block at a time
                 pieces = []
-                assert write_profile(table, log_base, pieces.append) == ""
+                assert write_profile(scaled, pieces.append) == ""
             assert "".join(pieces) == text
             assert max(piece.count("\n") for piece in pieces) <= B + 1
             assert text.count("\n") == rows + 1
@@ -471,11 +497,12 @@ class TestWriteProfileBytes:
             ProfileTable()) == "\n"
 
 
-def same_bytes(table):
+def same_bytes(table, entropy=()):
     for log_base in ("e", "2"):
         with np.errstate(over="ignore"):
-            assert first_difference(write_profile(table, log_base),
-                                    reference_write_profile(table, log_base)) is None
+            scaled = in_base(table, log_base, entropy)
+            assert first_difference(write_profile(scaled),
+                                    reference_write_profile(scaled)) is None
 
 
 class TestWriteProfileEdges:
@@ -499,8 +526,8 @@ class TestWriteProfileEdges:
         rng = np.random.default_rng(21)
         values = np.concatenate([*map(np.array, EDGE_FLOATS), near_ties(rng, 500)])
         table = ProfileTable()
-        table.add("h", np.concatenate([values, -values]), entropy=True)
-        same_bytes(table)
+        table.add("h", np.concatenate([values, -values]))
+        same_bytes(table, {"h"})
 
     def test_every_cell_per_cell(self, per_cell):
         # not finite, beyond 1e280 either way, or an exact tie of the 12th

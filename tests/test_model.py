@@ -545,6 +545,19 @@ class TestObservedData:
             "sequence offsets must rise strictly from 0 to 4, the number of "
             "observed rows", "sequence offsets must fit in 64-bit integers")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: HmmModel([[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]],
+                          [[Categorical([1.0])]] * 2),
+         "initial must be a vector"),
+        (lambda: TreeTopology([]), "parent array must be a non-empty vector"),
+        (lambda: ObservedTree(TreeTopology([-1, 0, 0]), [0, 1]),
+         "2 observation rows for 3 vertices"),
+    ], ids=["2-D initial", "no vertex", "rows short of the vertices"])
+    def test_shape_rejections(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_stacked_sequences(self):
         """Rows offsets[s]:offsets[s + 1] are sequence s; the default
         offsets make one sequence; both arrays are read-only int64."""
