@@ -179,17 +179,21 @@ def _smoothing_segments(offsets, j: int):
     host) on 60 shapes, each at J = 2, 4 and 8: single chains of 10 to
     10^5 positions and datasets of 3-100 sequences of 10-20,000.  A step
     cost 9.6-11.1 us, a block step 0.8-1.0 steps, a round 3.3-3.8 steps,
-    and a composition (J^3 + 47-52) / (5,200-5,600) steps.  On those
-    shapes the rule's choice took at most 1.17 times the time of the best
-    path and L seen (1.02 on average), and a jumped path it picks at most
-    1.02 times the block path's.  Many short sequences keep the block
-    stitch: 100 sequences of 20-180 positions took 1.04-1.15 times as long
-    jumped at any L, at J = 2-8.  One chain of 10^4 positions at J = 4
-    jumps with L = 27 and smoothed in 6.2 ms, against 10.1 ms in blocks of
-    L = 100; one of 10^5 with L = 94, 47 against 59 ms.  Below about 100
-    positions a chain keeps the block stitch, except at 2 and 3 positions,
-    where the 4 L0 steps overstate the block path and segments of 1
-    position jump; either path takes about 0.2 ms there.
+    and a composition (J^3 + 47-52) / (5,200-5,600) steps.  The rule
+    misses on both sides (in-process medians of alternating rounds, best
+    of 3 per call, 2-core host).  Where it picks blocks, it took about 2.3
+    times the jumped path's time on 1,000 sequences of up to 20 positions
+    at J = 8, 1.23 times at J = 4, and 1.18-1.19 times on 300 sequences at
+    J = 8.  Where it picks jumping, it took 1.05-1.18 times the block
+    path's time on 10-30 sequences of 100-3,000 positions at J = 8.  Many
+    short sequences keep the block stitch: 100 sequences of 20-180
+    positions took 1.04-1.15 times as long jumped at any L, at J = 2-8.
+    One chain of 10^4 positions at J = 4 jumps with L = 27 and smoothed in
+    6.2 ms, against 10.1 ms in blocks of L = 100; one of 10^5 with L = 94,
+    47 against 59 ms.  Below about 100 positions a chain keeps the block
+    stitch, except at 2 and 3 positions, where the 4 L0 steps overstate
+    the block path and segments of 1 position jump; either path takes
+    about 0.2 ms there.
     """
     lengths = np.diff(offsets)
     t_max = int(lengths.max())

@@ -510,7 +510,7 @@ class ProfileTable:
 # wrong side; when y is outside [1e11, 1e12) after k's one correction; when
 # |k| > 280, beyond the table of powers; and when x is not finite.  An
 # integer column takes a sign slot and one slot per digit of its longest
-# number.
+# number.  Both write their digits through _digit_rows.
 
 # Float cells per block, which sets the writer's memory: a block's slots and
 # temporaries take about 80 bytes per float cell.  At 4,096 cells the traced
@@ -524,10 +524,29 @@ _MAX_EXPONENT = 280
 # 10**(11 - k) correctly rounded, at index _MAX_EXPONENT - k, |k| <= 280
 _POW10 = np.array([float(f"1e{11 - k}")
                    for k in range(_MAX_EXPONENT, -_MAX_EXPONENT - 1, -1)])
-# the characters of the tens and of the ones digit of each number 0-99
-_TENS = np.frombuffer(b"".join(b"%d" % d * 10 for d in range(10)), dtype=np.uint8)
-_ONES = np.frombuffer(b"0123456789" * 10, dtype=np.uint8)
+# the four digit characters of each number 0-9999, leading zeros too, one
+# per row: column n holds '%04d' % n
+_QUADS = np.array(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                              indexing="ij")).reshape(4, -1)
 _TAB, _NEWLINE, _MINUS_SIGN, _POINT, _ZERO = (np.uint8(ord(c)) for c in "\t\n-.0")
+
+
+def _digit_rows(n, rows):
+    """Write the decimal digits of the non-negative int64 or uint64
+    integers n, leading zeros too, into rows, a (digits, n.size) uint8
+    block whose last row takes the ones: four digits at a time from the
+    lowest, each group one floor division and one subtraction, and its
+    characters one take of _QUADS.  No n may have more digits than rows
+    has rows; n is overwritten."""
+    q = np.empty_like(n)
+    base = n.dtype.type(10000)
+    for hi in range(len(rows), 0, -4):
+        lo = max(hi - 4, 0)
+        if lo:
+            np.floor_divide(n, base, out=q)
+            n -= q * base  # the lowest four digits
+        _QUADS[lo - hi:].take(n, axis=1, mode="clip", out=rows[lo:hi])
+        n, q = q, n
 
 
 def _exponent_tables():
@@ -550,22 +569,19 @@ def _exponent_tables():
 
 
 _AROUND, _POINT_DIGIT = _exponent_tables()
-# _float_slots' rows: sign, the 10 slots of _AROUND, the tens digits of
-# the six digit pairs, then their ones digits, then the point after digit
-# 0-10.  In print order: sign, '0.000', each digit with its point, 'e+ddd'.
+# _float_slots' rows, in print order: sign, '0.000', digit 0 and the point
+# after it, ..., digit 10 and its point, digit 11, 'e+ddd'
 _FLOAT_SLOTS = 34
-_DIGIT_ROWS = [11 + i // 2 + 6 * (i % 2) for i in range(12)]  # of digit i
-_PRINT_ORDER = np.array([0, *range(1, 6),
-                         *[r for i in range(11) for r in (_DIGIT_ROWS[i], 23 + i)],
-                         _DIGIT_ROWS[11], *range(6, 11)])
-# the digit each digit row holds
-_DIGIT_INDEX = np.array([*range(0, 12, 2), *range(1, 12, 2)], dtype=np.int8)[:, None]
-_POINT_INDEX = np.arange(11, dtype=np.int8)[:, None]
+_DIGITS, _POINTS = slice(6, 29, 2), slice(7, 28, 2)
+_DIGIT_INDEX = np.arange(12, dtype=np.int8)[:, None]
 
 
 def _float_slots(x):
-    """'%.12g' of each float64 of x, as (34, cells) uint8 slots whose
-    rows _PRINT_ORDER puts in print order."""
+    """'%.12g' of each float64 of x, as (34, cells) uint8 slots in print
+    order: the sign, the '0.000' of a fixed-form number below 1, each of
+    the 12 digits followed by a slot for the point (none after the last),
+    then 'e+ddd'; NUL in every slot a cell does not fill.  The digits are
+    those of the int64 n, written by _digit_rows."""
     y = np.abs(x)
     nonfinite = ~np.isfinite(y)
     zero = y == 0
@@ -591,27 +607,19 @@ def _float_slots(x):
     if carry.any():
         k += carry
         r[carry] = 1e11
-    # the six digit pairs of each n, from its two halves below 10**6: the
-    # quotient of integers below 2**40 by 10**6 is exact after floor
-    high = np.floor(np.divide(r, 1e6))
-    halves = high.astype(np.int32), (r - high * 1e6).astype(np.int32)
-    del r, high
+    n = r.astype(np.int64)
+    del r
 
     slots = np.empty((_FLOAT_SLOTS, x.size), dtype=np.uint8)
     np.multiply(np.signbit(x), _MINUS_SIGN, out=slots[0])
     k += np.int16(_MAX_EXPONENT)  # the exponent tables' index
-    _AROUND.take(k, axis=1, mode="clip", out=slots[1:11])
+    _AROUND[:5].take(k, axis=1, mode="clip", out=slots[1:6])
+    _AROUND[5:].take(k, axis=1, mode="clip", out=slots[29:])
     point = _POINT_DIGIT.take(k, mode="clip")
     del k
-    digits = slots[11:23]
-    for h, half in enumerate(halves):
-        top = half // np.int32(10000)
-        rest = half - top * np.int32(10000)
-        mid = rest // np.int32(100)
-        for p, pair in enumerate((top, mid, rest - mid * np.int32(100))):
-            _TENS.take(pair, out=digits[3 * h + p])
-            _ONES.take(pair, out=digits[6 + 3 * h + p])
-    del halves, top, rest, mid, pair
+    digits = slots[_DIGITS]
+    _digit_rows(n, digits)
+    del n
     digits[0] -= zero  # 1e11 read for a zero: '1' -> '0'
     # the last non-zero digit; the digits up to it and up to the point print
     flags = np.not_equal(digits, _ZERO)
@@ -619,12 +627,12 @@ def _float_slots(x):
     last = weighted.max(axis=0)
     digits *= np.greater_equal(np.maximum(point, last), _DIGIT_INDEX, out=flags)
     point = np.where(last > point, point, np.int8(-1))  # -1: no point here
-    np.multiply(np.equal(point, _POINT_INDEX, out=flags[:11]), _POINT,
-                out=slots[23:34])
+    np.multiply(np.equal(point, _DIGIT_INDEX[:11], out=flags[:11]), _POINT,
+                out=slots[_POINTS])
 
     cells = np.flatnonzero(fallback)
     if cells.size:
-        slots[_PRINT_ORDER[:, None], cells] = _per_cell_slots(x[cells])
+        slots[:, cells] = _per_cell_slots(x[cells])
     return slots
 
 
@@ -639,47 +647,36 @@ def _per_cell_slots(values):
 def _int_slots(col):
     """'%d' of an integer or bool column, as (slots, rows) uint8: a sign
     slot when the column holds a negative number, then one per digit of
-    its largest magnitude."""
+    its largest magnitude, NUL for a shorter number's leading zeros.  The
+    digits are those of the uint64 magnitudes, written by _digit_rows."""
     if col.dtype.kind == "b":
         return (col.astype(np.uint8) + _ZERO)[None]
-    if col.dtype.kind == "u":
-        mag, negative = col.astype(np.uint64), None
-    else:
-        col = col.astype(np.int64, copy=False)
-        negative = col < 0
-        # the two's complement of -2**63 is its magnitude 2**63
-        mag = col.view(np.uint64)
-        if negative.any():
-            mag = np.where(negative, np.uint64(0) - mag, mag)
-        else:
-            negative = None
-    top = int(mag.max(initial=0))
-    width = len(str(top))
-    signed = negative is not None
+    # cast to uint64, a negative integer is 2**64 minus its magnitude, so
+    # negating it gives the magnitude, 2**63 for int64's min included
+    mag = col.astype(np.uint64)
+    negative = col < 0
+    signed = bool(negative.any())
+    if signed:
+        np.negative(mag, out=mag, where=negative)
+    width = len(str(mag.max(initial=0)))
     slots = np.empty((signed + width, col.size), dtype=np.uint8)
     if signed:
         np.multiply(negative, _MINUS_SIGN, out=slots[0])
     digits = slots[signed:]
-    # two digits per step, in the narrowest type that holds every magnitude
-    q = mag.astype(next((t for t in (np.int32, np.int64) if top <= np.iinfo(t).max),
-                        np.uint64))
-    hundred = q.dtype.type(100)
-    for i in range(width, 0, -2):
-        rest = q // hundred
-        pair = q - rest * hundred
-        _ONES.take(pair, out=digits[i - 1])
-        if i > 1:
-            _TENS.take(pair, out=digits[i - 2])
-        q = rest
     # leading zeros are blank: digit i prints when mag >= 10**(width - 1 - i)
     powers = np.array([10 ** i for i in range(width - 1, 0, -1)], dtype=np.uint64)
-    digits[:-1] *= mag >= powers[:, None]
+    shown = mag >= powers[:, None]
+    _digit_rows(mag, digits)
+    digits[:-1] *= shown
     return slots
 
 
 def _format_rows(parts):
     """The rows of one block as text, from each column's part: the values
-    of a float column, the (slots, rows) of an integer column."""
+    of a float column, the (slots, rows) of an integer column.  The float
+    columns' slots are formatted together, already in print order, and
+    each column keeps, through one boolean mask, the slots that some cell
+    of it fills."""
     rows = parts[0].shape[-1]
     floats = [c for c, part in enumerate(parts) if part.ndim == 1]
     if floats:
@@ -687,8 +684,7 @@ def _format_rows(parts):
         filled = float_slots.reshape(_FLOAT_SLOTS, len(floats), rows).any(axis=2)
         parts = list(parts)
         for f, c in enumerate(floats):
-            used = _PRINT_ORDER[filled[_PRINT_ORDER, f]]
-            parts[c] = float_slots[:, f * rows:(f + 1) * rows].take(used, axis=0)
+            parts[c] = float_slots[filled[:, f], f * rows:(f + 1) * rows]
         del float_slots
     block = np.empty((sum(len(part) + 1 for part in parts), rows), dtype=np.uint8)
     at = 0

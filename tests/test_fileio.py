@@ -396,6 +396,13 @@ EDGE_FLOATS = (
 )
 
 
+# floats whose 12-digit integer n has a group of four zero digits, written
+# four digits at a time: n = 1000|0000|0000, 1000|0000|1234, 1234|0000|0000
+# and 1000|0000|0001
+ZERO_GROUP_FLOATS = (100000000000.0, 100000001234.0, 123400000000.0,
+                     1.00000000001)
+
+
 def near_ties(rng, size):
     """Values 1-4 ulps either side of n + 0.5 times a power of ten, n a
     12-digit integer: 13-digit values next to a tie of the 12th digit."""
@@ -524,7 +531,8 @@ class TestWriteProfileEdges:
 
     def test_edge_floats(self):
         rng = np.random.default_rng(21)
-        values = np.concatenate([*map(np.array, EDGE_FLOATS), near_ties(rng, 500)])
+        values = np.concatenate([*map(np.array, EDGE_FLOATS), ZERO_GROUP_FLOATS,
+                                 near_ties(rng, 500)])
         table = ProfileTable()
         table.add("h", np.concatenate([values, -values]))
         same_bytes(table, {"h"})
@@ -561,6 +569,22 @@ class TestWriteProfileEdges:
         table.add("x", ulps_away(powers, [-1, 0, 1]))
         same_bytes(table)
         assert len(per_cell) < 0.1 * 2 * table.num_rows
+
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_integers_of_every_width(self, width):
+        # the widest magnitude of each column has width digits, so that its
+        # highest group of four digits holds 1-4 of them; the int64 columns
+        # of 19 digits hold int64's extremes, the uint64 one of 20 its max
+        low, high = 10 ** (width - 1), 10 ** width - 1
+        table = ProfileTable()
+        table.add("u", np.array([0, low, min(high, 2 ** 64 - 1), 7],
+                                dtype=np.uint64))
+        if width < 20:
+            top = min(high, 2 ** 63 - 1)
+            table.add("n", np.array([0, low, top, 7], dtype=np.int64))
+            table.add("i", np.array([-low, low, -min(high, 2 ** 63), top],
+                                    dtype=np.int64))
+        same_bytes(table)
 
     def test_mostly_zero_column(self):
         # a viterbi-profiles column: exact zeros but for a few cells, which
